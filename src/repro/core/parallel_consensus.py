@@ -354,10 +354,6 @@ class ConsensusInstance:
         )
         return best_with_extra(base, best, own, len(missing))
 
-    @staticmethod
-    def _decode(payload: Hashable) -> Hashable:
-        return BOTTOM if payload == "__bottom__" else payload
-
 
 class ParallelConsensusMachine:
     """The Algorithm-5 engine, decoupled from the Protocol lifecycle.
@@ -565,17 +561,30 @@ class ParallelConsensusMachine:
         if self._order_dirty:
             self._order = sorted(self.instances, key=repr)
             self._order_dirty = False
+        if not self._order:
+            return
         any_terminated = False
+        instances = self.instances
+        # The round's instance partition, fetched once: one dict probe
+        # per instance instead of one filter() chain per instance.
+        tagged_by_instance = inbox.by_instance()
+        silent: Inbox | None = None
+        membership = self.membership
+        n_v = self.n_v
+        candidates = self.candidate_set.candidates
+        phase_cap = self.phase_cap
         for inner in self._order:
-            instance = self.instances[inner]
-            tagged = inbox.filter(instance=self._wire_tag(inner))
+            instance = instances[inner]
+            wire_tag = instance.instance_id
+            tagged = tagged_by_instance.get(wire_tag)
+            if tagged is None:
+                # Nobody spoke on this instance: every absent tag is the
+                # index's one shared empty inbox.
+                if silent is None:
+                    silent = inbox.filter(instance=wire_tag)
+                tagged = silent
             instance.on_round(
-                api,
-                tagged,
-                self.membership,
-                self.n_v,
-                self.candidate_set.candidates,
-                self.phase_cap,
+                api, tagged, membership, n_v, candidates, phase_cap
             )
             if instance.terminated:
                 result = instance.result

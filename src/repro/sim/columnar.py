@@ -27,7 +27,7 @@ Three pieces:
   whose sender sets, payload tallies and surveys are counting passes
   over the columns; ``messages`` materializes lazily only when a
   consumer genuinely iterates message objects (JSONL sinks, recorders,
-  per-kind bucket filters).
+  per-kind and per-instance bucket filters).
 
 Equivalence contract: every query answers exactly what the legacy
 object path answers, including the historical (count, repr,
@@ -213,11 +213,15 @@ class ColumnarPlane:
 
         Nodes broadcasting the round's shared payload tuple (e.g. the
         quorum plane's sorted-announcers tuple) hit the id() alias and
-        skip hashing the tuple entirely.
+        skip hashing the tuple entirely.  The alias still has to agree
+        on kind and instance: one tuple object may be fanned out under
+        several instance tags.
         """
         alias = self._batch_aliases.get(id(payloads))
         if alias is not None and alias[0] is payloads:
-            return alias[1]
+            batch = alias[1]
+            if batch.kind == kind and batch.instance == instance:
+                return batch
         key = (kind, payloads, instance)
         batch = self._batches.get(key)
         if batch is None:
@@ -640,40 +644,7 @@ class RoundColumns:
                     Message(sender, batch.kind, payload, batch.instance)
                     for payload in batch.staged_payloads
                 )
-        return tuple(out)
-
-    def instance_rows(self, instance: Hashable) -> tuple[Message, ...]:
-        """One instance's messages in staging order (lazy per tag)."""
-        plane = self.plane
-        iid = plane.instance_id_of(instance)
-        if iid is None:
-            return ()
-        kinds = plane.kinds
-        payloads = plane.payloads
-        senders = self.senders
-        instance_ids = self.instance_ids
-        out: list[Message] = []
-        for entry in self._walk():
-            if entry[0] == "s":
-                j = entry[1]
-                if instance_ids[j] != iid:
-                    continue
-                out.append(
-                    Message(
-                        senders[j],
-                        kinds[self.kind_ids[j]],
-                        payloads[self.payload_ids[j]],
-                        instance,
-                    )
-                )
-            else:
-                _, sender, batch = entry
-                if batch.instance_id != iid:
-                    continue
-                out.extend(
-                    Message(sender, batch.kind, payload, instance)
-                    for payload in batch.staged_payloads
-                )
+        plane.messages_materialized += len(out)
         return tuple(out)
 
 
@@ -724,11 +695,13 @@ class ColumnarIndex(InboxIndex):
     query methods that drive the paper's quorum counting (sender sets,
     payload tallies, surveys, per-sender buckets) read the columns
     directly; anything that genuinely needs message objects (per-kind
-    bucket filters, restrictions, layering) falls through to the base
-    implementation via the lazily materialized ``messages`` tuple.
+    bucket filters, the per-round instance partition, restrictions,
+    layering) falls through to the base implementation via the lazily
+    materialized ``messages`` tuple — one staging-order pass per round,
+    however many kinds or instances are then asked for.
     """
 
-    __slots__ = ("_cols", "_by_sender_cols", "_by_instance_cols")
+    __slots__ = ("_cols", "_by_sender_cols")
 
     def __init__(self, cols: RoundColumns):
         super().__init__(())
@@ -737,7 +710,6 @@ class ColumnarIndex(InboxIndex):
         del self.messages
         self._cols = cols
         self._by_sender_cols: dict[NodeId, tuple[Message, ...]] = {}
-        self._by_instance_cols: dict[Hashable, tuple[Message, ...]] = {}
 
     def __getattr__(self, name: str):
         if name == "messages":
@@ -814,7 +786,7 @@ class ColumnarIndex(InboxIndex):
             tags = self._instance_tags = self._cols.instance_survey()
         return tags
 
-    # -- buckets that avoid whole-round materialization -----------------
+    # -- one sender's bucket without whole-round materialization --------
     def sender_bucket(self, sender: NodeId) -> tuple[Message, ...]:
         if self._by_sender is not None:
             # Someone already materialized the full bucket map.
@@ -823,15 +795,5 @@ class ColumnarIndex(InboxIndex):
         if bucket is None:
             bucket = self._by_sender_cols[sender] = self._cols.sender_rows(
                 sender
-            )
-        return bucket
-
-    def instance_bucket(self, instance: Hashable) -> tuple[Message, ...]:
-        if self._by_instance is not None:
-            return self._by_instance.get(instance, ())
-        bucket = self._by_instance_cols.get(instance)
-        if bucket is None:
-            bucket = self._by_instance_cols[instance] = (
-                self._cols.instance_rows(instance)
             )
         return bucket

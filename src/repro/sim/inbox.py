@@ -18,6 +18,12 @@ or a cached structure after it is handed out; the query methods therefore
 return fresh ``set``/``Counter`` copies wherever callers could mutate the
 result.  Mutating an index internal is a bug, not a feature request.
 
+Buckets are partitions, not per-key scans: the first per-kind,
+per-sender or per-instance read of an index groups *every* key in one
+pass over the tuple, and :meth:`InboxIndex.instance_subs` exposes the
+instance partition whole (``tag -> shared sub-inbox``) so a protocol
+running many instances pays one dict probe per instance per round.
+
 The *quorum-tally plane* extends the sharing one layer up, into the
 protocols' counting: :meth:`InboxIndex.derive` memoizes arbitrary derived
 views (decoded vote bases, membership back-fill sets) per round, so the
@@ -42,6 +48,10 @@ from repro.types import NodeId
 #: Query-key sentinel: ``...`` (Ellipsis) means "don't care", so ``None``
 #: stays a matchable payload / instance value.
 _ANY = ...
+
+#: ``_subs`` key of an index's one shared empty sub-inbox (no bucket key
+#: is a 1-tuple, so it cannot collide).
+_EMPTY_SUB = ("empty",)
 
 
 class InboxIndex:
@@ -73,6 +83,7 @@ class InboxIndex:
         "_instances",
         "_instance_tags",
         "_subs",
+        "_instance_subs",
         "_derived",
         "_restrictions",
         "_covered",
@@ -108,6 +119,9 @@ class InboxIndex:
         #: repeated ``filter(kind)`` calls across recipients share one
         #: sub-index too.
         self._subs: dict[tuple, "Inbox"] = {}
+        #: instance tag -> shared sub-inbox: the round's instance
+        #: partition, built whole on first demand (see instance_subs).
+        self._instance_subs: Mapping[Hashable, "Inbox"] | None = None
         #: The quorum-tally plane: key -> derived view, built at most
         #: once per index by whichever recipient asks first.
         self._derived: dict[Hashable, Any] = {}
@@ -166,10 +180,13 @@ class InboxIndex:
             sender, ()
         )
 
+    def _instance_buckets(self) -> dict[Hashable, tuple[Message, ...]]:
+        """The round's instance partition: one staging-order pass that
+        buckets *every* tag (untagged messages under ``None``)."""
+        return self._bucket_map("_by_instance", lambda m: m.instance)
+
     def instance_bucket(self, instance: Hashable) -> tuple[Message, ...]:
-        return self._bucket_map("_by_instance", lambda m: m.instance).get(
-            instance, ()
-        )
+        return self._instance_buckets().get(instance, ())
 
     # ------------------------------------------------------------------
     # Sender sets and payload tallies
@@ -320,9 +337,7 @@ class InboxIndex:
         tags = self._instance_tags
         if tags is None:
             tags = self._instance_tags = tuple(
-                tag
-                for tag in self._bucket_map("_by_instance", lambda m: m.instance)
-                if tag is not None
+                tag for tag in self._instance_buckets() if tag is not None
             )
         return tags
 
@@ -335,13 +350,20 @@ class InboxIndex:
 
         :meth:`Inbox.restricted_to` asks this every round for every
         recipient; the subset test is O(senders), so the answer is
-        cached once per membership on the (shared) index.
+        cached once per membership on the (shared) index.  A sender-less
+        index is covered by every membership and caches nothing: the
+        engine's empty inbox outlives the run, and a membership-keyed
+        entry per run would leak (and make a same-seed rerun pay an
+        O(n) key comparison per lookup).
         """
         if not isinstance(members, frozenset):
             return self.all_senders <= members
         cached = self._covered.get(members)
         if cached is None:
-            cached = self._covered[members] = self.all_senders <= members
+            senders = self.all_senders
+            cached = senders <= members
+            if senders:
+                self._covered[members] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -361,12 +383,18 @@ class InboxIndex:
         immutable (the shared-index invariant) and namespace their keys
         (e.g. ``("pc-votes", kind)``) so independent protocol layers
         cannot collide.
+
+        A sender-less index rebuilds instead of memoizing (there is
+        nothing to tally, and see :meth:`covered_by`: keys carry
+        memberships and the engine's empty inbox outlives the run).
         """
         derived = self._derived
         try:
             return derived[key]
         except KeyError:
-            value = derived[key] = build(self)
+            value = build(self)
+            if self.all_senders:
+                derived[key] = value
             return value
 
     def restricted(self, members: frozenset[NodeId]) -> "Inbox":
@@ -380,6 +408,9 @@ class InboxIndex:
             members = frozenset(members)
         sub = self._restrictions.get(members)
         if sub is None:
+            if not self.all_senders:
+                # Nothing to restrict, and nothing to key by membership.
+                return self._sub(_EMPTY_SUB, ())
             sub = Inbox(m for m in self.messages if m.sender in members)
             self._restrictions[members] = sub
         return sub
@@ -388,6 +419,9 @@ class InboxIndex:
     # Shared sub-views
     # ------------------------------------------------------------------
     def _sub(self, key: tuple, bucket: tuple[Message, ...]) -> "Inbox":
+        if not bucket:
+            # Every empty bucket of one index is the same empty inbox.
+            key = _EMPTY_SUB
         sub = self._subs.get(key)
         if sub is None:
             sub = Inbox(bucket)
@@ -401,9 +435,28 @@ class InboxIndex:
         return self._sub(("sender", sender), self.sender_bucket(sender))
 
     def sub_by_instance(self, instance: Hashable) -> "Inbox":
-        return self._sub(
-            ("instance", instance), self.instance_bucket(instance)
-        )
+        sub = self.instance_subs().get(instance)
+        return self._sub(_EMPTY_SUB, ()) if sub is None else sub
+
+    def instance_subs(self) -> Mapping[Hashable, "Inbox"]:
+        """``instance tag -> shared sub-inbox`` for every tag present.
+
+        The per-round instance partition as inboxes: built whole, once
+        per index, from the one-pass bucket map, in first-occurrence
+        order (untagged messages under ``None``).  These are the very
+        objects :meth:`sub_by_instance` hands out, so a protocol that
+        runs many instances fetches the mapping once per round and pays
+        one dict probe per instance.
+        """
+        subs = self._instance_subs
+        if subs is None:
+            subs = self._instance_subs = MappingProxyType(
+                {
+                    tag: Inbox(bucket)
+                    for tag, bucket in self._instance_buckets().items()
+                }
+            )
+        return subs
 
 
 class Inbox:
@@ -601,6 +654,17 @@ class Inbox:
     def instance_tags(self) -> tuple[Hashable, ...]:
         """Instance tags in first-occurrence order (untagged excluded)."""
         return self.index.instance_tags()
+
+    def by_instance(self) -> Mapping[Hashable, "Inbox"]:
+        """``instance tag -> sub-inbox`` for every tag present.
+
+        The same shared sub-inboxes ``filter(instance=tag)`` returns
+        (untagged messages under ``None``), as one read-only mapping
+        built once per round index; an absent tag has no entry and
+        ``filter(instance=tag)`` answers it with the index's shared
+        empty inbox.
+        """
+        return self.index.instance_subs()
 
     def derive(self, key: Hashable, build: Callable[[InboxIndex], Any]) -> Any:
         """Memoize a derived view on this inbox's (possibly shared) index.

@@ -86,10 +86,14 @@ class TestCommitteeConsensus:
         assert summary["messages_per_decision"] == round(
             metrics.messages_per_decision, 2
         )
-        # The sampled path never materializes Message objects off the
-        # columnar plane: non-members answer every query they make
-        # through the shared index.
-        assert summary["materialized_messages"] == 0
+        # The sampled path never materializes a round off the columnar
+        # plane: non-members answer every query they make through the
+        # shared index, and the only Message objects built are the
+        # coordinator's own rows (the committee's ``opinion_from``
+        # sender bucket) — a sliver of what was staged.
+        assert 0 < summary["materialized_messages"] < (
+            metrics.staged_total // 10
+        )
         assert summary["columnar_active"] is True
 
     def test_unanimous_inputs_decide_that_value(self):

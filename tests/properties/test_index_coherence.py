@@ -11,7 +11,7 @@ Randomization is seeded through :func:`repro.sim.rng.make_rng`, so every
 failure here replays byte-for-byte from its seed.
 """
 
-from repro.sim.columnar import ColumnarIndex, ColumnarPlane
+from repro.sim.columnar import ColumnarIndex, ColumnarPlane, RoundColumns
 from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.message import Message
 from repro.sim.rng import make_rng
@@ -104,6 +104,36 @@ def assert_coherent(box, messages):
     assert box.instances() == {
         m.instance for m in messages if m.instance is not None
     }
+    assert_partition_coherent(box, messages)
+
+
+def assert_partition_coherent(box, messages):
+    """The per-round instance partition vs the naive scan.
+
+    ``by_instance()`` holds one sub-inbox per tag present, in
+    first-occurrence order; untagged messages sit under ``None`` (a
+    bucket, but not a tag); every entry is the very object
+    ``filter(instance=tag)`` returns; every absent tag is answered by
+    one shared empty inbox that is not in the mapping.
+    """
+    naive = {}
+    for m in messages:
+        naive.setdefault(m.instance, []).append(m)
+    partition = box.by_instance()
+    assert list(partition) == list(naive)
+    assert box.instance_tags() == tuple(
+        tag for tag in naive if tag is not None
+    )
+    for tag, expect in naive.items():
+        assert list(partition[tag]) == expect
+        assert list(box.index.instance_bucket(tag)) == expect
+        assert box.filter(instance=tag) is partition[tag]
+        assert box.kinds(instance=tag) == {m.kind for m in expect}
+    absent = box.filter(instance="no-such-instance")
+    assert len(absent) == 0 and list(absent) == []
+    assert box.filter(instance=("also", "absent")) is absent
+    assert "no-such-instance" not in partition
+    assert box.index.instance_bucket("no-such-instance") == ()
 
 
 class TestIndexCoherence:
@@ -172,6 +202,38 @@ class TestIndexCoherence:
         messages = [Message(1, "echo", "m")]
         base = Inbox(messages)
         assert InboxIndex.layered(base.index, ()) is base.index
+
+    def test_instance_partition_is_shared_and_read_only(self):
+        # One mapping (and one sub-inbox per tag) per index, whichever
+        # view asks first; recipients cannot write to it.
+        messages = [
+            Message(1, "echo", "m", "x"),
+            Message(2, "echo", "m"),
+            Message(3, "input", 0, "x"),
+        ]
+        index = InboxIndex(messages)
+        first, second = Inbox(index=index), Inbox(index=index)
+        partition = first.by_instance()
+        assert second.by_instance() is partition
+        assert list(partition) == ["x", None]
+        assert second.filter(instance="x") is partition["x"]
+        assert second.filter(instance=None) is partition[None]
+        assert first.instance_tags() == ("x",)
+        try:
+            partition["y"] = Inbox()
+        except TypeError:
+            pass
+        else:  # pragma: no cover - the assertion is the point
+            raise AssertionError("the shared partition must be read-only")
+
+    def test_every_empty_bucket_is_one_shared_inbox(self):
+        box = Inbox([Message(1, "echo", "m", "x")])
+        empty = box.filter(instance="absent")
+        assert box.filter("no-such-kind") is empty
+        assert box.from_sender(99) is empty
+        assert empty is not box and len(empty) == 0
+        # ... per index: another round's empties are its own.
+        assert Inbox([Message(1, "echo", "m")]).from_sender(99) is not empty
 
 
 # ----------------------------------------------------------------------
@@ -340,6 +402,94 @@ class TestColumnarCoherence:
         }
         # Homogeneous rounds share one sender frozenset across tags.
         assert tally[1] is tally[2] is tally[3]
+
+    def test_shared_payload_tuple_under_two_instances(self):
+        # The identity alias must not outvote kind and instance: one
+        # tuple object fanned out under two tags is two batches (the
+        # alias used to hand back the first tag's batch, whose restaged
+        # segment then dropped as a duplicate — messages lost).
+        plane = ColumnarPlane()
+        shared = ("p", "q")
+        first = plane.intern_batch("echo", shared, "a")
+        second = plane.intern_batch("echo", shared, "b")
+        assert second is not first and second.instance == "b"
+        assert plane.intern_batch("init", shared, "a").kind == "init"
+        assert plane.intern_batch("echo", shared, "a") is first
+        stream = [
+            ("batch", 1, "echo", shared, "a"),
+            ("batch", 1, "echo", shared, "b"),
+        ]
+        assert list(stage_stream(stream).materialize()) == (
+            expected_messages(stream)
+        )
+
+    def test_partition_survives_after_the_fact_overlays(self):
+        # The engine layers a joiner's direct extras over the shared
+        # columnar index *after* other recipients already built (or did
+        # not build) the round's partition; either way the overlay's
+        # partition must match a flat rebuild and the base stay intact.
+        for seed in range(10):
+            for primed in (False, True):
+                rng = make_rng(seed, salt=23)
+                stream = random_stream(rng, 30)
+                messages = expected_messages(stream)
+                extras = tuple(random_messages(rng, rng.randrange(1, 8)))
+                shared = ColumnarIndex(stage_stream(stream))
+                if primed:
+                    Inbox(index=shared).by_instance()
+                first = Inbox(index=InboxIndex.layered(shared, extras))
+                second = Inbox(
+                    index=InboxIndex.layered(first.index, extras[:2])
+                )
+                assert_partition_coherent(
+                    second, messages + list(extras) + list(extras[:2])
+                )
+                assert_partition_coherent(first, messages + list(extras))
+                assert_partition_coherent(Inbox(index=shared), messages)
+
+    def test_partition_passes_do_not_grow_with_instances(self, monkeypatch):
+        # Count-based complexity: however many instances a round
+        # carries and however many recipients read each of them, the
+        # columns are walked a fixed number of times (the tag survey
+        # and the one materialization) and every staged entry is visited
+        # once per walk — not once per instance.
+        walks = []
+        original = RoundColumns._walk
+
+        def counting_walk(cols):
+            entries = list(original(cols))
+            walks.append(len(entries))
+            return iter(entries)
+
+        monkeypatch.setattr(RoundColumns, "_walk", counting_walk)
+
+        def read_round(instances, senders=6, recipients=5):
+            plane = ColumnarPlane()
+            cols = plane.new_round()
+            for tag in range(instances):
+                for sender in range(senders):
+                    cols.stage(sender, "input", sender % 2, ("id", tag))
+                    cols.stage_batch(
+                        sender,
+                        plane.intern_batch(
+                            "echo", (("p", tag), ("q", tag)), ("id", tag)
+                        ),
+                    )
+            shared = ColumnarIndex(cols)
+            walks.clear()
+            for _ in range(recipients):
+                box = Inbox(index=shared)
+                assert len(box.instance_tags()) == instances
+                for tag in range(instances):
+                    tagged = box.filter(instance=("id", tag))
+                    assert tagged.count("input") == senders
+                    assert len(tagged) == 3 * senders
+            staged_entries = instances * senders * 2
+            assert all(visited == staged_entries for visited in walks)
+            return len(walks)
+
+        few, many = read_round(instances=3), read_round(instances=48)
+        assert few == many == 2
 
     def test_join_round_backfill_layering(self):
         # A joiner's direct extras layer over the shared columnar index

@@ -288,6 +288,45 @@ class TestSharedIndex:
         for keeper in quiet:
             assert all(box is _EMPTY_INBOX for box in keeper.inboxes)
 
+    def test_empty_singleton_caches_nothing_across_runs(self):
+        # The empty inbox outlives every run in the process (campaign
+        # workers evaluate thousands of specs): a sender-less index must
+        # answer membership-keyed questions without memoizing them, or
+        # each run leaves a whole membership frozenset behind and a
+        # same-seed rerun pays an O(n) key comparison per lookup.
+        from repro.scenario import RunSpec, run_spec
+        from repro.sim.network import _EMPTY_INBOX
+
+        def cache_entries(index):
+            return {
+                name: len(getattr(index, name))
+                for name in (
+                    "_covered",
+                    "_derived",
+                    "_restrictions",
+                    "_subs",
+                    "_sender_sets",
+                    "_payload_senders",
+                    "_best",
+                )
+            }
+
+        index = _EMPTY_INBOX.index
+        membership = frozenset(range(5))
+        assert index.covered_by(membership)
+        assert _EMPTY_INBOX.restricted_to(membership) is _EMPTY_INBOX
+        assert not index.restricted(membership)
+        assert index.derive(("probe", membership), lambda idx: 7) == 7
+        spec = RunSpec(protocol="consensus", n=20, f=0, seed=4)
+        sizes = []
+        for _ in range(2):
+            assert run_spec(spec).agreed
+            sizes.append(cache_entries(index))
+            assert not index._covered
+            assert not index._derived
+            assert not index._restrictions
+        assert sizes[0] == sizes[1]
+
 
 class ChattyByzantine:
     """Byzantine actor used for engine-level tests."""
