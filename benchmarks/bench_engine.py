@@ -14,7 +14,7 @@ interned-payload columns; inbox indexes and quorum tallies materialize
 lazily from them, which is what lets the protocol workloads run at
 n ∈ {1000, 5000, 10000}.
 
-Five workloads:
+Six workloads:
 
 * ``all-broadcast`` — one broadcast per node per round at
   n ∈ {50, 200, 800}: pure engine overhead, no inbox queries;
@@ -30,7 +30,11 @@ Five workloads:
   decisions reached by a Θ(log² n) committee with implicit outcome
   adoption (:mod:`repro.core.implicit_agreement`): the full-broadcast
   rows directly above them are the same-run baseline their
-  ``messages_per_decision`` is judged against.
+  ``messages_per_decision`` is judged against;
+* ``byz-consensus`` — the same protocol against ``(n - 1) // 3``
+  rushing equivocators at n ∈ {100, 400}, built from a ``RunSpec``:
+  Byzantine direct-send fan-outs, where staging and delivering
+  multicasts dominate and counting does not.
 
 Each row reports rounds/sec, *logical* deliveries/sec (staged entries ×
 recipients — the classical message-complexity figure, not work done),
@@ -120,6 +124,10 @@ ECONOMY_ANCHOR_N = 5000
 #: the committee (~98 of 120) is a strict subset, small enough that
 #: 50+ paired runs stay in benchmark territory.
 AGREEMENT_POPULATION = 120
+#: The Byzantine row's logical sends grow as n³ (43 M at n=400, about
+#: 430 MiB of queued fan-out pointers in the widest round); the next
+#: DEFAULT_SIZES step would be 8x that.
+BYZ_MAX_N = 400
 
 
 class AllBroadcast(Protocol):
@@ -130,17 +138,27 @@ class AllBroadcast(Protocol):
 
 
 def _run_and_measure(net: SyncNetwork, run, trace: bool = True) -> dict:
+    def drive():
+        run(net)
+        return net
+
+    return _measure(drive, trace)[0]
+
+
+def _measure(drive, trace: bool = True) -> tuple[dict, object]:
+    """Time ``drive()`` — it runs to completion and returns the finished
+    run, anything with a ``.metrics`` — into ``(result row, that run)``."""
     if trace:
         tracemalloc.start()
     start = time.perf_counter()
-    run(net)
+    outcome = drive()
     elapsed = time.perf_counter() - start
     if trace:
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     else:
         peak = None
-    metrics = net.metrics
+    metrics = outcome.metrics
     staged_per_round = metrics.staged_total / metrics.rounds
     deliveries_per_round = metrics.deliveries_total / metrics.rounds
     row = {
@@ -176,7 +194,7 @@ def _run_and_measure(net: SyncNetwork, run, trace: bool = True) -> dict:
         row["messages_per_decision"] = round(
             metrics.messages_per_decision, 2
         )
-    return row
+    return row, outcome
 
 
 def _trace_for(n: int, tracing: bool) -> bool:
@@ -318,6 +336,41 @@ def measure_sampled_parallel(
     }
 
 
+def measure_byz_consensus(
+    n: int, seed: int = 1, tracing: bool = True
+) -> dict:
+    """Consensus against ``f = (n - 1) // 3`` rushing equivocators.
+
+    The one Byzantine row: every equivocator re-tells each honest
+    broadcast as two direct-send fan-outs (one story per half), so
+    logical sends grow as n³ — 0.69 M at n=100, 43 M at n=400 — and the
+    engine's cost is staging and delivering multicasts, not counting.
+    Built from a :class:`~repro.scenario.RunSpec` like every benchmark
+    outside this file (no injected clock, so no per-phase split).
+    """
+    from benchmarks._harness import bench_run
+    from repro.scenario import RunSpec
+
+    spec = RunSpec(
+        protocol="consensus",
+        n=n,
+        f=(n - 1) // 3,
+        adversary="equivocator",
+        rushing=True,
+        seed=seed,
+    )
+    row, result = _measure(
+        lambda: bench_run(spec), trace=_trace_for(n, tracing)
+    )
+    assert result.agreed, "byz-consensus workload failed to agree"
+    return {
+        "n": n,
+        "f": spec.f,
+        "decision": result.distinct_outputs.pop(),
+        **row,
+    }
+
+
 #: workload name -> (measure function, size cap).  The sampled variants
 #: sit right after their full-broadcast baselines so the table reads as
 #: paired rows.
@@ -327,21 +380,27 @@ WORKLOADS = {
     "sampled-consensus": (measure_sampled_consensus, CONSENSUS_MAX_N),
     "parallel-consensus": (measure_parallel, PARALLEL_MAX_N),
     "sampled-parallel-consensus": (measure_sampled_parallel, PARALLEL_MAX_N),
+    "byz-consensus": (measure_byz_consensus, BYZ_MAX_N),
 }
+#: Workloads that do not run on ``DEFAULT_SIZES`` unless ``--sizes``
+#: says so.
+OWN_SIZES = {"byz-consensus": (100, 400)}
 
 
 def build_results(
-    sizes=DEFAULT_SIZES,
+    sizes=None,
     tracing: bool = True,
     workloads: tuple[str, ...] = tuple(WORKLOADS),
 ) -> dict:
+    """Run *workloads* at *sizes* (default: each workload's own list),
+    skipping sizes above a workload's cap."""
     return {
         "workloads": [
             {
                 "workload": name,
                 "results": [
                     WORKLOADS[name][0](n, tracing=tracing)
-                    for n in sizes
+                    for n in sizes or OWN_SIZES.get(name, DEFAULT_SIZES)
                     if n <= WORKLOADS[name][1]
                 ],
             }
@@ -544,6 +603,11 @@ def test_engine_hot_path(benchmark):
         assert row["rounds"] < PARALLEL_ROUND_LIMIT
         assert row["decided_pairs"] == PARALLEL_INSTANCES
         assert row["decisions"] == row["n"]
+    for row in by_name["byz-consensus"]:
+        # Agreement is asserted inside the measure function; here: the
+        # equivocators' fan-outs are direct sends, staged per recipient.
+        assert row["decision"] in (0, 1)
+        assert row["staged_entries_per_round"] > row["n"] * row["f"]
     benchmark.pedantic(
         lambda: measure_engine(50, rounds=20), rounds=3, iterations=1
     )
@@ -552,7 +616,13 @@ def test_engine_hot_path(benchmark):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES)
+        "--sizes",
+        type=int,
+        nargs="+",
+        default=None,
+        help="populations to run every selected workload at (default: "
+        "%s; byz-consensus %s)"
+        % (list(DEFAULT_SIZES), list(OWN_SIZES["byz-consensus"])),
     )
     parser.add_argument(
         "--out",
@@ -603,7 +673,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     payload = build_results(
-        sizes=tuple(args.sizes),
+        sizes=args.sizes,
         tracing=not args.no_tracemalloc,
         workloads=tuple(args.workloads),
     )

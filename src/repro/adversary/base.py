@@ -11,7 +11,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterable
 
-from repro.sim.message import BROADCAST, Outbox, Send, expand_sends
+from repro.sim.message import (
+    BROADCAST,
+    MulticastSend,
+    Outbox,
+    Send,
+    expand_sends,
+)
 from repro.sim.network import AdversaryView
 from repro.sim.node import NodeApi, Protocol
 from repro.types import NodeId
@@ -73,16 +79,19 @@ class ProtocolWrappingStrategy(ByzantineStrategy):
 
     def transform(
         self, sends: list[Send], view: AdversaryView
-    ) -> Iterable[Send]:
+    ) -> Iterable[Send | MulticastSend]:
         """Corrupt the honest sends.  Default: pass through unchanged."""
         return sends
 
     @staticmethod
     def explode_broadcast(
         send: Send, recipients: Iterable[NodeId]
-    ) -> list[Send]:
-        """Turn one broadcast into per-recipient sends (for equivocation)."""
-        return [
-            Send(dest, send.kind, send.payload, send.instance)
-            for dest in recipients
-        ]
+    ) -> list[MulticastSend]:
+        """Turn one broadcast into direct sends to *recipients* (for
+        equivocation): one multicast entry, or nothing when there is
+        nobody to tell.  ``expand_sends`` yields the per-recipient
+        :class:`Send` objects."""
+        dests = tuple(recipients)
+        if not dests:
+            return []
+        return [MulticastSend(dests, send.kind, send.payload, send.instance)]

@@ -188,6 +188,56 @@ class MessageBatchSent:
 
 
 @dataclass(slots=True)
+class MessageMulticastSent:
+    """One direct-send fan-out (a :class:`~repro.sim.message.MulticastSend`).
+
+    Semantically equivalent to ``len(dests)`` :class:`MessageSent`
+    events (one kind/payload/instance, one per recipient in ``dests``
+    order); the sync engine emits one of these instead so a Byzantine
+    node telling n recipients one story costs one event.  ``staged`` is
+    the number of recipients whose copy was queued; ``staged_flags`` is
+    a per-recipient bool tuple, or ``None`` when every recipient was
+    alive (the hot path).  ``wire_bytes`` totals the fan-out.
+
+    Process-local like :class:`MessageBatchSent`: the JSONL sink renders
+    it as the per-recipient ``send`` lines, and it is not in
+    :data:`EVENT_TYPES`.
+    """
+
+    round: Round
+    sender: NodeId
+    kind: str
+    payload: Hashable
+    instance: Hashable
+    dests: Sequence[NodeId]
+    wire_bytes: int = 0
+    staged: int = 0
+    staged_flags: Sequence[bool] | None = None
+    time: float | None = None
+
+    topic: ClassVar[str] = "send-multicast"
+
+    def expanded(self) -> "tuple[MessageSent, ...]":
+        """The equivalent per-recipient ``send`` events."""
+        flags = self.staged_flags
+        per_dest = self.wire_bytes // len(self.dests) if self.dests else 0
+        return tuple(
+            MessageSent(
+                round=self.round,
+                sender=self.sender,
+                kind=self.kind,
+                payload=self.payload,
+                instance=self.instance,
+                dest=dest,
+                wire_bytes=per_dest,
+                staged=bool(flags[i]) if flags is not None else True,
+                time=self.time,
+            )
+            for i, dest in enumerate(self.dests)
+        )
+
+
+@dataclass(slots=True)
 class PlaneStats:
     """Cumulative columnar-plane counters for one run.
 

@@ -101,9 +101,10 @@ class JsonlSink:
 
     def __call__(self, event: Any) -> None:
         topic = event.topic
-        if topic == "send-batch":
-            # Render a batched fan-out as the per-payload ``send`` lines
-            # the legacy path would have written: the on-disk vocabulary
+        if topic == "send-batch" or topic == "send-multicast":
+            # Render a fan-out (one sender's payload batch, or one
+            # payload to many recipients) as the per-send ``send`` lines
+            # the scalar path would have written: the on-disk vocabulary
             # (and schema version) is independent of batching.
             for send in event.expanded():
                 self._fh.write(json.dumps(event_to_json(send)) + "\n")

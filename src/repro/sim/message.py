@@ -100,15 +100,54 @@ class BatchSend:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class MulticastSend:
+    """A direct-send fan-out: one kind/payload/instance, many recipients.
+
+    The mirror image of :class:`BatchSend` (one recipient set, many
+    payloads): a Byzantine node telling one story to a chosen subset is
+    one logical message addressed ``len(dests)`` times, and staging it
+    as that many :class:`Send` objects is what makes equivocation the
+    engine's most expensive traffic shape.  A multicast stays a single
+    object from the strategy through staging — the network stamps its
+    :class:`Message` once and queues that same object for every alive
+    recipient.  ``dests`` is a tuple of concrete node ids, never
+    :data:`BROADCAST`; equivalent in every observable way to its
+    :meth:`expanded` scalar sends, in ``dests`` order.
+    """
+
+    dests: tuple[NodeId, ...]
+    kind: str
+    payload: Hashable = None
+    instance: Hashable = None
+
+    @property
+    def dest(self) -> tuple[NodeId, ...]:
+        """The recipients (so every send form answers ``.dest``)."""
+        return self.dests
+
+    def stamped(self, sender: NodeId) -> Message:
+        """The one wire message every recipient gets."""
+        return Message(sender, self.kind, self.payload, self.instance)
+
+    def expanded(self) -> "tuple[Send, ...]":
+        """The equivalent scalar direct sends, in recipient order."""
+        return tuple(
+            Send(dest, self.kind, self.payload, self.instance)
+            for dest in self.dests
+        )
+
+
 def expand_sends(sends):
-    """Iterate *sends* with every :class:`BatchSend` expanded in place.
+    """Iterate *sends* with every fan-out form expanded in place.
 
     Consumers that genuinely need per-send granularity (adversary
-    strategies transforming traffic, the async runtime's per-message
-    queues) use this to stay batch-agnostic.
+    strategies transforming traffic, the net runtime's per-recipient
+    frames, the engine's object path) use this to stay agnostic of
+    :class:`BatchSend` and :class:`MulticastSend`.
     """
     for send in sends:
-        if type(send) is BatchSend:
+        if type(send) is BatchSend or type(send) is MulticastSend:
             yield from send.expanded()
         else:
             yield send

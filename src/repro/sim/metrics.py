@@ -77,6 +77,7 @@ class Metrics:
         bus.subscribe(self._on_round_start, "round-start")
         bus.subscribe(self._on_send, "send")
         bus.subscribe(self._on_send_batch, "send-batch")
+        bus.subscribe(self._on_send_multicast, "send-multicast")
         bus.subscribe(self._on_deliver, "deliver")
         bus.subscribe(self._on_phase, "engine-phase")
         bus.subscribe(self._on_drop, "drop")
@@ -89,6 +90,7 @@ class Metrics:
         bus.unsubscribe(self._on_round_start)
         bus.unsubscribe(self._on_send)
         bus.unsubscribe(self._on_send_batch)
+        bus.unsubscribe(self._on_send_multicast)
         bus.unsubscribe(self._on_deliver)
         bus.unsubscribe(self._on_phase)
         bus.unsubscribe(self._on_drop)
@@ -116,11 +118,20 @@ class Metrics:
             self.staged_by_round[round_no] += 1
 
     def _on_send_batch(self, event) -> None:
-        # One event per batched fan-out: bump the per-send counters in
-        # bulk (a batch of k payloads is k logical sends).
+        # One event per batched fan-out: a batch of k payloads is k
+        # logical sends.
+        self._count_fanout(event, len(event.payloads))
+
+    def _on_send_multicast(self, event) -> None:
+        # One event per direct-send fan-out: one payload to k
+        # recipients is k logical sends.
+        self._count_fanout(event, len(event.dests))
+
+    def _count_fanout(self, event, count: int) -> None:
+        """Bump the per-send counters in bulk for a *count*-send event
+        (``staged`` on these events is a count, not a flag)."""
         round_no = event.round
         kind = event.kind
-        count = len(event.payloads)
         self.sends_total += count
         self.sends_by_node[event.sender] += count
         self.sends_by_kind[kind] += count

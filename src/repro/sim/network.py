@@ -28,18 +28,26 @@ Staging is O(logical sends), not O(sends x recipients): each ``Send`` is
 stamped into its immutable :class:`~repro.sim.message.Message` exactly once,
 broadcasts go into one per-round shared queue (every recipient's inbox
 aliases the same tuple of message objects), and only direct sends occupy
-per-node queues.  Duplicate suppression happens against the precomputed
-broadcast key set plus a small per-recipient set over the direct queue, so
-the all-broadcast hot path performs no per-recipient hashing at all.
+per-node queues.  A direct-send fan-out
+(:class:`~repro.sim.message.MulticastSend`, what an equivocating strategy
+returns per story) is stamped once too: the one message object is appended
+to every alive recipient's queue and published as one ``send-multicast``
+event.  Duplicate suppression happens against the precomputed broadcast
+key set plus a small set over each distinct direct queue, so the
+all-broadcast hot path performs no per-recipient hashing at all.
 
 Delivery is O(quorum work), not O(nodes x quorum work): recipients of the
 shared broadcast tuple also alias one shared
 :class:`~repro.sim.inbox.InboxIndex`, so each per-kind distinct-sender
 count the protocols ask for is computed once per round, not once per node;
-recipients with surviving direct messages get a private overlay index
-layered on the shared one.  The protocols' *quorum-tally plane* rides the
-same sharing one layer up: per-instance decoded vote bases, membership
-back-fill sets and membership restrictions are memoized on the round's
+recipients with surviving direct messages get an overlay index layered on
+the shared one — one overlay per *recipient group* (the recipients whose
+direct queues hold the same messages in the same order, i.e. the victims
+of one story), shared and read-only like the base: no recipient may
+mutate the inbox, index, extras or delivered tuple it is handed.  The
+protocols' *quorum-tally plane* rides the same sharing one layer up:
+per-instance decoded vote bases, membership back-fill sets and
+membership restrictions are memoized on the round's
 shared index (:meth:`~repro.sim.inbox.InboxIndex.derive` /
 :meth:`~repro.sim.inbox.InboxIndex.restricted`), so even full
 parallel-consensus tallies are built once per round and only per-node
@@ -62,6 +70,7 @@ from repro.obs.events import (
     EnginePhase,
     InboxDelivered,
     MessageBatchSent,
+    MessageMulticastSent,
     MessageSent,
     PlaneStats,
     ProtocolEvent,
@@ -76,6 +85,7 @@ from repro.sim.message import (
     BROADCAST,
     BatchSend,
     Message,
+    MulticastSend,
     Outbox,
     Send,
 )
@@ -94,7 +104,9 @@ _EMPTY_INBOX = Inbox()
 class ByzantineActor(TypingProtocol):
     """Structural interface for Byzantine strategies (see repro.adversary)."""
 
-    def on_round(self, view: "AdversaryView") -> Iterable[Send]:
+    def on_round(
+        self, view: "AdversaryView"
+    ) -> Iterable[Send | MulticastSend]:
         """Return this round's (arbitrary) sends."""
         ...
 
@@ -243,6 +255,7 @@ class SyncNetwork:
         self._emit_round_end = None
         self._emit_send = None
         self._emit_batch = None
+        self._emit_multicast = None
         self._emit_deliver = None
         self._emit_phase = None
         self._emit_plane = None
@@ -407,6 +420,7 @@ class SyncNetwork:
         self._emit_round_end = bus.sink(RoundEnded.topic)
         self._emit_send = bus.sink(MessageSent.topic)
         self._emit_batch = bus.sink(MessageBatchSent.topic)
+        self._emit_multicast = bus.sink(MessageMulticastSent.topic)
         self._emit_deliver = bus.sink(InboxDelivered.topic)
         self._emit_phase = bus.sink(EnginePhase.topic)
         self._emit_plane = bus.sink(PlaneStats.topic)
@@ -654,6 +668,14 @@ class SyncNetwork:
         tracking is one cumulative pool update per round instead of a
         per-node set union, and ``deliver`` events carry a lazy message
         sequence that only materializes if somebody iterates it.
+
+        Direct queues are deduplicated and indexed once per *recipient
+        group* — the recipients whose queues hold the same message
+        objects in the same order, which is what a multicast produces —
+        so a group shares one ``extras`` tuple, one layered index, one
+        :class:`Inbox` and one ``delivered`` tuple.  All four are
+        read-only views (the shared-index invariant extends to the
+        overlay): no recipient may mutate what it is handed.
         """
         cols = self._staging_cols
         self._staging_cols = self._plane.new_round()
@@ -667,6 +689,18 @@ class SyncNetwork:
         shared_index: ColumnarIndex | None = None
         shared_inbox: Inbox | None = None
         shared_view: ColumnarMessages | None = None
+        #: Recipient groups: every recipient whose direct queue holds
+        #: the same messages in the same order shares one ``(queue,
+        #: extras, extra senders, inbox, delivered)`` entry.  A
+        #: multicast puts one Message object in many queues, so an
+        #: equivocator round has two or three groups, not one overlay
+        #: per node.  Bucketed by (length, first id, last id) and
+        #: confirmed by list equality, which short-circuits on identity
+        #: per element; the entry keeps its queue, so the ids in the
+        #: bucket key (and in ``repeats``) stay pinned.
+        groups: dict[tuple[int, int, int], list[tuple]] = {}
+        #: id(message) -> "repeats one of this round's broadcasts".
+        repeats: dict[int, bool] = {}
         inboxes: dict[NodeId, Inbox] = {}
         round_no = self.round
         emit_deliver = self._emit_deliver
@@ -679,37 +713,56 @@ class SyncNetwork:
                 continue
             extras: tuple[Message, ...] = ()
             if direct:
-                seen: set[Message] = set()
-                fresh: list[Message] = []
-                for message in direct:
-                    if cols.contains_message(message) or message in seen:
-                        continue
-                    seen.add(message)
-                    fresh.append(message)
-                extras = tuple(fresh)
+                key = (len(direct), id(direct[0]), id(direct[-1]))
+                bucket = groups.setdefault(key, [])
+                for group in bucket:
+                    if group[0] == direct:
+                        break
+                else:
+                    seen: set[Message] = set()
+                    fresh: list[Message] = []
+                    for message in direct:
+                        repeat = repeats.get(id(message))
+                        if repeat is None:
+                            repeat = repeats[id(message)] = (
+                                cols.contains_message(message)
+                            )
+                        if repeat or message in seen:
+                            continue
+                        seen.add(message)
+                        fresh.append(message)
+                    extras = tuple(fresh)
+                    inbox = delivered = None
+                    if extras and has_broadcasts:
+                        # Direct deliveries take the object path
+                        # (materializing the shared columns once).
+                        if shared_index is None:
+                            shared_index = ColumnarIndex(cols)
+                            shared_inbox = Inbox(index=shared_index)
+                            shared_view = shared_index.message_view()
+                        inbox = Inbox(
+                            index=InboxIndex.layered(shared_index, extras)
+                        )
+                        delivered = shared_index.messages + extras
+                    elif extras:
+                        inbox = Inbox(extras)
+                        delivered = extras
+                    group = (
+                        direct,
+                        extras,
+                        frozenset(m.sender for m in extras),
+                        inbox,
+                        delivered,
+                    )
+                    bucket.append(group)
+                _, extras, extra_senders, inbox, delivered = group
             if extras:
-                # Direct deliveries are the rare, genuinely per-node
-                # case: take the object path (materializing the shared
-                # columns once if broadcasts ride along).
                 if state.contacts_shared:
                     state.contacts_shared = False
                     state.contacts = set(pool)
                 if has_broadcasts:
-                    if shared_index is None:
-                        shared_index = ColumnarIndex(cols)
-                        shared_inbox = Inbox(index=shared_index)
-                        shared_view = shared_index.message_view()
-                    inbox = Inbox(
-                        index=InboxIndex.layered(shared_index, extras)
-                    )
-                    delivered: Sequence[Message] = (
-                        shared_index.messages + extras
-                    )
                     state.contacts.update(broadcast_senders)
-                else:
-                    inbox = Inbox(extras)
-                    delivered = extras
-                state.contacts.update(m.sender for m in extras)
+                state.contacts.update(extra_senders)
             elif has_broadcasts:
                 if shared_inbox is None:
                     shared_index = ColumnarIndex(cols)
@@ -811,8 +864,8 @@ class SyncNetwork:
         round_no = self.round
         emit_send = self._emit_send
         for sender, send in sends:
-            if type(send) is BatchSend:
-                # Object path: a batch is indistinguishable from its
+            if type(send) is BatchSend or type(send) is MulticastSend:
+                # Object path: a fan-out is indistinguishable from its
                 # expansion (per-send staging, events and dedup).
                 for sub in send.expanded():
                     self._stage_one(sender, sub, round_no, emit_send)
@@ -852,13 +905,19 @@ class SyncNetwork:
         """Queue sends into the round's columns (columnar mode).
 
         Scalar broadcasts are four list appends; a batched fan-out is
-        one interned segment per sender.  Direct sends still stamp real
-        Message objects into the destination's queue — they are the
-        per-node case the columns don't model.
+        one interned segment per sender.  Direct sends stamp real
+        Message objects into the destinations' queues: a scalar send
+        one object for one queue, a multicast one object shared by
+        every alive recipient's queue (and one event for the fan-out).
         """
         round_no = self.round
         emit_send = self._emit_send
         emit_batch = self._emit_batch
+        emit_multicast = self._emit_multicast
+        nodes = self._nodes
+        #: Recipient tuple -> (alive recipients' queues, per-recipient
+        #: staged flags or None when all staged), for this call.
+        fanouts: dict[tuple, tuple] = {}
         cols = self._staging_cols
         plane = self._plane
         measuring = self.measure_bytes
@@ -901,13 +960,70 @@ class SyncNetwork:
                             )
                         )
                 continue
+            if type(send) is MulticastSend:
+                # One stamp for the whole fan-out: every alive recipient
+                # queues the same Message object, which is what lets
+                # delivery dedup and index it once per recipient group.
+                message = send.stamped(sender)
+                dests = send.dests
+                resolved = fanouts.get(dests)
+                if resolved is None:
+                    # Liveness cannot change while staging, so a
+                    # recipient tuple resolves to its queues once.
+                    queues = []
+                    flags = []
+                    for dest in dests:
+                        state = nodes.get(dest)
+                        staged = state is not None and state.alive
+                        if staged:
+                            queues.append(state.direct)
+                        flags.append(staged)
+                    resolved = fanouts[dests] = (
+                        queues,
+                        None if len(queues) == len(dests) else tuple(flags),
+                    )
+                queues, flags = resolved
+                for queue in queues:
+                    queue.append(message)
+                if emit_multicast is not None and not measuring:
+                    emit_multicast(
+                        MessageMulticastSent(
+                            round_no,
+                            sender,
+                            send.kind,
+                            send.payload,
+                            send.instance,
+                            dests,
+                            0,
+                            len(queues),
+                            flags,
+                        )
+                    )
+                elif emit_send is not None:
+                    # No multicast subscriber (or byte accounting):
+                    # emit the equivalent per-recipient events.
+                    wire_bytes = self._wire_cost(sender, send)
+                    for i, dest in enumerate(dests):
+                        emit_send(
+                            MessageSent(
+                                round_no,
+                                sender,
+                                send.kind,
+                                send.payload,
+                                send.instance,
+                                dest,
+                                wire_bytes,
+                                flags[i] if flags is not None else True,
+                            )
+                        )
+                continue
             dest = send.dest
             if dest is BROADCAST:
                 staged = cols.stage(
                     sender, send.kind, send.payload, send.instance
                 )
             else:
-                state = self._nodes.get(dest)
+                state = nodes.get(dest)
                 staged = state is not None and state.alive
                 if staged:
                     state.direct.append(send.stamped(sender))

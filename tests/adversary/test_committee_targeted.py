@@ -21,6 +21,7 @@ from repro.core.committee import sample_committee
 from repro.core.implicit_agreement import CommitteeConsensus
 from repro.obs.bus import EventBus
 from repro.sim.inbox import Inbox
+from repro.sim.message import expand_sends
 from repro.sim.network import AdversaryView, SyncNetwork
 from repro.sim.node import Protocol
 from repro.sim.rng import make_rng, sparse_ids
@@ -117,12 +118,18 @@ def adversary_view(all_nodes, node_id=99):
     )
 
 
+def scalar_sends(strategy, view):
+    """The strategy's output for one round, one ``Send`` per recipient
+    (fan-outs leave the strategy as single multicast entries)."""
+    return list(expand_sends(strategy.on_round(view)))
+
+
 class TestTargetedTransformUnits:
     def test_equivocator_splits_only_targets(self):
         strategy = EquivocatorStrategy(
             Beacon(0), targets=frozenset({1, 2, 3, 4})
         )
-        sends = list(strategy.on_round(adversary_view(range(1, 9))))
+        sends = scalar_sends(strategy, adversary_view(range(1, 9)))
         by_dest = {s.dest: s.payload for s in sends}
         # Victims 1..4 split between the clean and twisted stories.
         assert [by_dest[d] for d in (1, 2)] == [0, 0]
@@ -137,7 +144,7 @@ class TestTargetedTransformUnits:
             value_b="b",
             targets=frozenset({1, 2, 3, 4}),
         )
-        sends = list(strategy.on_round(adversary_view(range(1, 9))))
+        sends = scalar_sends(strategy, adversary_view(range(1, 9)))
         by_dest = {s.dest: s.payload for s in sends}
         assert [by_dest[d] for d in (1, 2)] == ["a", "a"]
         assert [by_dest[d] for d in (3, 4)] == ["b", "b"]
@@ -145,7 +152,7 @@ class TestTargetedTransformUnits:
 
     def test_no_targets_means_everyone_is_split(self):
         strategy = EquivocatorStrategy(Beacon(0))
-        sends = list(strategy.on_round(adversary_view(range(1, 5))))
+        sends = scalar_sends(strategy, adversary_view(range(1, 5)))
         by_dest = {s.dest: s.payload for s in sends}
         # All-nodes split (self included): lower half clean, upper twisted.
         assert [by_dest[d] for d in (1, 2)] == [0, 0]

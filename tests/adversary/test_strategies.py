@@ -15,7 +15,7 @@ from repro.adversary import (
 )
 from repro.adversary.simple import HalfCrashStrategy
 from repro.sim.inbox import Inbox
-from repro.sim.message import BROADCAST
+from repro.sim.message import BROADCAST, MulticastSend, expand_sends
 from repro.sim.network import AdversaryView
 from repro.sim.node import Protocol
 
@@ -43,6 +43,12 @@ def view(round_no=1, node_id=50, all_nodes=(1, 2, 3, 4, 50), inbox=()):
         rng=random.Random(0),
         correct_traffic=(),
     )
+
+
+def scalar_sends(strategy, view):
+    """The strategy's output for one round, one ``Send`` per recipient
+    (fan-outs leave the strategy as single multicast entries)."""
+    return list(expand_sends(strategy.on_round(view)))
 
 
 class TestSilentAndPresent:
@@ -74,7 +80,7 @@ class TestCrash:
 
     def test_half_crash_partial_broadcast(self):
         strategy = HalfCrashStrategy(Beacon(), crash_round=2)
-        sends = list(strategy.on_round(view(2)))
+        sends = scalar_sends(strategy, view(2))
         # broadcast exploded to only the lower half of 5 nodes
         assert len(sends) == 2
         assert all(s.dest is not BROADCAST for s in sends)
@@ -84,11 +90,28 @@ class TestCrash:
 class TestEquivocator:
     def test_splits_values_between_halves(self):
         strategy = EquivocatorStrategy(Beacon(1))
-        sends = list(strategy.on_round(view(1)))
+        sends = scalar_sends(strategy, view(1))
         by_dest = {s.dest: s.payload for s in sends}
         assert len(by_dest) == 5
         payloads = set(by_dest.values())
         assert payloads == {1, 0}  # 1 mutated to 0 for binary
+
+    def test_each_story_leaves_as_one_multicast(self):
+        strategy = EquivocatorStrategy(Beacon(1))
+        raw = list(strategy.on_round(view(1)))
+        assert [type(s) for s in raw] == [MulticastSend, MulticastSend]
+        # Every entry a strategy returns answers ``.dest`` (per-send
+        # consumers and the benchmark's tracer read it).
+        assert [s.dest for s in raw] == [(1, 2), (3, 4, 50)]
+        assert all(s.dest is not BROADCAST for s in raw)
+        assert [s.payload for s in raw] == [1, 0]
+
+    def test_nobody_to_tell_means_no_entry(self):
+        # One victim: the lower half is empty, so only the twisted
+        # story goes out (no empty multicast).
+        strategy = EquivocatorStrategy(Beacon(1), targets=frozenset({3}))
+        raw = list(strategy.on_round(view(1)))
+        assert [s.dest for s in raw] == [(3,), (1, 2, 4, 50)]
 
     def test_respects_kind_filter(self):
         strategy = EquivocatorStrategy(
@@ -174,7 +197,7 @@ class TestInjectorAndNoise:
 class TestSplitter:
     def test_opinion_kinds_split(self):
         strategy = QuorumSplitterStrategy(Beacon(1), value_a="a", value_b="b")
-        sends = list(strategy.on_round(view(1)))
+        sends = scalar_sends(strategy, view(1))
         assert {s.payload for s in sends} == {"a", "b"}
         assert len(sends) == 5  # one per node, split across the halves
         by_dest = {s.dest: s.payload for s in sends}

@@ -100,3 +100,51 @@ class TestByzantineOverTcp:
 
         outputs = attempt_twice(run)
         assert len(outputs) == 1
+
+
+class WireTap:
+    """Stands in for a NetPeer: records the frames a runner hands it."""
+
+    def __init__(self, node_id, peers):
+        self.node_id = node_id
+        self._peers = dict.fromkeys(peers)
+        self.frames = []
+        self.broadcasts = []
+
+    def take_round(self, round_no):
+        return []
+
+    def send_to(self, dest, round_no, kind, payload, instance):
+        self.frames.append((dest, round_no, kind, payload, instance))
+
+    def broadcast(self, round_no, kind, payload, instance):
+        self.broadcasts.append((round_no, kind, payload, instance))
+
+
+class TestFanOutFraming:
+    def test_equivocator_still_sends_one_frame_per_recipient(self):
+        # The strategy hands back one multicast per story; the wire has
+        # no multicast, so the runner must address every recipient.
+        from repro.adversary import EquivocatorStrategy
+        from repro.sim.node import Protocol
+
+        class Beacon(Protocol):
+            def on_round(self, api, inbox):
+                api.broadcast("input", 1)
+
+        tap = WireTap(50, peers=(1, 2, 3, 4, 50))
+        runner = ByzantineRunner(
+            tap,
+            EquivocatorStrategy(Beacon()),
+            correct_ids=frozenset({1, 2, 3, 4}),
+        )
+        runner.round = 1
+        runner._execute_round()
+        assert tap.broadcasts == []
+        assert tap.frames == [
+            (1, 1, "input", 1, None),
+            (2, 1, "input", 1, None),
+            (3, 1, "input", 0, None),
+            (4, 1, "input", 0, None),
+            (50, 1, "input", 0, None),
+        ]

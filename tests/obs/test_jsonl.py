@@ -66,6 +66,28 @@ class TestJsonlSink:
         assert docs[1] == {"topic": "round-start", "round": 3}
 
 
+    def test_multicast_renders_as_per_recipient_send_lines(self):
+        from repro.obs.events import MessageMulticastSent
+
+        bus = EventBus()
+        fanout, scalars = io.StringIO(), io.StringIO()
+        event = MessageMulticastSent(
+            3, 7, "input", 1, ("id", 2), (10, 11, 12), 0, 2,
+            (True, False, True),
+        )
+        with bus.to_jsonl(fanout) as sink:
+            bus.publish(event)
+        assert sink.count == 3
+        with bus.to_jsonl(scalars):
+            for dest, staged in ((10, True), (11, False), (12, True)):
+                bus.publish(
+                    MessageSent(
+                        3, 7, "input", 1, ("id", 2), dest, staged=staged
+                    )
+                )
+        assert fanout.getvalue() == scalars.getvalue()
+
+
 class TestRendering:
     def test_non_json_payloads_degrade_to_repr(self):
         event = MessageSent(1, 5, "echo", payload=frozenset({1}))

@@ -43,6 +43,45 @@ class TestSimWiring:
         # deliveries_total counts messages; "deliver" counts inboxes
         assert 0 < collected["deliver"] <= metrics.deliveries_total
 
+    def test_fanout_is_one_multicast_event_or_per_send_fallback(self):
+        from repro.adversary import EquivocatorStrategy
+
+        def run(detach_metrics=False, **kwargs):
+            topics = Counter()
+            net = build_network(**kwargs)
+            net.add_byzantine(50, EquivocatorStrategy(EarlyConsensus(1)))
+            if detach_metrics:
+                net.metrics.detach(net.bus)
+            net.bus.subscribe(lambda e: topics.update([e.topic]), "send")
+            if not detach_metrics:
+                net.bus.subscribe(
+                    lambda e: topics.update([e.topic] * len(e.dests)),
+                    "send-multicast",
+                )
+                net.bus.subscribe(
+                    lambda e: topics.update([e.topic] * len(e.payloads)),
+                    "send-batch",
+                )
+            net.run(40)
+            return topics, net.metrics
+
+        bulk, metrics = run()
+        # Two stories to five nodes: every fan-out arrives as one event
+        # whose recipients are counted as logical sends.
+        assert bulk["send-multicast"] > 0
+        assert bulk["send-multicast"] % len(NODE_IDS + (50,)) == 0
+        # Nobody listening for the bulk form, or byte accounting (which
+        # is per frame): the engine emits the equivalent scalar events.
+        scalar, _ = run(detach_metrics=True)
+        assert scalar["send-multicast"] == 0
+        assert scalar["send"] == sum(bulk.values()) == metrics.sends_total
+        costed, costed_metrics = run(measure_bytes=True)
+        assert costed["send-multicast"] == 0
+        assert costed["send"] == scalar["send"]
+        assert costed_metrics.bytes_total > 0
+        assert costed_metrics.sends_total == metrics.sends_total
+        assert costed_metrics.staged_total == metrics.staged_total
+
     def test_shared_bus_feeds_default_subscribers_too(self):
         # metrics/trace attach to the *given* bus, not a private one
         bus = EventBus()

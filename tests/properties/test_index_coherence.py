@@ -13,7 +13,16 @@ failure here replays byte-for-byte from its seed.
 
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane, RoundColumns
 from repro.sim.inbox import Inbox, InboxIndex
-from repro.sim.message import Message
+from repro.sim.message import (
+    BROADCAST,
+    BatchSend,
+    Message,
+    MulticastSend,
+    Send,
+    expand_sends,
+)
+from repro.sim.network import SyncNetwork
+from repro.sim.node import Protocol
 from repro.sim.rng import make_rng
 
 KINDS = ("echo", "input", "prefer")
@@ -506,3 +515,295 @@ class TestColumnarCoherence:
             assert_coherent(merged, messages + list(extras))
             # The shared view is untouched by the overlay.
             assert_coherent(Inbox(index=shared), messages)
+
+
+# ----------------------------------------------------------------------
+# Direct sends through the engine: scalar directs and multicasts vs a
+# naive per-recipient oracle.
+# ----------------------------------------------------------------------
+RECORDERS = tuple(range(10, 16))
+DEPARTED = 16  # registered, removed before anything is staged
+UNKNOWN = 99  # never registered
+ADDRESSES = RECORDERS + SENDERS + (DEPARTED, UNKNOWN)
+
+
+class Recorder(Protocol):
+    """Correct node that keeps every inbox it is handed and says nothing."""
+
+    def __init__(self):
+        super().__init__()
+        self.inboxes = {}
+
+    def on_round(self, api, inbox):
+        self.inboxes[api.round] = inbox
+
+
+class Scripted:
+    """Byzantine actor replaying a prepared list of sends in round 1."""
+
+    def __init__(self, sends):
+        self._sends = sends
+
+    def on_round(self, view):
+        return self._sends if view.round == 1 else ()
+
+
+def random_script(rng, size):
+    """One sender's round: broadcasts (scalar and batched), scalar
+    directs and multicasts over a small value space, with entries
+    re-listed verbatim so value-equal repeats of every form occur."""
+    script = []
+    while len(script) < size:
+        kind = rng.choice(KINDS)
+        payload = rng.choice(PAYLOADS)
+        instance = rng.choice(INSTANCES)
+        roll = rng.random()
+        if roll < 0.2:
+            script.append(Send(BROADCAST, kind, payload, instance))
+        elif roll < 0.35:
+            payloads = tuple(
+                rng.choice(PAYLOADS) for _ in range(rng.randrange(1, 4))
+            )
+            script.append(BatchSend(kind, payloads, instance))
+        elif roll < 0.55:
+            script.append(
+                Send(rng.choice(ADDRESSES), kind, payload, instance)
+            )
+        else:
+            dests = tuple(
+                rng.sample(ADDRESSES, rng.randrange(1, len(ADDRESSES)))
+            )
+            script.append(MulticastSend(dests, kind, payload, instance))
+        if rng.random() < 0.25:
+            script.append(rng.choice(script))
+    return script[:size]
+
+
+def run_scripts(scripts, columnar=True):
+    """Stage every script in round 1, deliver in round 2.
+
+    Returns ``(recorder inboxes, per-recipient send events)`` — the
+    events at per-send granularity whichever form the engine emitted.
+    """
+    net = SyncNetwork(columnar=columnar)
+    recorders = {node: Recorder() for node in RECORDERS}
+    for node, recorder in recorders.items():
+        net.add_correct(node, recorder)
+    for sender, script in scripts.items():
+        net.add_byzantine(sender, Scripted(script))
+    net.add_correct(DEPARTED, Recorder())
+    net.remove(DEPARTED)
+    sent = []
+    net.bus.subscribe(sent.append, "send")
+    net.bus.subscribe(lambda e: sent.extend(e.expanded()), "send-batch")
+    net.bus.subscribe(lambda e: sent.extend(e.expanded()), "send-multicast")
+    net.step()
+    net.step()
+    inboxes = {
+        node: recorder.inboxes.get(2, Inbox())
+        for node, recorder in recorders.items()
+    }
+    return inboxes, sent, net
+
+
+def oracle(scripts):
+    """The model, one recipient at a time, no sharing anywhere.
+
+    Senders stage in ascending id order.  Broadcasts dedup by value
+    over the whole round; a direct reaches its addressee when that node
+    exists and is alive, and is dropped at delivery when it repeats one
+    of the round's broadcasts or an earlier direct to the same node.
+    """
+    reachable = set(RECORDERS) | set(SENDERS)
+    broadcasts, seen = [], set()
+    addressed = {node: [] for node in reachable}
+    flags = []
+    for sender in sorted(scripts):
+        for send in expand_sends(scripts[sender]):
+            message = send.stamped(sender)
+            if send.dest is BROADCAST:
+                staged = message not in seen
+                if staged:
+                    seen.add(message)
+                    broadcasts.append(message)
+                dest = None
+            else:
+                dest = send.dest
+                staged = dest in reachable
+                if staged:
+                    addressed[dest].append(message)
+            flags.append(
+                (sender, send.kind, send.payload, send.instance, dest, staged)
+            )
+    inboxes = {}
+    for node in RECORDERS:
+        mine, extras = set(), []
+        for message in addressed[node]:
+            if message in seen or message in mine:
+                continue
+            mine.add(message)
+            extras.append(message)
+        inboxes[node] = broadcasts + extras
+    return inboxes, flags
+
+
+def event_rows(sent):
+    return [
+        (e.sender, e.kind, e.payload, e.instance, e.dest, e.staged)
+        for e in sent
+    ]
+
+
+class TestDirectFanOutCoherence:
+    def test_engine_matches_per_recipient_oracle(self):
+        for seed in range(30):
+            rng = make_rng(seed, salt=24)
+            scripts = {
+                sender: random_script(rng, rng.randrange(0, 12))
+                for sender in SENDERS
+            }
+            expect, expect_flags = oracle(scripts)
+            for columnar in (True, False):
+                inboxes, sent, net = run_scripts(scripts, columnar)
+                assert event_rows(sent) == expect_flags
+                assert net.metrics.sends_total == len(expect_flags)
+                assert net.metrics.staged_total == sum(
+                    row[-1] for row in expect_flags
+                )
+                for node in RECORDERS:
+                    assert_coherent(inboxes[node], expect[node])
+
+    def test_value_equal_multicasts_from_one_sender_collapse(self):
+        twice = MulticastSend((10, 11), "echo", "v")
+        scripts = {
+            0: [twice, twice, MulticastSend((11, 12), "echo", "v")],
+        }
+        inboxes, sent, _net = run_scripts(scripts)
+        # Every copy is staged (dedup is a delivery-time, value-level
+        # rule); each recipient still reads the story once.
+        assert all(e.staged for e in sent) and len(sent) == 6
+        for node in (10, 11, 12):
+            assert list(inboxes[node]) == [Message(0, "echo", "v")]
+        assert len(inboxes[13]) == 0
+
+    def test_multicast_repeating_a_broadcast_rides_the_shared_inbox(self):
+        scripts = {
+            0: [
+                Send(BROADCAST, "input", 1),
+                BatchSend("echo", ("a", "b")),
+                MulticastSend((10, 11), "input", 1),  # the scalar again
+                MulticastSend((11, 12), "echo", "b"),  # inside the batch
+            ],
+        }
+        inboxes, _sent, _net = run_scripts(scripts)
+        expect = [
+            Message(0, "input", 1),
+            Message(0, "echo", "a"),
+            Message(0, "echo", "b"),
+        ]
+        for node in RECORDERS:
+            assert list(inboxes[node]) == expect
+        # Nothing survived dedup, so nobody needed an overlay: all six
+        # recorders alias the round's one shared inbox.
+        assert len({id(box) for box in inboxes.values()}) == 1
+
+    def test_dead_and_unknown_destinations_fail_alone(self):
+        scripts = {
+            0: [MulticastSend((10, DEPARTED, 11, UNKNOWN), "echo", "v")],
+        }
+        inboxes, sent, net = run_scripts(scripts)
+        assert [(e.dest, e.staged) for e in sent] == [
+            (10, True),
+            (DEPARTED, False),
+            (11, True),
+            (UNKNOWN, False),
+        ]
+        assert net.metrics.sends_total == 4
+        assert net.metrics.staged_total == 2
+        assert list(inboxes[10]) == list(inboxes[11]) == [
+            Message(0, "echo", "v")
+        ]
+
+    def test_queues_differing_only_in_order_stay_apart(self):
+        scripts = {
+            0: [
+                Send(10, "echo", "a"),
+                MulticastSend((10, 11), "echo", "b"),
+                Send(11, "echo", "a"),
+            ],
+        }
+        inboxes, _sent, _net = run_scripts(scripts)
+        a, b = Message(0, "echo", "a"), Message(0, "echo", "b")
+        assert list(inboxes[10]) == [a, b]
+        assert list(inboxes[11]) == [b, a]
+
+    def test_recipient_groups_share_one_read_only_overlay(self):
+        lower, upper = (10, 11, 12), (13, 14, 15)
+        scripts = {
+            0: [
+                Send(BROADCAST, "init"),
+                MulticastSend(lower, "input", 0),
+                MulticastSend(upper, "input", 1),
+            ],
+            1: [MulticastSend(lower, "input", 1)],
+        }
+        inboxes, _sent, _net = run_scripts(scripts)
+        for group in (lower, upper):
+            first = inboxes[group[0]]
+            assert all(inboxes[node] is first for node in group)
+        assert inboxes[10] is not inboxes[13]
+        assert inboxes[10].payload_counts("input") == {0: 1, 1: 1}
+        assert inboxes[13].payload_counts("input") == {1: 1}
+
+    def test_staging_and_indexing_scale_with_multicasts_not_recipients(
+        self, monkeypatch
+    ):
+        # Count-based complexity: a fan-out is stamped once however many
+        # recipients it names, and delivery builds one overlay per
+        # distinct recipient group, not one per recipient.
+        stamps = []
+        overlays = []
+        stamp = MulticastSend.stamped
+        layered = InboxIndex.layered.__func__
+
+        def counting_stamp(send, sender):
+            stamps.append(send)
+            return stamp(send, sender)
+
+        def counting_layered(cls, base, extra):
+            overlays.append(extra)
+            return layered(cls, base, extra)
+
+        monkeypatch.setattr(MulticastSend, "stamped", counting_stamp)
+        monkeypatch.setattr(
+            InboxIndex, "layered", classmethod(counting_layered)
+        )
+
+        def equivocate(recipients):
+            nodes = tuple(range(100, 100 + recipients))
+            half = recipients // 2
+            net = SyncNetwork()
+            for node in nodes:
+                net.add_correct(node, Recorder())
+            for sender in range(3):
+                net.add_byzantine(
+                    sender,
+                    Scripted(
+                        [
+                            Send(BROADCAST, "init"),
+                            MulticastSend(nodes[:half], "input", 0),
+                            MulticastSend(nodes[half:], "input", 1),
+                            MulticastSend(nodes[:half], "prefer", 0),
+                            MulticastSend(nodes[half:], "prefer", 1),
+                        ]
+                    ),
+                )
+            stamps.clear()
+            overlays.clear()
+            net.step()
+            net.step()
+            assert net.metrics.sends_total == 3 * (1 + 2 * recipients)
+            return len(stamps), len(overlays)
+
+        assert equivocate(recipients=6) == (12, 2)
+        assert equivocate(recipients=40) == (12, 2)

@@ -106,6 +106,42 @@ class TestCommands:
         assert {"run-start", "round-start", "send", "deliver",
                 "protocol"} <= topics
 
+    def test_run_events_of_an_equivocator_match_the_scalar_era(
+        self, tmp_path, capsys
+    ):
+        # Direct-send fan-outs travel the engine as single multicast
+        # rows; the events file must not show it.  Digest recorded on
+        # the commit before multicasts existed (one ``send`` line per
+        # recipient, 970 of them).
+        import hashlib
+
+        path = tmp_path / "events.jsonl"
+        code = main(
+            [
+                "run",
+                "consensus",
+                "--n",
+                "10",
+                "--f",
+                "3",
+                "--adversary",
+                "equivocator",
+                "--rushing",
+                "--seed",
+                "7",
+                "--events",
+                str(path),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "messages : 970" in out
+        assert f"events   : 1197 -> {path}" in out
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5589af3d51466fc2abd6c4188cec3040"
+            "d1aacd0e7542d86137050a5477a851c1"
+        )
+
     def test_record_and_verify_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
         assert (
