@@ -409,43 +409,52 @@ def build_results(
     }
 
 
+#: Title line of ``results/BENCH_engine.md``.
+TABLE_TITLE = (
+    "Engine hot path: all-broadcast drain, full consensus "
+    "runs, and their committee-sampled variants (staged/round stays "
+    "at n; recipients of a round's broadcasts share one inbox "
+    "index; rows are throughput-comparable only within one "
+    "tracemalloc setting)"
+)
+
+
+def table_rows(payload: dict) -> list[dict]:
+    """The ``BENCH_engine.md`` rows: a pure function of the JSON payload
+    (``tests/test_bench_ledger.py`` keeps the two committed files in
+    step with it)."""
+    return [
+        {
+            "workload": entry["workload"],
+            "n": row["n"],
+            "rounds": row["rounds"],
+            "rounds/s": row["rounds_per_sec"],
+            # Logical deliveries (staged × recipients): the message-
+            # complexity figure.  Work actually done on the columnar
+            # path is the materialized column.
+            "logical deliv/s": row["logical_deliveries_per_sec"],
+            "materialized": row["materialized_messages"],
+            "staged/round": row["staged_entries_per_round"],
+            "alloc reduction": f"{row['alloc_reduction_vs_per_recipient']}x",
+            "msgs/decision": row.get("messages_per_decision", "-"),
+            "tracemalloc": "on" if row["tracemalloc"] else "off",
+            "peak KiB": (
+                "-"
+                if row["peak_traced_kib"] is None
+                else row["peak_traced_kib"]
+            ),
+        }
+        for entry in payload["workloads"]
+        for row in entry["results"]
+    ]
+
+
 def write_outputs(payload: dict, out: pathlib.Path) -> None:
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     from benchmarks._harness import emit_table
 
-    emit_table(
-        "BENCH_engine",
-        [
-            {
-                "workload": entry["workload"],
-                "n": row["n"],
-                "rounds": row["rounds"],
-                "rounds/s": row["rounds_per_sec"],
-                # Logical deliveries (staged × recipients): the message-
-                # complexity figure.  Work actually done on the columnar
-                # path is the materialized column.
-                "logical deliv/s": row["logical_deliveries_per_sec"],
-                "materialized": row["materialized_messages"],
-                "staged/round": row["staged_entries_per_round"],
-                "alloc reduction": f"{row['alloc_reduction_vs_per_recipient']}x",
-                "msgs/decision": row.get("messages_per_decision", "-"),
-                "tracemalloc": "on" if row["tracemalloc"] else "off",
-                "peak KiB": (
-                    "-"
-                    if row["peak_traced_kib"] is None
-                    else row["peak_traced_kib"]
-                ),
-            }
-            for entry in payload["workloads"]
-            for row in entry["results"]
-        ],
-        title="Engine hot path: all-broadcast drain, full consensus "
-        "runs, and their committee-sampled variants (staged/round stays "
-        "at n; recipients of a round's broadcasts share one inbox "
-        "index; rows are throughput-comparable only within one "
-        "tracemalloc setting)",
-    )
+    emit_table("BENCH_engine", table_rows(payload), title=TABLE_TITLE)
 
 
 def baseline_subset(payload: dict, n: int = 50) -> dict:

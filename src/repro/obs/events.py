@@ -241,16 +241,11 @@ class MessageMulticastSent:
 class PlaneStats:
     """Cumulative columnar-plane counters for one run.
 
-    Emitted by the sync engine at each round end when the columnar
-    plane is active, carrying run-cumulative values (last one wins).
-    When the plane is *inactive* — a subclass overrode delivery
-    filtering, or the engine was built with ``columnar=False`` — one
-    event with ``columnar=False`` and the downgrade ``fallback`` reason
-    is emitted at the first round end instead, so subscribers can tell
-    "object path" from "no stats yet".  ``materialized_messages``
+    Emitted by the sync engine at each round end, carrying
+    run-cumulative values (last one wins).  ``materialized_messages``
     counts Message objects the plane actually built (at most once per
     round, only when somebody iterated); the gap to the logical
-    delivery count is the columnar path's saving.  Process-local
+    delivery count is the plane's saving.  Process-local
     observability — not part of the JSONL vocabulary (the sink skips
     it) and not in :data:`EVENT_TYPES`.
     """
@@ -258,8 +253,6 @@ class PlaneStats:
     round: Round
     payload_intern_hits: int
     unique_payloads: int
-    columnar: bool = True
-    fallback: str | None = None
     materialized_messages: int = 0
 
     topic: ClassVar[str] = "plane-stats"

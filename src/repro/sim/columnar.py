@@ -5,19 +5,18 @@ The all-broadcast hot path used to allocate one
 n = 10⁴ nodes that is 10⁴ objects per round before a single protocol
 runs — and every query over them re-hashes the same payloads.  The
 columnar plane replaces the per-message objects with four parallel
-columns (sender, kind-id, payload-id, instance-id; plain typed lists of
-small ints, ``numpy`` only as an optional accelerator behind the
-``analysis`` extra) plus a *payload intern table*, so staging one
-broadcast is a handful of list appends and every tally is a counting
-pass over interned ids.
+columns (sender, kind-id, payload-id, instance-id; plain lists of small
+ints) plus a *payload intern table*, so staging one broadcast is a
+handful of list appends and every tally is a counting pass over
+interned ids.
 
 Three pieces:
 
 * :class:`ColumnarPlane` — per-network intern tables (payloads, kinds,
   instances, canonical broadcast batches).  Interning follows the same
-  value-equality the legacy ``dict``-based tallies used: the first
-  object seen for a value becomes canonical, exactly like the first
-  occurrence kept as a dict key.
+  value-equality a ``dict``-based tally over message objects has: the
+  first object seen for a value becomes canonical, exactly like the
+  first occurrence kept as a dict key.
 * :class:`RoundColumns` — one round's append-only store: scalar columns
   for individual broadcasts plus *batch segments* for
   ``broadcast_many`` fan-outs (one segment entry covers k logical
@@ -29,10 +28,11 @@ Three pieces:
   consumer genuinely iterates message objects (JSONL sinks, recorders,
   per-kind and per-instance bucket filters).
 
-Equivalence contract: every query answers exactly what the legacy
-object path answers, including the historical (count, repr,
-first-occurrence-order) tie-break — pinned by the columnar-vs-object
-suites in ``tests/properties/``.
+Equivalence contract: every query answers exactly what a plain
+:class:`~repro.sim.inbox.InboxIndex` over the same messages answers,
+including the historical (count, repr, first-occurrence-order)
+tie-break — pinned by the coherence suites in ``tests/properties/`` and
+by the naive reference engine in ``tests/reference_engine.py``.
 """
 
 from __future__ import annotations
@@ -44,20 +44,12 @@ from repro.sim.inbox import InboxIndex
 from repro.sim.message import Message
 from repro.types import NodeId
 
-try:  # Optional accelerator (the ``analysis`` extra); never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
 #: Query-key sentinel mirroring :mod:`repro.sim.inbox`.
 _ANY = ...
 
 #: Marker in the per-sender batch map: this (sender, kind, instance)
 #: fell back to scalar staging (mixed batch/scalar traffic).
 _SCALARIZED = object()
-
-#: Rows below this threshold never bother converting to numpy.
-_NP_MIN_ROWS = 4096
 
 #: Stop growing the batch identity-alias map past this point (a run
 #: that churns distinct payload tuples falls back to value hashing).
@@ -71,7 +63,7 @@ class Batch:
     every sender broadcasting the same batch stages one O(1) segment
     referencing this object.  ``staged_payloads`` is the payload tuple
     with exact duplicates removed in first-occurrence order — the same
-    messages the legacy path would have staged from the expanded sends.
+    messages the expanded scalar sends would have staged.
     """
 
     __slots__ = (
@@ -122,8 +114,8 @@ class Batch:
 class ColumnarPlane:
     """Per-network intern tables shared by every round's columns.
 
-    Interning is keyed by *value equality* — the exact semantics of the
-    dicts the legacy tally path used — so the first object seen for a
+    Interning is keyed by *value equality* — the exact semantics of a
+    dict keyed on the payloads — so the first object seen for a
     value becomes the canonical one for the rest of the run.  The
     tables only grow; ids are stable across rounds, which is what lets
     tallies in later rounds reuse earlier counting passes' ids.
@@ -246,7 +238,7 @@ class RoundColumns:
     round and frozen once delivery starts; every view (indexes, lazy
     message sequences, tallies) reads them in place and never copies.
 
-    Duplicate suppression matches the legacy per-round Message-set
+    Duplicate suppression is the model's per-round Message-set rule
     exactly: a (sender, kind, payload, instance) already staged this
     round — scalar or inside one of the sender's batches — is dropped.
     """
@@ -264,7 +256,6 @@ class RoundColumns:
         "_scalar_ki",
         "_sender_scalar_keys",
         "_materialized",
-        "_np_kind_ids",
     )
 
     def __init__(self, plane: ColumnarPlane) -> None:
@@ -278,8 +269,8 @@ class RoundColumns:
         #: Logical rows contributed by segments (sum of batch lengths).
         self.batch_rows: int = 0
         #: (sender, kind_id, instance_id, payload) for every staged
-        #: scalar row — the raw payload keeps the legacy Message
-        #: value-equality dedup semantics.
+        #: scalar row — the raw payload keeps Message value-equality
+        #: dedup semantics.
         self._dedup: set[tuple] = set()
         #: (sender, kind_id, instance_id) -> [Batch, ...] | _SCALARIZED.
         self._sender_batches: dict[tuple, Any] = {}
@@ -290,7 +281,6 @@ class RoundColumns:
         #: to scalar staging so cross-form duplicates are suppressed.
         self._sender_scalar_keys: set[tuple] = set()
         self._materialized: tuple[Message, ...] | None = None
-        self._np_kind_ids = None
 
     def __len__(self) -> int:
         return len(self.senders) + self.batch_rows
@@ -340,8 +330,8 @@ class RoundColumns:
             if skey in self._sender_scalar_keys:
                 # The sender already staged a scalar on this triple:
                 # stage the batch scalar-by-scalar so an exact duplicate
-                # of that earlier send is suppressed, as on the legacy
-                # path.
+                # of that earlier send is suppressed (dedup is by
+                # message value, whatever form staged it).
                 self._sender_batches[skey] = _SCALARIZED
                 return self._stage_batch_scalar(sender, batch)
             self._sender_batches[skey] = [batch]
@@ -466,20 +456,7 @@ class RoundColumns:
 
     def _scalar_matches(self, kid: int, iid_filter: Any) -> Iterator[int]:
         """Scalar row indices with the given kind (and instance) id."""
-        kind_ids = self.kind_ids
-        if _np is not None and len(kind_ids) >= _NP_MIN_ROWS:
-            arr = self._np_kind_ids
-            if arr is None:
-                arr = self._np_kind_ids = _np.array(
-                    kind_ids, dtype=_np.int64
-                )
-            elif len(arr) != len(kind_ids):  # pragma: no cover - frozen
-                arr = self._np_kind_ids = _np.array(
-                    kind_ids, dtype=_np.int64
-                )
-            hits = _np.nonzero(arr == kid)[0].tolist()
-        else:
-            hits = [j for j, k in enumerate(kind_ids) if k == kid]
+        hits = [j for j, k in enumerate(self.kind_ids) if k == kid]
         if iid_filter is _ANY:
             return iter(hits)
         instance_ids = self.instance_ids
@@ -490,7 +467,8 @@ class RoundColumns:
     ) -> dict[Hashable, frozenset[NodeId]]:
         """payload -> distinct senders, in first-occurrence order.
 
-        Matches the legacy linear scan exactly, including ordering.
+        Matches a linear scan over the messages exactly, including
+        ordering.
         The all-segments case groups by canonical batch so homogeneous
         echo rounds cost O(senders + payloads), not O(senders x
         payloads) — every tag then shares one sender frozenset, which
@@ -656,8 +634,8 @@ class ColumnarMessages(Sequence):
     shared message tuple once and caches it on the columns — the same
     tuple the :class:`ColumnarIndex` exposes, so nothing is built
     twice.  This is what :class:`~repro.obs.events.InboxDelivered`
-    carries on the columnar path; its wire shape (a sequence of
-    messages) is unchanged.
+    carries for recipients of the shared broadcasts; its wire shape (a
+    sequence of messages) is that of any other delivery.
     """
 
     __slots__ = ("_cols",)

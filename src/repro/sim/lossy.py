@@ -14,12 +14,10 @@ breaks (benchmark ``bench_ablations``/synchrony).  Nothing in
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.sim.membership import MembershipSchedule
-from repro.sim.message import Message
-from repro.sim.network import SyncNetwork, _NodeState
+from repro.sim.network import SyncNetwork
 from repro.sim.rng import make_rng
+from repro.types import NodeId
 
 
 class LossyNetwork(SyncNetwork):
@@ -38,20 +36,17 @@ class LossyNetwork(SyncNetwork):
         self.drop_rate = drop_rate
         self._loss_rng = make_rng(seed, salt=0x10552E55)
         self.dropped = 0
+        self._delivery_mask = self._loss_mask
 
-    def _filter_deliveries(
-        self, state: _NodeState, messages: Sequence[Message]
-    ) -> Sequence[Message]:
+    def _loss_mask(self, recipient: NodeId, rows: int) -> list[bool] | None:
         # Each (recipient, message) delivery faces the loss lottery
         # exactly once, at delivery time.  Draw order follows the
-        # engine's deterministic recipient iteration, so runs stay
-        # reproducible per seed.
-        if self.drop_rate == 0.0:
-            return messages
-        kept: list[Message] = []
-        for message in messages:
-            if self._loss_rng.random() < self.drop_rate:
-                self.dropped += 1
-            else:
-                kept.append(message)
-        return kept
+        # engine's deterministic recipient iteration and row order, so
+        # runs stay reproducible per seed.
+        drop_rate = self.drop_rate
+        if drop_rate == 0.0:
+            return None
+        draw = self._loss_rng.random
+        keep = [draw() >= drop_rate for _ in range(rows)]
+        self.dropped += rows - sum(keep)
+        return keep

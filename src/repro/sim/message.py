@@ -143,7 +143,7 @@ def expand_sends(sends):
 
     Consumers that genuinely need per-send granularity (adversary
     strategies transforming traffic, the net runtime's per-recipient
-    frames, the engine's object path) use this to stay agnostic of
+    frames, the tests' reference engine) use this to stay agnostic of
     :class:`BatchSend` and :class:`MulticastSend`.
     """
     for send in sends:

@@ -48,20 +48,17 @@ class Metrics:
     engine_time_by_phase: Counter = field(default_factory=Counter)
     engine_time_by_round: Counter = field(default_factory=Counter)
     #: Columnar-plane interning counters (cumulative; updated from
-    #: ``plane-stats`` events, zero when the plane is off).
+    #: ``plane-stats`` events).
     payload_intern_hits: int = 0
     unique_payloads: int = 0
     #: Message objects the columnar plane actually built — the honest
     #: "work done" figure next to ``deliveries_total``, which counts
     #: *logical* deliveries (staged × recipients) and vastly overstates
-    #: columnar-path work.  On the object path this stays 0; use
-    #: ``staged_total`` (one shared object per staged entry) there.
+    #: the work done.
     materialized_messages: int = 0
-    #: Whether the columnar plane drove the run, and why not if not
-    #: ("disabled" / "filter-override"); None until a plane-stats event
-    #: arrives.
+    #: True once a plane-stats event arrived (None before): the sync
+    #: engine has no other message path, so this can never be False.
     columnar_active: bool | None = None
-    plane_fallback: str | None = None
     #: Decision economy (from the run-end ``decision-economy`` event):
     #: correct nodes that halted with an output, and the run's message
     #: cost amortized over them.
@@ -150,8 +147,7 @@ class Metrics:
         self.payload_intern_hits = event.payload_intern_hits
         self.unique_payloads = event.unique_payloads
         self.materialized_messages = event.materialized_messages
-        self.columnar_active = event.columnar
-        self.plane_fallback = event.fallback
+        self.columnar_active = True
 
     def _on_economy(self, event) -> None:
         self.decisions = event.decisions
@@ -226,8 +222,6 @@ class Metrics:
         }
         if self.columnar_active is not None:
             summary["columnar_active"] = self.columnar_active
-            if self.plane_fallback is not None:
-                summary["plane_fallback"] = self.plane_fallback
         if self.decisions:
             summary["decisions"] = self.decisions
             summary["messages_per_decision"] = round(

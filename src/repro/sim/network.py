@@ -24,42 +24,51 @@ JSONL sinks (see docs/observability.md).  Per-topic sinks are cached
 against the bus version, so a topic nobody subscribed to costs the hot
 path one ``None`` check per emission site.
 
-Staging is O(logical sends), not O(sends x recipients): each ``Send`` is
-stamped into its immutable :class:`~repro.sim.message.Message` exactly once,
-broadcasts go into one per-round shared queue (every recipient's inbox
-aliases the same tuple of message objects), and only direct sends occupy
-per-node queues.  A direct-send fan-out
+There is one message path.  Staging is O(logical sends), not O(sends x
+recipients): broadcasts go into the round's struct-of-arrays columns
+(:mod:`repro.sim.columnar` — a scalar broadcast is four list appends, a
+``broadcast_many`` batch one interned segment), and only direct sends are
+stamped into :class:`~repro.sim.message.Message` objects on per-node
+queues.  A direct-send fan-out
 (:class:`~repro.sim.message.MulticastSend`, what an equivocating strategy
 returns per story) is stamped once too: the one message object is appended
 to every alive recipient's queue and published as one ``send-multicast``
-event.  Duplicate suppression happens against the precomputed broadcast
-key set plus a small set over each distinct direct queue, so the
-all-broadcast hot path performs no per-recipient hashing at all.
+event.  Duplicate suppression happens against the columns' dedup keys
+plus a small set over each distinct direct queue, so the all-broadcast
+hot path performs no per-recipient hashing at all.
 
-Delivery is O(quorum work), not O(nodes x quorum work): recipients of the
-shared broadcast tuple also alias one shared
-:class:`~repro.sim.inbox.InboxIndex`, so each per-kind distinct-sender
-count the protocols ask for is computed once per round, not once per node;
-recipients with surviving direct messages get an overlay index layered on
-the shared one — one overlay per *recipient group* (the recipients whose
-direct queues hold the same messages in the same order, i.e. the victims
-of one story), shared and read-only like the base: no recipient may
-mutate the inbox, index, extras or delivered tuple it is handed.  The
-protocols' *quorum-tally plane* rides the same sharing one layer up:
-per-instance decoded vote bases, membership back-fill sets and
-membership restrictions are memoized on the round's
-shared index (:meth:`~repro.sim.inbox.InboxIndex.derive` /
+Delivery is O(quorum work), not O(nodes x quorum work): every recipient
+of the round's broadcasts aliases one shared
+:class:`~repro.sim.columnar.ColumnarIndex`, so each per-kind
+distinct-sender count the protocols ask for is computed once per round,
+not once per node; recipients with surviving direct messages get an
+overlay index layered on the shared one — one overlay per *recipient
+group* (the recipients whose direct queues hold the same messages in the
+same order, i.e. the victims of one story), shared and read-only like the
+base: no recipient may mutate the inbox, index, extras or delivered tuple
+it is handed.  The protocols' *quorum-tally plane* rides the same sharing
+one layer up: per-instance decoded vote bases, membership back-fill sets
+and membership restrictions are memoized on the round's shared index
+(:meth:`~repro.sim.inbox.InboxIndex.derive` /
 :meth:`~repro.sim.inbox.InboxIndex.restricted`), so even full
 parallel-consensus tallies are built once per round and only per-node
 substitution deltas remain per recipient.  Per-node engine state that is
 identical from round to round (the contacts frozenset handed to NodeApi,
 the sorted alive-node lists) is cached and invalidated only when it can
 change.
+
+Delivering everything is the model's synchrony guarantee.  An engine that
+breaks it on purpose (:class:`~repro.sim.lossy.LossyNetwork`) does not
+fork the path: it installs a per-recipient *delivery mask* — a row mask
+over the same columns, see :meth:`SyncNetwork._collect` — and only the
+recipients the mask actually touches leave the shared index for a
+private inbox of the rows they keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable, Iterable, Sequence
 from typing import Protocol as TypingProtocol
 
@@ -78,7 +87,7 @@ from repro.obs.events import (
     RoundStarted,
     RunStarted,
 )
-from repro.sim.columnar import ColumnarIndex, ColumnarMessages, ColumnarPlane
+from repro.sim.columnar import ColumnarIndex, ColumnarPlane
 from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.membership import MembershipSchedule
 from repro.sim.message import (
@@ -145,14 +154,14 @@ class _NodeState:
     contacts: set[NodeId] = field(default_factory=set)
     #: Stamped direct messages queued for delivery at the next round.
     #: Broadcasts never appear here — they live in the network's shared
-    #: per-round broadcast queue and are resolved at delivery time.
+    #: per-round columns and are resolved at delivery time.
     direct: list[Message] = field(default_factory=list)
     #: Cached frozenset view of ``contacts`` for NodeApi construction.
     #: Contacts only ever grow (delivery-time ``update`` calls), so a
     #: length match proves the cache is current — the steady-state round
     #: rebuilds nothing.
     contacts_frozen: frozenset[NodeId] = frozenset()
-    #: On the columnar path, a founding node's contacts are exactly the
+    #: Without a delivery mask, a founding node's contacts are exactly the
     #: engine's cumulative broadcast-sender pool — shared as one
     #: frozenset across all such nodes, no per-node set at all.  The
     #: flag drops (and ``contacts`` takes over, seeded from the pool)
@@ -186,7 +195,6 @@ class SyncNetwork:
         measure_bytes: bool = False,
         clock: Callable[[], float] | None = None,
         bus: EventBus | None = None,
-        columnar: bool = True,
     ):
         self.seed = seed
         self._rng = make_rng(seed)
@@ -212,39 +220,21 @@ class SyncNetwork:
         #: The columnar round plane (docs/model.md "Columnar delivery"):
         #: broadcasts stage into per-round struct-of-arrays columns, and
         #: recipients get counting views instead of message objects.
-        #: Disabled when a subclass overrides ``_filter_deliveries`` —
-        #: per-recipient delivery filtering needs real per-message
-        #: objects, so e.g. LossyNetwork rides the object path.
-        self._columnar = (
-            columnar
-            and type(self)._filter_deliveries
-            is SyncNetwork._filter_deliveries
-        )
-        self._plane = ColumnarPlane() if self._columnar else None
-        #: Why the plane is off ("disabled" / "filter-override"), None
-        #: when it is on.  Reported once via a downgraded PlaneStats
-        #: event at the first round end, so observers can tell the
-        #: object path from "no stats yet".
-        self._plane_fallback = (
-            None
-            if self._columnar
-            else ("disabled" if not columnar else "filter-override")
-        )
-        self._fallback_reported = False
-        #: The columns this round's broadcasts stage into (columnar
-        #: mode), swapped for a fresh instance at each delivery.
-        self._staging_cols = (
-            self._plane.new_round() if self._plane is not None else None
-        )
+        self._plane = ColumnarPlane()
+        #: The columns this round's broadcasts stage into, swapped for a
+        #: fresh instance at each delivery.
+        self._staging_cols = self._plane.new_round()
+        #: Optional per-recipient delivery mask, ``None`` for the model's
+        #: synchrony guarantee (everything staged is delivered).  A
+        #: subclass that breaks the guarantee on purpose installs a
+        #: callable here in its constructor, before any node registers;
+        #: :meth:`_collect` states the contract.
+        self._delivery_mask: (
+            Callable[[NodeId, int], Sequence[bool] | None] | None
+        ) = None
         #: Cumulative broadcast-sender pool: the shared contacts
-        #: frozenset for founding nodes on the columnar path.
+        #: frozenset for founding nodes.
         self._contact_pool: frozenset[NodeId] = frozenset()
-        #: Round-r broadcast queue (object path): one shared Message per
-        #: logical broadcast, delivered to every node alive at r + 1.
-        self._broadcasts: list[Message] = []
-        #: Value-equality keys of the queued broadcasts, for O(1)
-        #: duplicate suppression at stage and delivery time.
-        self._broadcast_keys: set[Message] = set()
         #: Sorted alive-node lists keyed by byzantine flag, rebuilt only
         #: when the population changes (join / leave / removal).
         self._alive_cache: dict[bool, list[_NodeState]] = {}
@@ -290,8 +280,9 @@ class SyncNetwork:
             joined_round=max(self.round + 1, 1),
             # Founding nodes see every broadcast round, so their
             # contacts are exactly the engine's cumulative sender pool;
-            # joiners miss earlier rounds and track contacts privately.
-            contacts_shared=self._columnar and self.round == 0,
+            # joiners miss earlier rounds, and recipients of a masked
+            # network may miss any row: both track contacts privately.
+            contacts_shared=self._delivery_mask is None and self.round == 0,
         )
         self._alive_cache.clear()
 
@@ -448,10 +439,7 @@ class SyncNetwork:
         t0 = clock() if clock else 0.0
         self._apply_membership()
 
-        if self._columnar:
-            inboxes = self._collect_columnar()
-        else:
-            inboxes = self._collect_inboxes()
+        inboxes = self._collect()
         t1 = clock() if clock else 0.0
 
         correct_sends: list[tuple[NodeId, Send]] = []
@@ -501,12 +489,8 @@ class SyncNetwork:
                     byz_sends.append((state.node_id, send))
         t3 = clock() if clock else 0.0
 
-        if self._columnar:
-            self._stage_columnar(correct_sends)
-            self._stage_columnar(byz_sends)
-        else:
-            self._stage(correct_sends)
-            self._stage(byz_sends)
+        self._stage(correct_sends)
+        self._stage(byz_sends)
         emit_phase = self._emit_phase
         if clock and emit_phase is not None:
             t4 = clock()
@@ -518,25 +502,14 @@ class SyncNetwork:
         emit_plane = self._emit_plane
         if emit_plane is not None:
             plane = self._plane
-            if plane is not None:
-                emit_plane(
-                    PlaneStats(
-                        self.round,
-                        plane.payload_intern_hits,
-                        plane.unique_payloads,
-                        True,
-                        None,
-                        plane.messages_materialized,
-                    )
+            emit_plane(
+                PlaneStats(
+                    self.round,
+                    plane.payload_intern_hits,
+                    plane.unique_payloads,
+                    plane.messages_materialized,
                 )
-            elif not self._fallback_reported:
-                # Object path: say so once, with the downgrade reason.
-                self._fallback_reported = True
-                emit_plane(
-                    PlaneStats(
-                        self.round, 0, 0, False, self._plane_fallback, 0
-                    )
-                )
+            )
         if self._emit_round_end is not None:
             self._emit_round_end(RoundEnded(self.round))
 
@@ -569,105 +542,20 @@ class SyncNetwork:
         for spec in self.membership.leaves_at(self.round):
             self.remove(spec.node_id)
 
-    def _collect_inboxes(self) -> dict[NodeId, Inbox]:
-        """Deliver the previous round's traffic.
+    def _collect(self) -> dict[NodeId, Inbox]:
+        """Deliver the previous round's traffic: views over columns.
 
         The broadcast recipient set is resolved *here* — after this
         round's membership changes — so a node joining at round ``r + 1``
         receives the round-``r`` broadcasts (the model's "reaches every
-        node, including ones it has never heard of").  Every recipient's
-        inbox shares one tuple of broadcast message objects *and one
-        query index over it*: per-kind buckets and distinct-sender
-        tallies are built once per round, by whichever recipient asks
-        first, instead of once per node.  Recipients whose delivery adds
-        direct messages get a private overlay index layered on the
-        shared one; only those direct extras need per-recipient work.
-        """
-        broadcasts = tuple(self._broadcasts)
-        broadcast_keys = self._broadcast_keys
-        self._broadcasts = []
-        self._broadcast_keys = set()
-        broadcast_senders = {m.sender for m in broadcasts}
-        shared_index: InboxIndex | None = None
-
-        inboxes: dict[NodeId, Inbox] = {}
-        round_no = self.round
-        emit_deliver = self._emit_deliver
-        for state in self._nodes.values():
-            direct = state.direct
-            if direct:
-                state.direct = []
-            if not state.alive:
-                continue
-            extras: tuple[Message, ...] = ()
-            if direct:
-                seen: set[Message] = set()
-                fresh: list[Message] = []
-                for message in direct:
-                    # Per-round duplicate suppression, keyed on the
-                    # stamped message: identical directs, and a direct
-                    # repeating one of this round's broadcasts, collapse.
-                    if message in broadcast_keys or message in seen:
-                        continue
-                    seen.add(message)
-                    fresh.append(message)
-                extras = tuple(fresh)
-            # When every direct deduplicated against this round's
-            # broadcasts, the recipient rides the shared tuple/index and
-            # the cheap broadcast-contacts path like everyone else.
-            raw: Sequence[Message] = (
-                broadcasts + extras if extras else broadcasts
-            )
-            delivered = self._filter_deliveries(state, raw)
-            if not delivered:
-                continue
-            if delivered is raw:
-                if extras and broadcasts:
-                    if shared_index is None:
-                        shared_index = InboxIndex(broadcasts)
-                    inbox = Inbox(
-                        index=InboxIndex.layered(shared_index, extras)
-                    )
-                    state.contacts.update(broadcast_senders)
-                    state.contacts.update(m.sender for m in extras)
-                elif extras:
-                    inbox = Inbox(extras)
-                    state.contacts.update(m.sender for m in extras)
-                else:
-                    if shared_index is None:
-                        shared_index = InboxIndex(broadcasts)
-                    inbox = Inbox(index=shared_index)
-                    state.contacts.update(broadcast_senders)
-            else:
-                inbox = Inbox(delivered)
-                state.contacts.update(m.sender for m in delivered)
-            if emit_deliver is not None:
-                # ``delivered`` equals the inbox's message sequence in
-                # every branch above; the shared-broadcast path emits
-                # the round's shared tuple itself, so the event costs
-                # no copies.
-                emit_deliver(
-                    InboxDelivered(
-                        round_no,
-                        state.node_id,
-                        delivered
-                        if type(delivered) is tuple
-                        else tuple(delivered),
-                    )
-                )
-            inboxes[state.node_id] = inbox
-        return inboxes
-
-    def _collect_columnar(self) -> dict[NodeId, Inbox]:
-        """Columnar-plane delivery: views over columns, no message objects.
-
-        Same delivery semantics as :meth:`_collect_inboxes` (resolved
-        recipient set, direct-vs-broadcast dedup, contact tracking), but
-        the round's broadcasts live in frozen struct-of-arrays columns:
-        every recipient shares one :class:`ColumnarIndex` view, contact
+        node, including ones it has never heard of").  The round's
+        broadcasts live in frozen struct-of-arrays columns: every
+        recipient shares one :class:`ColumnarIndex` view, contact
         tracking is one cumulative pool update per round instead of a
         per-node set union, and ``deliver`` events carry a lazy message
-        sequence that only materializes if somebody iterates it.
+        sequence that only materializes if somebody iterates it.  A
+        direct message repeating one of the round's broadcasts, or an
+        earlier direct to the same node, is dropped.
 
         Direct queues are deduplicated and indexed once per *recipient
         group* — the recipients whose queues hold the same message
@@ -676,19 +564,37 @@ class SyncNetwork:
         :class:`Inbox` and one ``delivered`` tuple.  All four are
         read-only views (the shared-index invariant extends to the
         overlay): no recipient may mutate what it is handed.
+
+        The delivery mask, when one is installed, is asked once per
+        alive recipient with at least one row, in ``_nodes`` iteration
+        order, as ``mask(recipient, rows)``: the rows are the round's
+        broadcasts in staging order followed by the recipient's
+        deduplicated direct extras.  ``None`` leaves the recipient
+        untouched, on the shared index or its group's overlay;
+        otherwise the answer is one keep/drop flag per row, and the
+        recipient leaves the shared structures for a private inbox of
+        the kept messages (selected from the round's one materialized
+        tuple, never from a copy of the columns), learns only the kept
+        senders as contacts, and — when nothing is kept — gets no inbox
+        and no ``deliver`` event.  The mask sees row counts, not rows,
+        and can therefore mutate nothing.
         """
         cols = self._staging_cols
         self._staging_cols = self._plane.new_round()
-        has_broadcasts = len(cols) > 0
+        broadcast_rows = len(cols)
+        has_broadcasts = broadcast_rows > 0
         broadcast_senders: frozenset[NodeId] = frozenset()
+        shared_index = shared_inbox = shared_view = None
         if has_broadcasts:
             broadcast_senders = cols.distinct_senders()
             if not broadcast_senders <= self._contact_pool:
                 self._contact_pool = self._contact_pool | broadcast_senders
+            # The one index, inbox and lazy delivered-messages view of
+            # every recipient that gets exactly the round's broadcasts.
+            shared_index = ColumnarIndex(cols)
+            shared_inbox = Inbox(index=shared_index)
+            shared_view = shared_index.message_view()
 
-        shared_index: ColumnarIndex | None = None
-        shared_inbox: Inbox | None = None
-        shared_view: ColumnarMessages | None = None
         #: Recipient groups: every recipient whose direct queue holds
         #: the same messages in the same order shares one ``(queue,
         #: extras, extra senders, inbox, delivered)`` entry.  A
@@ -705,6 +611,7 @@ class SyncNetwork:
         round_no = self.round
         emit_deliver = self._emit_deliver
         pool = self._contact_pool
+        mask = self._delivery_mask
         for state in self._nodes.values():
             direct = state.direct
             if direct:
@@ -734,12 +641,8 @@ class SyncNetwork:
                     extras = tuple(fresh)
                     inbox = delivered = None
                     if extras and has_broadcasts:
-                        # Direct deliveries take the object path
+                        # Direct deliveries need message objects
                         # (materializing the shared columns once).
-                        if shared_index is None:
-                            shared_index = ColumnarIndex(cols)
-                            shared_inbox = Inbox(index=shared_index)
-                            shared_view = shared_index.message_view()
                         inbox = Inbox(
                             index=InboxIndex.layered(shared_index, extras)
                         )
@@ -756,7 +659,27 @@ class SyncNetwork:
                     )
                     bucket.append(group)
                 _, extras, extra_senders, inbox, delivered = group
-            if extras:
+            verdict = None
+            if mask is not None and (extras or has_broadcasts):
+                rows = broadcast_rows + len(extras)
+                verdict = mask(state.node_id, rows)
+            if verdict is not None:
+                if len(verdict) != rows:
+                    raise ConfigurationError(
+                        f"delivery mask answered {len(verdict)} flags"
+                        f" for the {rows} rows of node {state.node_id}"
+                    )
+                delivered = tuple(
+                    compress(
+                        delivered if extras else cols.materialize(),
+                        verdict,
+                    )
+                )
+                if not delivered:
+                    continue
+                inbox = Inbox(delivered)
+                state.contacts.update(m.sender for m in delivered)
+            elif extras:
                 if state.contacts_shared:
                     state.contacts_shared = False
                     state.contacts = set(pool)
@@ -764,10 +687,6 @@ class SyncNetwork:
                     state.contacts.update(broadcast_senders)
                 state.contacts.update(extra_senders)
             elif has_broadcasts:
-                if shared_inbox is None:
-                    shared_index = ColumnarIndex(cols)
-                    shared_inbox = Inbox(index=shared_index)
-                    shared_view = shared_index.message_view()
                 inbox = shared_inbox
                 delivered = shared_view
                 if not state.contacts_shared:
@@ -780,18 +699,6 @@ class SyncNetwork:
                 )
             inboxes[state.node_id] = inbox
         return inboxes
-
-    def _filter_deliveries(
-        self, state: _NodeState, messages: Sequence[Message]
-    ) -> Sequence[Message]:
-        """Hook: the messages actually handed to *state* this round.
-
-        The base engine delivers everything (the model's synchrony
-        guarantee); :class:`~repro.sim.lossy.LossyNetwork` overrides this
-        to drop deliveries.  ``messages`` may be the shared broadcast
-        tuple — implementations must not mutate it.
-        """
-        return messages
 
     def _run_correct(
         self, state: _NodeState, inbox: Inbox
@@ -816,8 +723,8 @@ class SyncNetwork:
             # have changed between rounds (None = nobody listens).
             api._trace_sink = self._protocol_sink
             if state.contacts_shared:
-                # Columnar path: founding nodes alias the engine's
-                # cumulative broadcast-sender pool — O(1) per node.
+                # Founding nodes alias the engine's cumulative
+                # broadcast-sender pool — O(1) per node.
                 api._known_contacts = self._contact_pool
             else:
                 # contacts_view() inlined: runs once per node per round.
@@ -856,54 +763,8 @@ class SyncNetwork:
     def _stage(self, sends: list[tuple[NodeId, Send]]) -> None:
         """Queue sends for delivery at the next round.
 
-        O(len(sends)): each send is stamped into its Message exactly
-        once.  Broadcasts join the shared per-round queue (recipients are
-        resolved at delivery time); direct sends join the destination's
-        queue if the destination currently exists and is alive.
-        """
-        round_no = self.round
-        emit_send = self._emit_send
-        for sender, send in sends:
-            if type(send) is BatchSend or type(send) is MulticastSend:
-                # Object path: a fan-out is indistinguishable from its
-                # expansion (per-send staging, events and dedup).
-                for sub in send.expanded():
-                    self._stage_one(sender, sub, round_no, emit_send)
-                continue
-            self._stage_one(sender, send, round_no, emit_send)
-
-    def _stage_one(
-        self, sender: NodeId, send: Send, round_no: Round, emit_send
-    ) -> None:
-        message = send.stamped(sender)
-        dest = send.dest
-        if dest is BROADCAST:
-            staged = message not in self._broadcast_keys
-            if staged:
-                self._broadcast_keys.add(message)
-                self._broadcasts.append(message)
-        else:
-            state = self._nodes.get(dest)
-            staged = state is not None and state.alive
-            if staged:
-                state.direct.append(message)
-        if emit_send is not None:
-            emit_send(
-                MessageSent(
-                    round_no,
-                    sender,
-                    send.kind,
-                    send.payload,
-                    send.instance,
-                    None if dest is BROADCAST else dest,
-                    self._wire_cost(sender, send),
-                    staged,
-                )
-            )
-
-    def _stage_columnar(self, sends: list[tuple[NodeId, Send]]) -> None:
-        """Queue sends into the round's columns (columnar mode).
-
+        Broadcast recipients are resolved at delivery time; a direct
+        send is staged only if its destination exists and is alive now.
         Scalar broadcasts are four list appends; a batched fan-out is
         one interned segment per sender.  Direct sends stamp real
         Message objects into the destinations' queues: a scalar send

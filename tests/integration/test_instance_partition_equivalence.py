@@ -24,6 +24,8 @@ from repro.adversary import QuorumSplitterStrategy, RandomNoiseStrategy
 from repro.core.parallel_consensus import ParallelConsensus
 from repro.sim.network import SyncNetwork
 
+from tests.reference_engine import assert_matches_reference
+
 CORRECT = 13
 
 #: instance count -> digest recorded on the parent commit.
@@ -72,7 +74,7 @@ def inputs_of(node: int, instances: int) -> dict:
     return pairs
 
 
-def run(instances: int) -> SyncNetwork:
+def build(instances: int, network=SyncNetwork):
     """13 correct nodes, *instances* ids, three splitters, one noise sender.
 
     The splitters run the honest protocol over every id and split each
@@ -80,7 +82,7 @@ def run(instances: int) -> SyncNetwork:
     noise sender never makes it into the frozen membership, which keeps
     the membership-restricted (non-shared) index path in play.
     """
-    net = SyncNetwork(seed=instances, rushing=True)
+    net = network(seed=instances, rushing=True)
     for node in range(CORRECT):
         net.add_correct(node, ParallelConsensus(inputs_of(node, instances)))
     for b in range(3):
@@ -95,6 +97,11 @@ def run(instances: int) -> SyncNetwork:
             ),
         )
     net.add_byzantine(CORRECT + 3, RandomNoiseStrategy())
+    return net
+
+
+def run(instances: int) -> SyncNetwork:
+    net = build(instances)
     net.run(150)
     return net
 
@@ -126,6 +133,10 @@ def test_run_matches_parent_recording(instances):
     expect = PARENT_DIGESTS[instances]
     assert expect["decided"] == CORRECT and expect["joins"] > 0
     assert digest(run(instances)) == expect
+    # The second pin: the naive reference engine replays the same
+    # population node for node (a separate run — comparing deliveries
+    # materializes every round, which the digest run must not).
+    assert_matches_reference(lambda network: build(instances, network), 150)
 
 
 if __name__ == "__main__":

@@ -19,11 +19,12 @@ from repro.sim.message import (
     Message,
     MulticastSend,
     Send,
-    expand_sends,
 )
 from repro.sim.network import SyncNetwork
 from repro.sim.node import Protocol
 from repro.sim.rng import make_rng
+
+from tests.reference_engine import assert_matches_reference, per_send_events
 
 KINDS = ("echo", "input", "prefer")
 PAYLOADS = (0, 1, "v", None)
@@ -246,7 +247,7 @@ class TestIndexCoherence:
 
 
 # ----------------------------------------------------------------------
-# Columnar round plane: staged columns vs the object path.
+# Columnar round plane: staged columns vs per-message objects.
 # ----------------------------------------------------------------------
 def random_stream(rng, size):
     """A staging stream mixing scalar broadcasts, batched fan-outs,
@@ -288,8 +289,8 @@ def stage_stream(stream, plane=None):
 
 
 def expected_messages(stream):
-    """The object path's staging outcome: per-round Message-set dedup
-    over the expanded stream, in staging order."""
+    """The model's staging outcome: per-round Message-set dedup over
+    the expanded stream, in staging order."""
     seen, out = set(), []
     for entry in stream:
         if entry[0] == "scalar":
@@ -329,8 +330,8 @@ class TestColumnarCoherence:
             cols = stage_stream(stream)
             messages = expected_messages(stream)
             box = Inbox(index=ColumnarIndex(cols))
-            # kind=None with concrete filters falls back to the object
-            # path, so the counting-only guarantee covers per-kind
+            # kind=None with concrete filters falls back to message
+            # objects, so the counting-only guarantee covers per-kind
             # queries plus the unfiltered sender census.
             assert box.senders() == naive_senders(messages)
             for kind in KINDS:
@@ -361,7 +362,7 @@ class TestColumnarCoherence:
 
     def test_cross_form_duplicate_suppression(self):
         # scalar-then-batch, batch-then-scalar, identical re-broadcast,
-        # and two overlapping batches must all match the object path.
+        # and two overlapping batches must all dedup by message value.
         streams = [
             [
                 ("scalar", 1, "echo", "p", None),
@@ -518,8 +519,8 @@ class TestColumnarCoherence:
 
 
 # ----------------------------------------------------------------------
-# Direct sends through the engine: scalar directs and multicasts vs a
-# naive per-recipient oracle.
+# Direct sends through the engine: scalar directs and multicasts vs the
+# naive per-recipient reference engine.
 # ----------------------------------------------------------------------
 RECORDERS = tuple(range(10, 16))
 DEPARTED = 16  # registered, removed before anything is staged
@@ -579,79 +580,33 @@ def random_script(rng, size):
     return script[:size]
 
 
-def run_scripts(scripts, columnar=True):
+def populate(net, scripts):
+    """Six recorders, one scripted Byzantine sender per script, and a
+    node that departs before anything is staged."""
+    for node in RECORDERS:
+        net.add_correct(node, Recorder())
+    for sender, script in scripts.items():
+        net.add_byzantine(sender, Scripted(script))
+    net.add_correct(DEPARTED, Recorder())
+    net.remove(DEPARTED)
+    return net
+
+
+def run_scripts(scripts):
     """Stage every script in round 1, deliver in round 2.
 
     Returns ``(recorder inboxes, per-recipient send events)`` — the
     events at per-send granularity whichever form the engine emitted.
     """
-    net = SyncNetwork(columnar=columnar)
-    recorders = {node: Recorder() for node in RECORDERS}
-    for node, recorder in recorders.items():
-        net.add_correct(node, recorder)
-    for sender, script in scripts.items():
-        net.add_byzantine(sender, Scripted(script))
-    net.add_correct(DEPARTED, Recorder())
-    net.remove(DEPARTED)
-    sent = []
-    net.bus.subscribe(sent.append, "send")
-    net.bus.subscribe(lambda e: sent.extend(e.expanded()), "send-batch")
-    net.bus.subscribe(lambda e: sent.extend(e.expanded()), "send-multicast")
+    net = populate(SyncNetwork(), scripts)
+    sent = per_send_events(net.bus)
     net.step()
     net.step()
     inboxes = {
-        node: recorder.inboxes.get(2, Inbox())
-        for node, recorder in recorders.items()
+        node: net.protocol_of(node).inboxes.get(2, Inbox())
+        for node in RECORDERS
     }
     return inboxes, sent, net
-
-
-def oracle(scripts):
-    """The model, one recipient at a time, no sharing anywhere.
-
-    Senders stage in ascending id order.  Broadcasts dedup by value
-    over the whole round; a direct reaches its addressee when that node
-    exists and is alive, and is dropped at delivery when it repeats one
-    of the round's broadcasts or an earlier direct to the same node.
-    """
-    reachable = set(RECORDERS) | set(SENDERS)
-    broadcasts, seen = [], set()
-    addressed = {node: [] for node in reachable}
-    flags = []
-    for sender in sorted(scripts):
-        for send in expand_sends(scripts[sender]):
-            message = send.stamped(sender)
-            if send.dest is BROADCAST:
-                staged = message not in seen
-                if staged:
-                    seen.add(message)
-                    broadcasts.append(message)
-                dest = None
-            else:
-                dest = send.dest
-                staged = dest in reachable
-                if staged:
-                    addressed[dest].append(message)
-            flags.append(
-                (sender, send.kind, send.payload, send.instance, dest, staged)
-            )
-    inboxes = {}
-    for node in RECORDERS:
-        mine, extras = set(), []
-        for message in addressed[node]:
-            if message in seen or message in mine:
-                continue
-            mine.add(message)
-            extras.append(message)
-        inboxes[node] = broadcasts + extras
-    return inboxes, flags
-
-
-def event_rows(sent):
-    return [
-        (e.sender, e.kind, e.payload, e.instance, e.dest, e.staged)
-        for e in sent
-    ]
 
 
 class TestDirectFanOutCoherence:
@@ -662,16 +617,21 @@ class TestDirectFanOutCoherence:
                 sender: random_script(rng, rng.randrange(0, 12))
                 for sender in SENDERS
             }
-            expect, expect_flags = oracle(scripts)
-            for columnar in (True, False):
-                inboxes, sent, net = run_scripts(scripts, columnar)
-                assert event_rows(sent) == expect_flags
-                assert net.metrics.sends_total == len(expect_flags)
-                assert net.metrics.staged_total == sum(
-                    row[-1] for row in expect_flags
+            # Every send event with its staged flag and every delivered
+            # message, against the model run one recipient at a time...
+            engine, reference = assert_matches_reference(
+                lambda network: populate(network(), scripts), 2, False
+            )
+            assert engine.metrics.sends_total == len(reference.sent)
+            assert engine.metrics.staged_total == sum(
+                row[-1] for row in reference.sent
+            )
+            # ... and the full query matrix over each engine inbox.
+            for node in RECORDERS:
+                assert_coherent(
+                    engine.protocol_of(node).inboxes.get(2, Inbox()),
+                    list(reference.delivered.get((2, node), ())),
                 )
-                for node in RECORDERS:
-                    assert_coherent(inboxes[node], expect[node])
 
     def test_value_equal_multicasts_from_one_sender_collapse(self):
         twice = MulticastSend((10, 11), "echo", "v")

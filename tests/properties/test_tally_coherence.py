@@ -19,6 +19,9 @@ preserved verbatim as the oracle.  Mirrors
 from its seed.
 """
 
+import hashlib
+
+from repro.adversary import RandomNoiseStrategy
 from repro.core.parallel_consensus import (
     _ABSTAINED,
     KIND_INPUT,
@@ -33,8 +36,11 @@ from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.membership import MembershipSchedule
 from repro.sim.message import Message
 from repro.sim.network import SyncNetwork
+from repro.sim.node import Protocol
 from repro.sim.rng import make_rng
 from repro.types import BOTTOM
+
+from tests.reference_engine import assert_matches_reference
 
 QUORUM_KINDS = (KIND_INPUT, KIND_PREFER, KIND_STRONGPREFER)
 
@@ -260,7 +266,7 @@ class TestTallyCoherence:
 
 
 # ----------------------------------------------------------------------
-# Columnar round plane: _count over staged columns vs the object path.
+# Columnar round plane: _count over staged columns vs message objects.
 # ----------------------------------------------------------------------
 def random_columnar_stream(rng, size):
     """A staging stream of tagged-instance traffic: scalar broadcasts,
@@ -288,7 +294,7 @@ def stage_columnar(stream):
 
     Returns ``(inbox, expanded)`` where the inbox rides a
     :class:`ColumnarIndex` and ``expanded`` is the per-send message list
-    the object path would have staged (duplicates retained — the naive
+    the sends expand to (duplicates retained — the naive
     oracle counts sender *sets*, and the votes-dict insertion order of
     first occurrences is identical either way).
     """
@@ -309,6 +315,69 @@ def stage_columnar(stream):
                 Message(sender, kind, p, INSTANCE) for p in payloads
             )
     return Inbox(index=ColumnarIndex(cols)), expanded
+
+
+#: n = 500 runs, recorded on the last commit that had an object engine
+#: (527f57b, its ``columnar`` knob off).  Print this engine's with::
+#:
+#:     PYTHONPATH=src python -m tests.properties.test_tally_coherence
+OBJECT_ENGINE_DIGESTS = {
+    "backfill": "3f30a4d79fce8e462ef8fab1b4943c2af7ac357e0699a8ffa710caf795478d24",
+    "beat": "1f8b4e21f29910a365b7115fc8d79ab3390c6a94e14a63d992adea38d6afdfd2",
+}
+
+
+def sha(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def backfill_net(n, network=SyncNetwork):
+    net = network(seed=7)
+    for i in range(n):
+        inputs = {"a": 10}
+        if i == 0:
+            inputs["b"] = 20  # everyone else joins "b" via back-fill
+        net.add_correct(i, ParallelConsensus(inputs))
+    net.add_byzantine(n, RandomNoiseStrategy())
+    return net
+
+
+def backfill_digest(n=500) -> str:
+    net = backfill_net(n)
+    net.run(60)
+    assert len(net.outputs()) == n, "the run must actually decide"
+    totals = (net.round, net.metrics.sends_total, net.metrics.deliveries_total)
+    return sha((sorted(net.outputs().items()), totals, list(net.trace)))
+
+
+class Beat(Protocol):
+    def __init__(self):
+        super().__init__()
+        self.heard_by_round = {}
+
+    def on_round(self, api, inbox) -> None:
+        self.heard_by_round[api.round] = sorted(inbox.senders())
+        api.broadcast("beat", api.round)
+
+
+def beat_net(n, network=SyncNetwork):
+    schedule = MembershipSchedule()
+    schedule.join(3, n, Beat)
+    schedule.leave(5, 1)
+    net = network(seed=2, membership=schedule)
+    for i in range(n):
+        net.add_correct(i, Beat())
+    return net
+
+
+def heard(net) -> dict:
+    return {n: p.heard_by_round for n, p in net.protocols().items()}
+
+
+def beat_digest(n=500) -> str:
+    net = beat_net(n)
+    net.run(6, until_all_halted=False)
+    return sha(sorted(heard(net).items()))
 
 
 class TestColumnarTallyCoherence:
@@ -367,76 +436,32 @@ class TestColumnarTallyCoherence:
         assert got == (TWIN_A, 2)  # first-staged twin wins the tie
 
     def test_columnar_network_replays_object_path_at_scale(self):
-        # End-to-end equivalence at n >= 500: the columnar plane must be
-        # observationally identical to the object path — same outputs,
-        # same round count, same send/delivery totals, same protocol
-        # trace.  Only node 0 inputs the pair ("b", 20), so 499 nodes
-        # join that instance through the join-round ⊥ back-fill, and the
-        # byzantine noise sender sits outside the frozen membership,
-        # exercising the restricted-membership tally path.
-        from repro.adversary import RandomNoiseStrategy
-
-        def build(columnar):
-            n = 500
-            net = SyncNetwork(seed=7, columnar=columnar)
-            for i in range(n):
-                inputs = {"a": 10}
-                if i == 0:
-                    inputs["b"] = 20  # 499 nodes join "b" via back-fill
-                net.add_correct(i, ParallelConsensus(inputs))
-            net.add_byzantine(n, RandomNoiseStrategy())
-            net.run(60)
-            return net
-
-        with_columns = build(columnar=True)
-        object_path = build(columnar=False)
-        assert with_columns.outputs() == object_path.outputs()
-        assert with_columns.round == object_path.round
-        assert (
-            with_columns.metrics.sends_total
-            == object_path.metrics.sends_total
+        # End-to-end at n = 500: only node 0 inputs the pair ("b", 20),
+        # so 499 nodes join that instance through the join-round ⊥
+        # back-fill, and the byzantine noise sender sits outside the
+        # frozen membership, exercising the restricted-membership tally
+        # path.  Node for node against the reference engine at a size
+        # it runs in seconds, and pinned at n = 500 to the digest the
+        # deleted object engine produced.
+        assert_matches_reference(
+            lambda network: backfill_net(40, network), 60
         )
-        assert (
-            with_columns.metrics.deliveries_total
-            == object_path.metrics.deliveries_total
-        )
-        assert list(with_columns.trace) == list(object_path.trace)
-        assert with_columns.outputs(), "the run must actually decide"
+        assert backfill_digest() == OBJECT_ENGINE_DIGESTS["backfill"]
 
     def test_columnar_join_backfill_matches_object_path_at_scale(self):
-        # Network-level join-round back-fill at n >= 500: a scheduled
-        # joiner (delivered the previous round's broadcasts through the
-        # extras layer over the shared columnar index) and a forced
-        # leave must leave every node's per-round sender view identical
-        # to the object path's.
-        from repro.sim.node import NodeApi, Protocol
-
-        class Beat(Protocol):
-            def __init__(self):
-                super().__init__()
-                self.heard_by_round = {}
-
-            def on_round(self, api: NodeApi, inbox: Inbox) -> None:
-                self.heard_by_round[api.round] = sorted(inbox.senders())
-                api.broadcast("beat", api.round)
-
-        def build(columnar):
-            n = 500
-            schedule = MembershipSchedule()
-            schedule.join(3, n, Beat)
-            schedule.leave(5, 1)
-            net = SyncNetwork(seed=2, membership=schedule, columnar=columnar)
-            for i in range(n):
-                net.add_correct(i, Beat())
-            net.run(6, until_all_halted=False)
-            return {
-                nid: state.protocol.heard_by_round
-                for nid, state in net._nodes.items()
-            }
-
-        with_columns = build(columnar=True)
-        object_path = build(columnar=False)
-        assert with_columns == object_path
-        joiner = with_columns[500]
+        # Network-level join-round back-fill: a scheduled joiner
+        # (delivered the previous round's broadcasts through the extras
+        # layer over the shared columnar index) and a forced leave must
+        # leave every node's per-round sender view what the model says.
+        engine, reference = assert_matches_reference(
+            lambda network: beat_net(40, network), 6, False
+        )
+        assert heard(engine) == heard(reference)
+        joiner = heard(engine)[40]
         assert min(joiner) == 3  # first active round
-        assert 1 not in with_columns[0][6]  # the forced leave took
+        assert 1 not in heard(engine)[0][6]  # the forced leave took
+        assert beat_digest() == OBJECT_ENGINE_DIGESTS["beat"]
+
+
+if __name__ == "__main__":
+    print({"backfill": backfill_digest(), "beat": beat_digest()})
