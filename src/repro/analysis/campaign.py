@@ -19,9 +19,12 @@ from each run's event stream into per-monitor violation rates:
 
 The report is byte-deterministic for a given (base spec, campaign
 seed, run count) regardless of worker count: specs are derived by
-index, workers return ``(index, verdicts)``, and aggregation sorts by
-index and records no wall-clock data.  Any violating spec is saved as
-a JSON artifact that ``repro run --scenario FILE`` replays directly.
+index, workers return ``(index, verdicts, seconds)``, and aggregation
+sorts by index and puts no wall-clock data in the report.  Timings go
+to a :class:`CampaignTiming` the caller hands in — beside the report,
+never in it (``repro campaign --out R.json`` writes them to
+``R.timing.json``).  Any violating spec is saved as a JSON artifact
+that ``repro run --scenario FILE`` replays directly.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import pathlib
+import statistics
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -46,6 +50,7 @@ from repro.scenario import RunSpec, get_protocol, resolve_inputs, run_spec
 
 __all__ = [
     "CampaignReport",
+    "CampaignTiming",
     "build_specs",
     "derive_seed",
     "evaluate_spec",
@@ -241,14 +246,32 @@ def evaluate_spec(spec: RunSpec) -> dict[str, Any]:
     }
 
 
-def _worker(payload: tuple[int, dict]) -> tuple[int, dict]:
-    index, doc = payload
-    return index, evaluate_spec(RunSpec.from_json_dict(doc))
+#: A monotonic time source in seconds (``time.perf_counter``): injected
+#: by whoever wants timings, so an untimed campaign reads no clock.
+Clock = Callable[[], float]
+
+
+def _worker(
+    payload: tuple[int, dict, Clock | None],
+) -> tuple[int, dict, float | None]:
+    index, doc, clock = payload
+    spec = RunSpec.from_json_dict(doc)
+    if clock is None:
+        return index, evaluate_spec(spec), None
+    started = clock()
+    row = evaluate_spec(spec)
+    return index, row, clock() - started
 
 
 # ---------------------------------------------------------------------------
 # The campaign
 # ---------------------------------------------------------------------------
+def _save_json(doc: dict, path: str | pathlib.Path) -> pathlib.Path:
+    path = pathlib.Path(path)
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
 @dataclass
 class CampaignReport:
     """Aggregate verdicts of one campaign, JSON-stable."""
@@ -285,12 +308,55 @@ class CampaignReport:
         }
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        path = pathlib.Path(path)
-        path.write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n",
-            encoding="utf-8",
-        )
-        return path
+        return _save_json(self.to_json_dict(), path)
+
+
+@dataclass
+class CampaignTiming:
+    """Where one campaign's wall-clock went; filled by :func:`run_campaign`.
+
+    ``clock`` is read around each ``evaluate_spec`` (inside the worker
+    that runs it, so it must pickle — ``time.perf_counter`` does) and
+    around the whole pool.  The report never sees any of it.
+    """
+
+    clock: Clock
+    workers: int = 1
+    #: Scenario list in, sorted outcomes out (pool start-up included).
+    wall_s: float = 0.0
+    #: Seconds inside ``evaluate_spec``, by spec index.
+    spec_s: list[float] = field(default_factory=list)
+
+    @property
+    def specs_per_s(self) -> float:
+        return len(self.spec_s) / self.wall_s if self.wall_s > 0 else 0.0
+
+    def to_json_dict(self) -> dict:
+        ordered = sorted(self.spec_s)
+        runs = len(ordered)
+        worker_s = sum(ordered)
+        wall_s = self.wall_s
+        return {
+            "runs": runs,
+            "workers": self.workers,
+            "specs_per_s": self.specs_per_s,
+            "spec_s": {
+                "p50": statistics.median(ordered),
+                # Nearest rank: the ceil(3n/4)-th smallest.
+                "p75": ordered[(3 * runs + 3) // 4 - 1],
+                "max": ordered[-1],
+            }
+            if ordered
+            else None,
+            "wall_s": wall_s,
+            "worker_s": worker_s,
+            "pool_efficiency": (
+                worker_s / (wall_s * self.workers) if wall_s > 0 else 0.0
+            ),
+        }
+
+    def save(self, path: str | pathlib.Path) -> pathlib.Path:
+        return _save_json(self.to_json_dict(), path)
 
 
 def run_campaign(
@@ -300,18 +366,23 @@ def run_campaign(
     workers: int = 1,
     artifacts_dir: str | pathlib.Path | None = None,
     progress: Callable[[int, int], None] | None = None,
+    timing: CampaignTiming | None = None,
 ) -> CampaignReport:
     """Run *runs* seed-derived copies of *base* and aggregate verdicts.
 
     ``workers > 1`` fans the scenario list over a process pool; the
-    report bytes are identical for any worker count.  When
-    ``artifacts_dir`` is set, every violating spec is saved there as a
-    replayable ``violation-<index>.json`` RunSpec file.
+    report bytes are identical for any worker count, timed or not.
+    When ``artifacts_dir`` is set, every violating spec is saved there
+    as a replayable ``violation-<index>.json`` RunSpec file.  When
+    *timing* is given, its clock times every spec and the pool.
     """
     specs = build_specs(base, runs, campaign_seed)
+    clock = timing.clock if timing is not None else None
     payloads = [
-        (index, spec.to_json_dict()) for index, spec in enumerate(specs)
+        (index, spec.to_json_dict(), clock)
+        for index, spec in enumerate(specs)
     ]
+    started = clock() if clock is not None else 0.0
     if workers > 1:
         chunksize = max(1, runs // (workers * 8))
         with multiprocessing.Pool(workers) as pool:
@@ -322,14 +393,18 @@ def run_campaign(
             outcomes.append(_worker(payload))
             if progress is not None:
                 progress(len(outcomes), runs)
-    outcomes.sort(key=lambda pair: pair[0])
+    outcomes.sort(key=lambda outcome: outcome[0])
+    if timing is not None:
+        timing.wall_s = clock() - started
+        timing.workers = workers
+        timing.spec_s = [seconds for _, _, seconds in outcomes]
 
     report = CampaignReport(
         base=base.to_json_dict(), campaign_seed=campaign_seed, runs=runs
     )
     if artifacts_dir is not None:
         artifacts_dir = pathlib.Path(artifacts_dir)
-    for index, row in outcomes:
+    for index, row, _seconds in outcomes:
         if row["rounds"] is not None:
             report.rounds_max = max(report.rounds_max, row["rounds"])
         if row["chain_length"] is not None:

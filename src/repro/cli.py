@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
+import time
 from dataclasses import replace
 from typing import Hashable
 
@@ -205,23 +207,35 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    from repro.analysis.campaign import format_campaign_report, run_campaign
+    from repro.analysis.campaign import (
+        CampaignTiming,
+        format_campaign_report,
+        run_campaign,
+    )
 
     if args.scenario:
         base = RunSpec.load(args.scenario)
     else:
         base = _spec_from_args(args)
+    # Timings ride beside a saved report, in their own file: the report
+    # stays byte-identical across machines and worker counts.
+    timing = CampaignTiming(clock=time.perf_counter) if args.out else None
     report = run_campaign(
         base,
         runs=args.runs,
         campaign_seed=args.campaign_seed,
         workers=args.workers,
         artifacts_dir=args.artifacts,
+        timing=timing,
     )
     print(format_campaign_report(report))
     if args.out:
         report.save(args.out)
         print(f"report   : {args.out}")
+        sidecar = timing.save(
+            pathlib.Path(args.out).with_suffix(".timing.json")
+        )
+        print(f"timing   : {sidecar} ({timing.specs_per_s:.1f} specs/s)")
     if report.violations:
         print(f"VIOLATIONS: {len(report.violations)}")
         for record in report.violations[:10]:
@@ -417,7 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size (report bytes are worker-count-invariant)",
     )
     campaign_p.add_argument(
-        "--out", default=None, metavar="FILE", help="save the JSON report"
+        "--out",
+        default=None,
+        metavar="FILE",
+        help="save the JSON report, and the run's wall-clock beside it "
+        "as FILE's .timing.json sibling",
     )
     campaign_p.add_argument(
         "--artifacts",

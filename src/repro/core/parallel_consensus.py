@@ -74,6 +74,60 @@ PHASE_LENGTH = 5
 #: abstention marker" (used by the substitution rule).
 _ABSTAINED = object()
 
+#: First-hearing kind -> rounds since the instance it reveals started.
+_JOIN_OFFSETS: dict[str, int] = {
+    KIND_INPUT: 1,
+    KIND_PREFER: 2,
+    KIND_STRONGPREFER: 3,
+}
+
+#: ``namespace -> ((inner_id, wire_tag), ...)``; see :func:`namespace_view`.
+NamespaceView = Mapping[Hashable, tuple[tuple[Hashable, Hashable], ...]]
+
+
+def _namespace_view(index: InboxIndex) -> NamespaceView:
+    tags = index.instance_tags()
+    view: dict[Hashable, list[tuple[Hashable, Hashable]]] = {}
+    if index.all_senders:
+        view[None] = [(tag, tag) for tag in tags]
+    for tag in tags:
+        view.setdefault(tag, [])
+        if isinstance(tag, tuple) and len(tag) == 2 and tag[0] is not None:
+            pairs = view.setdefault(tag[0], [])
+            if tag[1] is not None:
+                pairs.append((tag[1], tag))
+    return MappingProxyType(
+        {namespace: tuple(pairs) for namespace, pairs in view.items()}
+    )
+
+
+def namespace_view(inbox: Inbox) -> NamespaceView:
+    """The round's instance tags, grouped by machine namespace.
+
+    A machine with ``base_tag`` *b* tags its own ``init``/``echo``
+    traffic *b* and its instances ``(b, inner_id)``; an un-namespaced
+    machine (``base_tag=None``) sends the former untagged and tags the
+    latter with the bare id.  The view inverts that for every namespace
+    at once, in one pass over ``instance_tags()``:
+
+    * ``view[b]`` lists ``(inner_id, wire_tag)`` for every tag
+      ``(b, inner_id)`` present, in first-occurrence order — what
+      machine *b* walks for its joining rules;
+    * ``view[None]`` lists ``(tag, tag)`` for *every* tag present;
+    * ``b in view`` exactly when somebody addressed namespace *b* this
+      round at all: a message tagged *b* itself (which contributes a
+      key but no pair), or one tagged ``(b, ·)``; for ``None``, any
+      message whatsoever.  ``None`` is the engine's "untagged" marker
+      and never an inner id: a tag ``(b, None)`` addresses *b* without
+      naming an instance.
+
+    A pure function of the inbox's index, memoized on it through
+    :meth:`~repro.sim.inbox.Inbox.derive` and read-only like every
+    derived view: all the machines of all the nodes sharing a round's
+    index share one view.
+    """
+    return inbox.derive("pc-namespaces", _namespace_view)
+
 
 def _vote_base(
     index: InboxIndex, kind: str
@@ -405,18 +459,6 @@ class ParallelConsensusMachine:
             return inner_id
         return (self.base_tag, inner_id)
 
-    def _inner_id(self, wire_tag: Hashable) -> Hashable | None:
-        """Reverse of :meth:`_wire_tag`; None when outside our namespace."""
-        if self.base_tag is None:
-            return wire_tag if wire_tag is not None else None
-        if (
-            isinstance(wire_tag, tuple)
-            and len(wire_tag) == 2
-            and wire_tag[0] == self.base_tag
-        ):
-            return wire_tag[1]
-        return None
-
     # -- inputs and results -----------------------------------------------
     def submit(self, instance_id: Hashable, value: Hashable) -> None:
         """Queue an input pair; its instance starts on the next round.
@@ -453,6 +495,27 @@ class ParallelConsensusMachine:
     def idle(self) -> bool:
         """True when no instance is running and none is queued."""
         return not self.instances and not self._pending
+
+    def quiescent(self, round_no: Round, spoken: NamespaceView) -> bool:
+        """True when :meth:`on_round` at *round_no* would be a no-op.
+
+        *spoken* is the :func:`namespace_view` of the round's
+        **unrestricted** inbox.  The machine is past its two
+        initialization rounds, idle, and nobody addressed its namespace:
+        then the candidate set absorbs an empty tally and evaluates
+        nothing (absorb and evaluate are paired inside one ``on_round``,
+        so no echo is ever held across rounds), there is no pending
+        input to start, no tag to join and no instance to run, and
+        nothing is emitted.  Silence before the membership restriction
+        implies silence after it.  A caller holding many machines may
+        therefore leave a quiescent one unstepped, for any number of
+        rounds, without any observable difference (DESIGN.md §4).
+        """
+        return (
+            round_no - self.start_round >= 2
+            and self.idle()
+            and self.base_tag not in spoken
+        )
 
     def join_window_closed(self, round_no: Round) -> bool:
         """True once the initial batch's first phase is fully over."""
@@ -524,20 +587,16 @@ class ParallelConsensusMachine:
         unknown id — coordinator opinions, second-phase traffic — is
         discarded.
 
-        Walks the round's per-instance buckets (first-occurrence order)
-        instead of every message: most rounds carry zero unknown
-        instances, and the known ones are dismissed with one dict probe
-        per instance rather than one per message.
+        Walks only this machine's own tags, off the round's shared
+        :func:`namespace_view` (first-occurrence order): most rounds
+        carry zero unknown instances, and the known ones are dismissed
+        with one dict probe per instance rather than one per message.
         """
-        offsets = {KIND_INPUT: 1, KIND_PREFER: 2, KIND_STRONGPREFER: 3}
-        for wire_tag in inbox.instance_tags():
-            inner = self._inner_id(wire_tag)
-            if inner is None:
-                continue
+        for inner, wire_tag in namespace_view(inbox).get(self.base_tag, ()):
             if inner in self.instances or inner in self._results:
                 continue
             for message in inbox.filter(instance=wire_tag):
-                offset = offsets.get(message.kind)
+                offset = _JOIN_OFFSETS.get(message.kind)
                 if offset is None:
                     continue
                 start = api.round - offset

@@ -33,7 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Hashable
 
-from repro.core.parallel_consensus import ParallelConsensusMachine
+from repro.core.parallel_consensus import (
+    ParallelConsensusMachine,
+    namespace_view,
+)
 from repro.sim.inbox import Inbox
 from repro.sim.node import NodeApi, Protocol
 from repro.types import NodeId, Round
@@ -238,9 +241,22 @@ class TotalOrderNode(Protocol):
             )
 
     def _run_machines(self, api: NodeApi, inbox: Inbox) -> None:
-        for machine_round in sorted(self.machines):
-            machine, _size = self.machines[machine_round]
-            machine.on_round(api, inbox)
+        """Step every machine somebody could tell from an unstepped one.
+
+        A node carries its whole finality window of machines, most of
+        them long finished; a quiescent one is left alone (stepping it
+        is provably a no-op, see
+        :meth:`ParallelConsensusMachine.quiescent`) and woken the round
+        anybody addresses its namespace.  Silence is judged on the
+        inbox as delivered, before any machine restricts it to its
+        membership.  ``machines`` is filled in ascending machine round
+        and only ever popped, so its own order is the stepping order.
+        """
+        spoken = namespace_view(inbox)
+        round_no = api.round
+        for machine, _size in self.machines.values():
+            if not machine.quiescent(round_no, spoken):
+                machine.on_round(api, inbox)
 
     # ------------------------------------------------------------------
     # Finality and the output chain

@@ -1,8 +1,11 @@
 """Monte Carlo campaign runner: seed derivation, determinism, artifacts."""
 
+import itertools
 import json
+import time
 
 from repro.analysis.campaign import (
+    CampaignTiming,
     build_specs,
     derive_seed,
     evaluate_spec,
@@ -109,6 +112,58 @@ class TestCampaign:
         run_campaign(BASE, runs=3, progress=lambda done, total:
                      ticks.append((done, total)))
         assert ticks == [(1, 3), (2, 3), (3, 3)]
+
+
+class TestCampaignTiming:
+    def test_injected_clock_times_every_spec_and_the_pool(self):
+        # A counting clock: one tick per read, so the serial schedule
+        # is exact — one read opens the pool, two bracket each spec,
+        # one closes the pool.
+        ticks = itertools.count()
+        timing = CampaignTiming(clock=lambda: float(next(ticks)))
+        report = run_campaign(BASE, runs=4, campaign_seed=3, timing=timing)
+        assert timing.spec_s == [1.0, 1.0, 1.0, 1.0]
+        assert timing.wall_s == 9.0 and timing.workers == 1
+        assert timing.to_json_dict() == {
+            "runs": 4,
+            "workers": 1,
+            "specs_per_s": 4 / 9,
+            "spec_s": {"p50": 1.0, "p75": 1.0, "max": 1.0},
+            "wall_s": 9.0,
+            "worker_s": 4.0,
+            "pool_efficiency": 4 / 9,
+        }
+        # Beside the report, never in it.
+        untimed = run_campaign(BASE, runs=4, campaign_seed=3)
+        assert report.to_json_dict() == untimed.to_json_dict()
+
+    def test_quantiles_are_nearest_rank(self):
+        timing = CampaignTiming(clock=time.perf_counter, wall_s=2.0)
+        timing.spec_s = [0.4, 0.1, 0.3, 0.2, 0.5]
+        assert timing.to_json_dict()["spec_s"] == {
+            "p50": 0.3, "p75": 0.4, "max": 0.5,
+        }
+        assert CampaignTiming(clock=time.perf_counter).to_json_dict()[
+            "spec_s"
+        ] is None
+
+    def test_pooled_timing_leaves_report_bytes_alone(self, tmp_path):
+        timing = CampaignTiming(clock=time.perf_counter)
+        pooled = run_campaign(
+            BASE, runs=6, campaign_seed=3, workers=3, timing=timing
+        )
+        serial = run_campaign(BASE, runs=6, campaign_seed=3)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        pooled.save(a)
+        serial.save(b)
+        assert a.read_bytes() == b.read_bytes()
+        assert timing.workers == 3 and len(timing.spec_s) == 6
+        assert all(seconds > 0 for seconds in timing.spec_s)
+        doc = json.loads(timing.save(tmp_path / "a.timing.json").read_text())
+        assert doc["runs"] == 6 and doc["wall_s"] > 0
+        assert doc["spec_s"]["p50"] <= doc["spec_s"]["p75"] <= (
+            doc["spec_s"]["max"]
+        )
 
 
 class TestEvaluateSpec:

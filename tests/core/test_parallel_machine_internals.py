@@ -9,38 +9,141 @@ from repro.core.parallel_consensus import (
     ConsensusInstance,
     ParallelConsensus,
     ParallelConsensusMachine,
+    namespace_view,
 )
+from repro.sim.inbox import Inbox
+from repro.sim.message import Message, Outbox
+from repro.sim.node import NodeApi
 from repro.types import BOTTOM
 
 from tests.conftest import run_quick
+
+
+def walked(machine, *tags):
+    """The ``(inner_id, wire_tag)`` pairs *machine* reads off a round
+    carrying one message under each of *tags* (its joining walk)."""
+    inbox = Inbox(
+        Message(sender, "input", 0, tag) for sender, tag in enumerate(tags)
+    )
+    return list(namespace_view(inbox).get(machine.base_tag, ()))
 
 
 class TestNamespacing:
     def test_bare_tags_without_base(self):
         machine = ParallelConsensusMachine(start_round=1)
         assert machine._wire_tag("x") == "x"
-        assert machine._inner_id("x") == "x"
-        assert machine._inner_id(None) is None
+        assert walked(machine, "x", None) == [("x", "x")]
+        # Every tag is its own inner id, tuples included.
+        assert walked(machine, ("to", 7), (None, "x")) == [
+            (("to", 7), ("to", 7)),
+            ((None, "x"), (None, "x")),
+        ]
 
     def test_tuple_tags_with_base(self):
         machine = ParallelConsensusMachine(
             start_round=1, base_tag=("to", 7)
         )
         assert machine._wire_tag("u1") == (("to", 7), "u1")
-        assert machine._inner_id((("to", 7), "u1")) == "u1"
+        assert walked(machine, (("to", 7), "u1")) == [
+            ("u1", (("to", 7), "u1"))
+        ]
 
     def test_foreign_namespace_rejected(self):
         machine = ParallelConsensusMachine(
             start_round=1, base_tag=("to", 7)
         )
-        assert machine._inner_id((("to", 8), "u1")) is None
-        assert machine._inner_id("bare") is None
-        assert machine._inner_id(("to", 7)) is None
+        assert walked(machine, (("to", 8), "u1"), "bare", ("to", 7)) == []
+        # None is the "untagged" marker, never an instance id.
+        assert walked(machine, (("to", 7), None)) == []
 
     def test_two_machines_do_not_cross_talk(self):
         a = ParallelConsensusMachine(start_round=1, base_tag=("to", 1))
         b = ParallelConsensusMachine(start_round=1, base_tag=("to", 2))
-        assert a._inner_id(b._wire_tag("u")) is None
+        assert walked(a, b._wire_tag("u")) == []
+        assert walked(b, b._wire_tag("u")) == [("u", b._wire_tag("u"))]
+
+
+class TestQuiescence:
+    def machine(self, **kwargs):
+        return ParallelConsensusMachine(
+            start_round=10, base_tag=("to", 7), **kwargs
+        )
+
+    def spoken(self, *tags):
+        return namespace_view(
+            Inbox(Message(1, "echo", 0, tag) for tag in tags)
+        )
+
+    def test_needs_both_initialization_rounds_behind_it(self):
+        machine = self.machine()
+        silence = self.spoken()
+        assert not machine.quiescent(10, silence)  # announces
+        assert not machine.quiescent(11, silence)  # echoes the inits
+        assert machine.quiescent(12, silence)
+        assert machine.quiescent(40, silence)
+
+    def test_pending_input_or_running_instance_keeps_it_live(self):
+        machine = self.machine()
+        machine.submit("u", 1)
+        assert not machine.quiescent(12, self.spoken())
+        machine._pending.clear()
+        machine.instances["u"] = ConsensusInstance("u", 12, 1)
+        assert not machine.quiescent(12, self.spoken())
+
+    def test_woken_by_its_own_tag_or_a_tag_under_it_only(self):
+        machine = self.machine()
+        assert not machine.quiescent(20, self.spoken(("to", 7)))
+        assert not machine.quiescent(20, self.spoken((("to", 7), "u")))
+        assert not machine.quiescent(20, self.spoken((("to", 7), None)))
+        assert machine.quiescent(
+            20, self.spoken(("to", 8), (("to", 8), "u"), "to", 7, None)
+        )
+
+    def test_unnamespaced_machine_is_woken_by_any_message(self):
+        machine = ParallelConsensusMachine(start_round=10)
+        assert machine.quiescent(12, self.spoken())
+        assert not machine.quiescent(12, self.spoken(None))
+        assert not machine.quiescent(12, self.spoken("x"))
+
+    def test_skipped_rounds_leave_no_trace(self):
+        # Stepping a quiescent machine and not stepping it are the same
+        # thing: same state afterwards, nothing sent, nothing emitted.
+        members = frozenset(range(4))
+        stepped = self.machine(membership=members)
+        skipped = self.machine(membership=members)
+        emitted = []
+        outbox = Outbox()
+        chatter = Inbox(
+            [Message(1, "echo", 2, ("to", 8)), Message(2, "present")]
+        )
+        assert stepped.quiescent(14, namespace_view(chatter))
+        stepped.on_round(
+            NodeApi(
+                node_id=0,
+                round_no=14,
+                known_contacts=members,
+                outbox=outbox,
+                trace_sink=lambda *event: emitted.append(event),
+            ),
+            chatter,
+        )
+        assert not outbox.sends and not emitted
+
+        def state(machine):
+            voting = machine.candidate_set.voting
+            return (
+                machine.instances,
+                machine._pending,
+                machine._results,
+                machine._order,
+                machine._order_dirty,
+                machine.candidate_set.candidates,
+                voting.accepted,
+                voting._pending,
+                voting._shared,
+            )
+
+        assert state(stepped) == state(skipped)
 
 
 class TestPhaseCap:
@@ -57,9 +160,6 @@ class TestPhaseCap:
             assert n_v // 2 + 3 > f_max + 2
 
     def test_cap_fires_and_retires_instance(self):
-        from repro.sim.inbox import Inbox
-        from repro.sim.message import Outbox
-        from repro.sim.node import NodeApi
 
         instance = ConsensusInstance("ghost", start_round=3, value=BOTTOM)
         membership = frozenset(range(5))

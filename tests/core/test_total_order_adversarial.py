@@ -146,6 +146,45 @@ class TestFinalityInternals:
         assert node._is_final(10)
         assert not node._is_final(11)
 
+    def test_a_machine_never_stepped_again_is_final_on_schedule(self):
+        # Finality reads the machine's own idleness, not whether anybody
+        # ran it lately: real machines taken through their two
+        # initialization rounds and then left alone (what the quiescence
+        # skip does to them) become final exactly at the paper's bound.
+        from repro.core.parallel_consensus import ParallelConsensusMachine
+        from repro.sim.inbox import Inbox
+        from repro.sim.message import Outbox
+        from repro.sim.node import NodeApi
+
+        members = frozenset(range(7))
+        node = TotalOrderNode()
+        for machine_round in (10, 11):
+            machine = ParallelConsensusMachine(
+                start_round=machine_round + 3,
+                membership=members,
+                base_tag=("to", machine_round),
+            )
+            for round_no in (machine_round + 3, machine_round + 4):
+                api = NodeApi(
+                    node_id=0,
+                    round_no=round_no,
+                    known_contacts=members,
+                    outbox=Outbox(),
+                )
+                machine.on_round(api, Inbox())
+            node.machines[machine_round] = (machine, len(members))
+        node.final_through = 9
+        api = NodeApi(
+            node_id=0, round_no=32, known_contacts=members, outbox=Outbox()
+        )
+        # |S| = 7: round r' is final once 2 * (r - r') > 39, i.e. at
+        # r = r' + 20 — one round apart for the two machines.
+        for local_round, final_through in ((29, 9), (30, 10), (31, 11)):
+            node.local_round = local_round
+            node._advance_finality(api)
+            assert node.final_through == final_through
+        assert not node.machines
+
     def test_non_idle_machine_never_final(self):
         node = TotalOrderNode()
         node.local_round = 100

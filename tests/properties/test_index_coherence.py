@@ -11,6 +11,7 @@ Randomization is seeded through :func:`repro.sim.rng.make_rng`, so every
 failure here replays byte-for-byte from its seed.
 """
 
+from repro.core.parallel_consensus import namespace_view
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane, RoundColumns
 from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.message import (
@@ -37,7 +38,7 @@ QUERY_PAYLOADS = (...,) + PAYLOADS
 QUERY_INSTANCES = (...,) + INSTANCES
 
 
-def random_messages(rng, size):
+def random_messages(rng, size, instances=INSTANCES):
     """A message list with duplicate senders and exact duplicates."""
     out = []
     while len(out) < size:
@@ -46,7 +47,7 @@ def random_messages(rng, size):
                 sender=rng.choice(SENDERS),
                 kind=rng.choice(KINDS),
                 payload=rng.choice(PAYLOADS),
-                instance=rng.choice(INSTANCES),
+                instance=rng.choice(instances),
             )
         )
         if rng.random() < 0.2:
@@ -115,6 +116,67 @@ def assert_coherent(box, messages):
         m.instance for m in messages if m.instance is not None
     }
     assert_partition_coherent(box, messages)
+    assert_namespaces_coherent(box, messages)
+
+
+def naive_inner_id(base_tag, wire_tag):
+    """Machine *base_tag*'s instance id for *wire_tag*, None when the
+    tag is outside its namespace — the per-tag reverse mapping every
+    machine used to apply to every tag of every round."""
+    if base_tag is None:
+        return wire_tag
+    if (
+        isinstance(wire_tag, tuple)
+        and len(wire_tag) == 2
+        and wire_tag[0] == base_tag
+    ):
+        return wire_tag[1]
+    return None
+
+
+def assert_namespaces_coherent(box, messages):
+    """The per-round namespace view vs the naive per-machine scan.
+
+    For every namespace a machine could own — every tag present, every
+    first half of a pair tag, ``None`` and a few absent ones — the view
+    lists exactly the ``(inner_id, wire_tag)`` pairs the naive scan
+    finds, in first-occurrence order, and has a key exactly when some
+    message addresses the namespace (any message at all, for ``None``).
+    """
+    tags = list(
+        dict.fromkeys(m.instance for m in messages if m.instance is not None)
+    )
+    namespaces = {None, "absent", ("to", 99), *tags}
+    namespaces.update(
+        tag[0] for tag in tags if isinstance(tag, tuple) and len(tag) == 2
+    )
+    view = namespace_view(box)
+    assert set(view) <= namespaces
+    for namespace in namespaces:
+        expect = [
+            (naive_inner_id(namespace, tag), tag)
+            for tag in tags
+            if naive_inner_id(namespace, tag) is not None
+        ]
+        assert list(view.get(namespace, ())) == expect
+        if namespace is None:
+            addressed = bool(messages)
+        else:
+            addressed = any(
+                m.instance == namespace
+                or naive_inner_id(namespace, m.instance) is not None
+                or m.instance == (namespace, None)
+                for m in messages
+            )
+        assert (namespace in view) == addressed
+    if messages:
+        assert namespace_view(box) is view  # memoized on the index
+    try:
+        view["mine"] = ()
+    except TypeError:
+        pass
+    else:  # pragma: no cover - the assertion is the point
+        raise AssertionError("the shared namespace view must be read-only")
 
 
 def assert_partition_coherent(box, messages):
@@ -246,17 +308,91 @@ class TestIndexCoherence:
         assert Inbox([Message(1, "echo", "m")]).from_sender(99) is not empty
 
 
+#: Tags the total-ordering machines put on the wire, next to ones they
+#: must not mistake for their own: machine 7's candidate-set tag, two of
+#: its instances, machine 8's instance, an instance id that is itself a
+#: pair, "no inner id" under machine 7, a pair under the reserved
+#: ``None`` namespace, bare and untagged.
+NAMESPACED = (
+    None,
+    "bare",
+    ("to", 7),
+    (("to", 7), "u"),
+    (("to", 7), ("pair", 1)),
+    (("to", 8), "u"),
+    (("to", 7), None),
+    (None, "u"),
+    ("to", 7, "u"),
+)
+
+
+class TestNamespaceView:
+    def test_object_layered_and_restricted_indexes(self):
+        for seed in range(15):
+            rng = make_rng(seed, salt=30)
+            messages = random_messages(rng, rng.randrange(0, 40), NAMESPACED)
+            extras = random_messages(rng, rng.randrange(1, 8), NAMESPACED)
+            box = Inbox(messages)
+            assert_coherent(box, messages)
+            assert_coherent(box.merged_with(extras), messages + extras)
+            members = frozenset(rng.sample(SENDERS, 3))
+            assert_coherent(
+                box.restricted_to(members),
+                [m for m in messages if m.sender in members],
+            )
+
+    def test_columnar_index_and_its_restriction(self):
+        for seed in range(15):
+            rng = make_rng(seed, salt=31)
+            stream = random_stream(rng, rng.randrange(0, 40), NAMESPACED)
+            cols = stage_stream(stream)
+            messages = expected_messages(stream)
+            box = Inbox(index=ColumnarIndex(cols))
+            # The view is a pass over the tag survey: no message objects.
+            namespace_view(box)
+            assert cols._materialized is None
+            assert_coherent(box, messages)
+            members = frozenset(rng.sample(SENDERS, 3))
+            assert_coherent(
+                Inbox(index=ColumnarIndex(cols)).restricted_to(members),
+                [m for m in messages if m.sender in members],
+            )
+
+    def test_the_cases_one_machine_has_to_tell_apart(self):
+        box = Inbox(
+            Message(sender, "input", 0, tag)
+            for sender, tag in enumerate(NAMESPACED)
+        )
+        view = namespace_view(box)
+        assert view[("to", 7)] == (
+            ("u", (("to", 7), "u")),
+            (("pair", 1), (("to", 7), ("pair", 1))),
+        )
+        assert view[("to", 8)] == (("u", (("to", 8), "u")),)
+        assert view["to"] == ((7, ("to", 7)),)
+        assert view["bare"] == () and view[("to", 7, "u")] == ()
+        assert view[None] == tuple(
+            (tag, tag) for tag in NAMESPACED if tag is not None
+        )
+        assert ("to", 9) not in view and "u" not in view
+
+    def test_untagged_traffic_addresses_only_the_unnamespaced(self):
+        view = namespace_view(Inbox([Message(1, "echo", 2)]))
+        assert dict(view) == {None: ()}
+        assert dict(namespace_view(Inbox())) == {}
+
+
 # ----------------------------------------------------------------------
 # Columnar round plane: staged columns vs per-message objects.
 # ----------------------------------------------------------------------
-def random_stream(rng, size):
+def random_stream(rng, size, instances=INSTANCES):
     """A staging stream mixing scalar broadcasts, batched fan-outs,
     exact repeats, and batch/scalar collisions on one sender."""
     stream = []
     while len(stream) < size:
         sender = rng.choice(SENDERS)
         kind = rng.choice(KINDS)
-        instance = rng.choice(INSTANCES)
+        instance = rng.choice(instances)
         if rng.random() < 0.35:
             payloads = tuple(
                 rng.choice(PAYLOADS)

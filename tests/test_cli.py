@@ -293,6 +293,12 @@ class TestCampaign:
         doc = json.loads(report.read_text())
         assert doc["runs"] == 4
         assert doc["base"]["protocol"] == "total-order"
+        # The wall-clock goes to a sibling file, never into the report.
+        assert "report.timing.json" in out and "specs/s" in out
+        timing = json.loads((tmp_path / "report.timing.json").read_text())
+        assert timing["runs"] == 4 and timing["workers"] == 1
+        assert timing["specs_per_s"] > 0
+        assert set(timing) & set(doc) == {"runs"}
 
     def test_campaign_reports_violations_with_artifacts(
         self, tmp_path, capsys
