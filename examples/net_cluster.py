@@ -3,7 +3,7 @@
 
 Everything else in this repository runs on the deterministic simulator;
 this example runs Algorithm 3 over actual localhost sockets with
-lock-step rounds paced at Δ = 50 ms — the classic way to realise a
+lock-step rounds paced at Δ = 200 ms — the classic way to realise a
 synchronous round model on a network whose delays are bounded well under
 Δ.  The protocol class is byte-for-byte the one the simulator runs.
 
@@ -17,12 +17,12 @@ from repro.net import LocalCluster
 
 
 def main() -> None:
-    print("consensus over TCP (5 nodes, mixed inputs 0/1, Δ = 50 ms)")
+    print("consensus over TCP (5 nodes, mixed inputs 0/1, Δ = 200 ms)")
     started = time.time()
     cluster = LocalCluster(
         5,
         lambda node_id, index: EarlyConsensus(index % 2),
-        period=0.05,
+        period=0.2,
     )
     outputs = cluster.run(timeout=20)
     elapsed = time.time() - started
@@ -36,7 +36,7 @@ def main() -> None:
     cluster = LocalCluster(
         4,
         lambda node_id, index: InteractiveConsistency(f"report-{index}"),
-        period=0.05,
+        period=0.2,
     )
     outputs = cluster.run(timeout=20)
     (vector,) = set(outputs.values())

@@ -19,20 +19,19 @@ from each run's event stream into per-monitor violation rates:
 
 The report is byte-deterministic for a given (base spec, campaign
 seed, run count) regardless of worker count: specs are derived by
-index, workers return ``(index, verdicts, seconds)``, and aggregation
-sorts by index and puts no wall-clock data in the report.  Timings go
-to a :class:`CampaignTiming` the caller hands in — beside the report,
-never in it (``repro campaign --out R.json`` writes them to
-``R.timing.json``).  Any violating spec is saved as a JSON artifact
-that ``repro run --scenario FILE`` replays directly.
+index, workers return ``(index, verdicts, seconds, collector runs)``,
+and aggregation sorts by index and puts no wall-clock data in the
+report.  Timings go to a :class:`CampaignTiming` the caller hands in —
+beside the report, never in it (``repro campaign --out R.json`` writes
+them to ``R.timing.json``).  Any violating spec is saved as a JSON
+artifact that ``repro run --scenario FILE`` replays directly.
 """
 
 from __future__ import annotations
 
+import gc
 import json
-import multiprocessing
 import pathlib
-import statistics
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -46,7 +45,13 @@ from repro.analysis.report import format_table
 from repro.errors import PropertyViolation, SimulationError
 from repro.obs.bus import EventBus
 from repro.obs.events import ProtocolEvent
-from repro.scenario import RunSpec, get_protocol, resolve_inputs, run_spec
+from repro.scenario import (
+    RunSpec,
+    collector_paused,
+    get_protocol,
+    resolve_inputs,
+    run_spec,
+)
 
 __all__ = [
     "CampaignReport",
@@ -175,12 +180,18 @@ def _total_order_verdicts(spec: RunSpec, result, verdicts: dict) -> None:
             )
 
 
+@collector_paused
 def evaluate_spec(spec: RunSpec) -> dict[str, Any]:
     """Run one spec under its monitors; return a picklable verdict row.
 
     ``verdicts`` maps monitor name -> None (held) or the violation
     message; a liveness failure (round budget exhausted) is recorded
     under ``termination``.
+
+    This call owns the run's lifetime, so the collector pause covers
+    all of it: the ``ScenarioResult`` is a local, freed by reference
+    counting on return, and the collector resumes on an almost empty
+    heap instead of re-traversing the run (DESIGN.md §4).
     """
     bus = EventBus()
     online: list[_RecordingMonitor] = []
@@ -251,16 +262,33 @@ def evaluate_spec(spec: RunSpec) -> dict[str, Any]:
 Clock = Callable[[], float]
 
 
+def _collections() -> int:
+    """Cyclic-collector runs in this process so far, all generations.
+
+    ``gc.get_stats()`` snapshots the counters before it allocates, and
+    nothing here allocates a container before calling it (hence a loop,
+    not a generator expression): a collection that the reading itself
+    sets off — the collector resuming after a run — is not in the
+    reading.
+    """
+    total = 0
+    for stats in gc.get_stats():
+        total += stats["collections"]
+    return total
+
+
 def _worker(
     payload: tuple[int, dict, Clock | None],
-) -> tuple[int, dict, float | None]:
+) -> tuple[int, dict, float | None, int | None]:
     index, doc, clock = payload
     spec = RunSpec.from_json_dict(doc)
     if clock is None:
-        return index, evaluate_spec(spec), None
+        return index, evaluate_spec(spec), None, None
+    collections = _collections()
     started = clock()
     row = evaluate_spec(spec)
-    return index, row, clock() - started
+    seconds = clock() - started
+    return index, row, seconds, _collections() - collections
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +354,18 @@ class CampaignTiming:
     wall_s: float = 0.0
     #: Seconds inside ``evaluate_spec``, by spec index.
     spec_s: list[float] = field(default_factory=list)
+    #: Cyclic-collector runs (``gc.get_stats()`` delta) across every
+    #: ``evaluate_spec``, summed.  A run is paused for its lifetime
+    #: (DESIGN.md §4), so anything but 0 means a spec collected by hand.
+    collector_runs: int = 0
 
     @property
     def specs_per_s(self) -> float:
         return len(self.spec_s) / self.wall_s if self.wall_s > 0 else 0.0
 
     def to_json_dict(self) -> dict:
+        import statistics
+
         ordered = sorted(self.spec_s)
         runs = len(ordered)
         worker_s = sum(ordered)
@@ -353,6 +387,7 @@ class CampaignTiming:
             "pool_efficiency": (
                 worker_s / (wall_s * self.workers) if wall_s > 0 else 0.0
             ),
+            "collector_runs": self.collector_runs,
         }
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
@@ -384,6 +419,8 @@ def run_campaign(
     ]
     started = clock() if clock is not None else 0.0
     if workers > 1:
+        import multiprocessing
+
         chunksize = max(1, runs // (workers * 8))
         with multiprocessing.Pool(workers) as pool:
             outcomes = pool.map(_worker, payloads, chunksize=chunksize)
@@ -397,14 +434,15 @@ def run_campaign(
     if timing is not None:
         timing.wall_s = clock() - started
         timing.workers = workers
-        timing.spec_s = [seconds for _, _, seconds in outcomes]
+        timing.spec_s = [seconds for _, _, seconds, _ in outcomes]
+        timing.collector_runs = sum(delta for _, _, _, delta in outcomes)
 
     report = CampaignReport(
         base=base.to_json_dict(), campaign_seed=campaign_seed, runs=runs
     )
     if artifacts_dir is not None:
         artifacts_dir = pathlib.Path(artifacts_dir)
-    for index, row, _seconds in outcomes:
+    for index, row, *_timing in outcomes:
         if row["rounds"] is not None:
             report.rounds_max = max(report.rounds_max, row["rounds"])
         if row["chain_length"] is not None:

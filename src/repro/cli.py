@@ -38,13 +38,13 @@ from repro.analysis.checkers import (
 )
 from repro.analysis.report import format_table
 from repro.analysis.sweep import sweep
-from repro.asyncsim import run_async_partition, run_semisync_embedding
 from repro.scenario import (
     CHURN_KINDS,
     ChurnSpec,
     PROTOCOLS,
     RunSpec,
     SAMPLED_PROTOCOLS,
+    collector_paused,
     materialize,
     run_spec,
 )
@@ -104,6 +104,9 @@ def _judge(spec: RunSpec, result) -> CheckReport:
     return check_agreement(result)
 
 
+# Owns the run's lifetime: ``result`` is a local, so the run's graph is
+# freed by reference counting before the collector resumes (DESIGN.md §4).
+@collector_paused
 def cmd_run(args) -> int:
     if args.scenario:
         spec = RunSpec.load(args.scenario)
@@ -274,6 +277,8 @@ def cmd_record(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from repro.asyncsim import run_async_partition, run_semisync_embedding
+
     if args.what == "impossibility":
         r = run_async_partition()
         print("Lemma 9.1 (asynchronous partition):")

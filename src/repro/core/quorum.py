@@ -57,6 +57,8 @@ class ViewTracker:
     initialization and discard messages from unknown senders thereafter.
     """
 
+    __slots__ = ("_senders",)
+
     def __init__(self) -> None:
         #: Either the shared round frozenset adopted wholesale (the
         #: all-broadcast fast path: every node's view IS the round's
@@ -274,6 +276,8 @@ class EchoVoting:
     a node whose state diverged thaws its dict copy-on-write — the
     legacy semantics are the definition, the plane only shortcuts them.
     """
+
+    __slots__ = ("_pending", "_shared", "accepted", "_accepted_shared")
 
     def __init__(self) -> None:
         self._pending: dict[Hashable, set[NodeId] | frozenset[NodeId]] = {}

@@ -61,6 +61,8 @@ class CandidateSet:
     thresholds.  The set only ever grows and stays sorted by id.
     """
 
+    __slots__ = ("candidates", "voting", "instance", "_candidates_shared")
+
     def __init__(self, instance: Hashable = None) -> None:
         self.candidates: list[NodeId] = []
         self.voting = EchoVoting()
@@ -146,6 +148,8 @@ class RotorCursor:
     """Selection state over a candidate set: ``r``, ``S_v``, and the
     ``C_v[r mod |C_v|]`` rule."""
 
+    __slots__ = ("rotor_round", "selected", "selection_order")
+
     def __init__(self) -> None:
         self.rotor_round: int = 0
         self.selected: set[NodeId] = set()
@@ -215,6 +219,8 @@ class RotorCore:
     round later; callers read it from that round's inbox via
     :meth:`opinion_from`.
     """
+
+    __slots__ = ("candidate_set", "cursor")
 
     def __init__(self) -> None:
         self.candidate_set = CandidateSet()

@@ -82,7 +82,10 @@ class NetPeer:
             self._server.close()
         except OSError:
             pass
-        for sock in self._outbound.values():
+        # A snapshot: a runner thread that was not joined (a Byzantine
+        # runner, or a join that timed out) may still be opening a
+        # connection in ``_connection_to`` while we tear down.
+        for sock in list(self._outbound.values()):
             try:
                 sock.close()
             except OSError:

@@ -111,8 +111,10 @@ class LockstepRunner:
         if sink is None:
             self._protocol_sink = None
         else:
+            # *detail* is the kwargs dict ``NodeApi.emit`` — the only
+            # caller — has just built: the event owns it, no copy.
             def protocol_sink(round_no, node, event, detail, _sink=sink):
-                _sink(ProtocolEvent(round_no, node, event, dict(detail)))
+                _sink(ProtocolEvent(round_no, node, event, detail))
 
             self._protocol_sink = protocol_sink
 

@@ -27,6 +27,10 @@ from repro.scenario.registry import (
 )
 from repro.scenario.spec import ChurnSpec, RunSpec
 
+# Whoever owns a run's lifetime (``evaluate_spec``, ``repro run``) holds
+# this around ``run_spec`` *and* the use of its result (DESIGN.md §4).
+from repro.sim.runner import collector_paused
+
 __all__ = [
     "CHURN_KINDS",
     "ChurnSpec",
@@ -36,6 +40,7 @@ __all__ = [
     "SAMPLED_PROTOCOLS",
     "alternating_inputs",
     "build_membership",
+    "collector_paused",
     "get_protocol",
     "index_inputs",
     "materialize",

@@ -141,7 +141,7 @@ class AdversaryView:
     correct_traffic: tuple[tuple[NodeId, Send], ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class _NodeState:
     """Engine-internal per-node bookkeeping."""
 
@@ -419,8 +419,10 @@ class SyncNetwork:
         if sink is None:
             self._protocol_sink = None
         else:
+            # *detail* is the kwargs dict ``NodeApi.emit`` — the only
+            # caller — has just built: the event owns it, no copy.
             def protocol_sink(round_no, node, event, detail, _sink=sink):
-                _sink(ProtocolEvent(round_no, node, event, dict(detail)))
+                _sink(ProtocolEvent(round_no, node, event, detail))
 
             self._protocol_sink = protocol_sink
 

@@ -9,8 +9,10 @@ this so that every experiment is a seed away from reproduction.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, ParamSpec, TypeVar
 
 from repro.errors import ConfigurationError
 from repro.sim.membership import MembershipSchedule
@@ -20,6 +22,9 @@ from repro.sim.node import Protocol
 from repro.sim.rng import make_rng, sparse_ids
 from repro.sim.trace import Trace
 from repro.types import NodeId
+
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
 
 #: Builds a protocol given (node_id, index among correct nodes).
 ProtocolFactory = Callable[[NodeId, int], Protocol]
@@ -91,12 +96,47 @@ class ScenarioResult:
         return self.outputs[node_id]
 
 
+def collector_paused(fn: Callable[_P, _R]) -> Callable[_P, _R]:
+    """Decorator: run *fn* with CPython's cyclic collector paused.
+
+    A run's object graph is acyclic — everything a run allocates is
+    reclaimed by reference counting (DESIGN.md §4; pinned registry-wide
+    by ``tests/sim/test_run_is_cycle_free.py``) — so collecting during a
+    run only re-traverses a growing heap to free nothing.  The wrapper
+    restores the collector state it found, which makes it reentrant: a
+    nested pause, or a caller that disabled the collector itself, is
+    left alone.
+
+    It wraps whole functions on purpose.  The first collection after
+    resumption re-traverses whatever is still alive, so the owner of a
+    run's *lifetime* must drop the :class:`ScenarioResult` before the
+    pause ends — and a decorated function's locals are released when it
+    returns, before the wrapper's ``finally``.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@collector_paused
 def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
     """Build the network described by *scenario*, run it, return the result.
 
     *bus* (an :class:`~repro.obs.bus.EventBus`) lets callers observe the
     run — attach monitors or a JSONL sink before calling; ``None`` gives
-    the network its own private bus as usual.
+    the network its own private bus as usual.  Population and round loop
+    run with the cyclic collector paused; a caller that also owns the
+    result's lifetime extends the pause over it (``evaluate_spec``,
+    ``repro run``).
     """
     scenario.validate()
     rng = make_rng(scenario.seed)

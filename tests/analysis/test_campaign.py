@@ -132,6 +132,8 @@ class TestCampaignTiming:
             "wall_s": 9.0,
             "worker_s": 4.0,
             "pool_efficiency": 4 / 9,
+            # Every run is paused for its lifetime (DESIGN.md §4).
+            "collector_runs": 0,
         }
         # Beside the report, never in it.
         untimed = run_campaign(BASE, runs=4, campaign_seed=3)
@@ -159,11 +161,38 @@ class TestCampaignTiming:
         assert a.read_bytes() == b.read_bytes()
         assert timing.workers == 3 and len(timing.spec_s) == 6
         assert all(seconds > 0 for seconds in timing.spec_s)
+        assert timing.collector_runs == 0
         doc = json.loads(timing.save(tmp_path / "a.timing.json").read_text())
         assert doc["runs"] == 6 and doc["wall_s"] > 0
         assert doc["spec_s"]["p50"] <= doc["spec_s"]["p75"] <= (
             doc["spec_s"]["max"]
         )
+
+    def test_collector_runs_counts_what_a_spec_collects(self, monkeypatch):
+        # The sidecar's collector_runs is a gc.get_stats() delta across
+        # each evaluate_spec: a run that collects by hand shows up.
+        import gc
+
+        from repro.analysis import campaign
+
+        def collecting(spec):
+            gc.collect()
+            return evaluate_spec(spec)
+
+        monkeypatch.setattr(campaign, "evaluate_spec", collecting)
+        timing = CampaignTiming(clock=time.perf_counter)
+        run_campaign(BASE, runs=3, timing=timing)
+        assert timing.collector_runs == 3
+        assert timing.to_json_dict()["collector_runs"] == 3
+
+    def test_untimed_campaign_reads_no_collector_stats(self, monkeypatch):
+        from repro.analysis import campaign
+
+        def forbidden():
+            raise AssertionError("an untimed campaign read gc stats")
+
+        monkeypatch.setattr(campaign, "_collections", forbidden)
+        assert run_campaign(BASE, runs=2).ok
 
 
 class TestEvaluateSpec:

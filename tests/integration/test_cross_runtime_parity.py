@@ -24,7 +24,10 @@ from repro.obs import EventBus
 from repro.sim.network import SyncNetwork
 
 NODE_IDS = (11, 23, 37, 41)
-PERIOD = 0.06  # generous: a loaded host can slip tighter round clocks
+# Wall-clock rounds: a runner stalled for one period misses a round and
+# the streams diverge, so the period is several times the longest stall
+# seen on a shared two-core box (50–70 ms).
+PERIOD = 0.2
 MAX_ROUNDS = 60
 
 

@@ -15,7 +15,7 @@ from repro.core import EarlyConsensus
 from repro.net import LocalCluster, NetPeer
 from repro.net.wire import encode_frame
 
-PERIOD = 0.04
+PERIOD = 0.2  # wall-clock rounds: wider than any stall a shared box adds
 
 
 def blast(address, payload_bytes):

@@ -298,6 +298,7 @@ class TestCampaign:
         timing = json.loads((tmp_path / "report.timing.json").read_text())
         assert timing["runs"] == 4 and timing["workers"] == 1
         assert timing["specs_per_s"] > 0
+        assert timing["collector_runs"] == 0
         assert set(timing) & set(doc) == {"runs"}
 
     def test_campaign_reports_violations_with_artifacts(
