@@ -107,7 +107,9 @@ class OutcomeGossip:
         self.linger_left = 0
         #: value -> committee members seen announcing it (cumulative —
         #: members decide and announce across nearby rounds, not one).
-        self.decision_votes: dict[Hashable, set[NodeId]] = {}
+        #: Each entry is the round-shared frozenset, adopted by
+        #: reference and replaced copy-on-write, never mutated.
+        self.decision_votes: dict[Hashable, frozenset[NodeId]] = {}
         #: value -> responders to our joiner query (cumulative).
         self.outcome_votes: dict[Hashable, set[NodeId]] = {}
         self.joined_at: int | None = None
@@ -153,8 +155,10 @@ class OutcomeGossip:
         The O(1) fast path first: most rounds carry no ``decision``
         message at all, and ``has_kind`` answers that off the shared
         index (on the columnar plane, without materializing anything).
-        The per-value committee intersections are a shared derived view;
-        only the cumulative fold is per-node.
+        The per-value committee intersections are a shared derived view
+        and the cumulative fold adopts them by reference: a node holds a
+        private union only once a later round brings an announcer the
+        adopted set lacks (thresholds read ``len()`` only).
 
         Adoption needs ``≥ |C|/3`` announcers: with fewer than ``|C|/3``
         Byzantine members, any such quorum contains a correct member,
@@ -173,9 +177,14 @@ class OutcomeGossip:
                 if senders & committee
             ),
         )
+        votes = self.decision_votes
         for value, senders in shared:
-            self.decision_votes.setdefault(value, set()).update(senders)
-        for value, senders in self.decision_votes.items():
+            seen = votes.get(value)
+            if seen is None:
+                votes[value] = senders
+            elif not senders <= seen:
+                votes[value] = seen | senders
+        for value, senders in votes.items():
             if at_least_third(len(senders), len(committee)):
                 return value
         return _UNSET

@@ -120,16 +120,24 @@ class ViewTracker:
 
 @dataclass
 class EchoDecision:
-    """Result of one echo-voting evaluation round."""
+    """Result of one echo-voting evaluation round.
+
+    ``echo`` is a tuple, round-shared on the fast path: every node that
+    evaluated the same shared tally against the same prior state gets
+    the *same object*.  Pass it to ``broadcast_many`` as is — the engine
+    then interns the round's echo batch once, by identity, instead of
+    hashing and pinning one copy per node (DESIGN.md §4, "boundary
+    invariant").
+    """
 
     #: Tags to (re-)echo this round: reached ``n_v/3`` but not yet accepted.
-    echo: list[Hashable] = field(default_factory=list)
+    echo: tuple[Hashable, ...] = ()
     #: Tags newly accepted this round: reached ``2n_v/3``.
     newly_accepted: list[Hashable] = field(default_factory=list)
     #: Set on the shared-plane fast path: the round-shared delta this
-    #: decision came from (``echo``/``newly_accepted`` are then shared
-    #: lists, identical objects for every node that adopted the same
-    #: prior state — read-only by convention).  Consumers tracking sorted accepted tags
+    #: decision came from (``newly_accepted`` is then a shared list,
+    #: the identical object for every node that adopted the same prior
+    #: state — read-only by convention).  Consumers tracking sorted accepted tags
     #: (:class:`~repro.core.rotor.CandidateSet`) use it to adopt the
     #: shared sorted list instead of re-inserting per node.
     shared_delta: Any = None
@@ -150,7 +158,7 @@ class _EchoDelta:
 
     def __init__(
         self,
-        echo: list[Hashable],
+        echo: tuple[Hashable, ...],
         newly: list[Hashable],
         prior: dict[Hashable, Round] | None,
     ):
@@ -213,9 +221,9 @@ class _SharedEchoDecision:
                 echo.append(tag)
             if accepts:
                 newly.append(tag)
-        # Plain lists, matching the historical EchoDecision field types;
-        # they are shared between nodes and never mutated by consumers.
-        self.echo_all = echo
+        # Shared between nodes and never mutated by consumers; the echo
+        # tags are the round's one broadcast batch, hence a tuple.
+        self.echo_all = tuple(echo)
         self.newly_all = newly
         self._deltas: dict[int, tuple[dict, _EchoDelta]] = {}
         self._fresh: _EchoDelta | None = None
@@ -233,7 +241,7 @@ class _SharedEchoDecision:
         if entry is not None and entry[0] is prior:
             return entry[1]
         delta = _EchoDelta(
-            [t for t in self.echo_all if t not in prior],
+            tuple(t for t in self.echo_all if t not in prior),
             [t for t in self.newly_all if t not in prior],
             prior,
         )
@@ -381,8 +389,9 @@ class EchoVoting:
                     shared_delta=delta,
                     decided_round=round_no,
                 )
-            return EchoDecision(echo=delta.echo, newly_accepted=[])
-        decision = EchoDecision()
+            return EchoDecision(echo=delta.echo)
+        echo: list[Hashable] = []
+        newly: list[Hashable] = []
         pending = self._pending
         if pending:
             accepted = self.accepted
@@ -391,15 +400,15 @@ class EchoVoting:
                     continue
                 count = len(senders)
                 if at_least_third(count, n_v):
-                    decision.echo.append(tag)
+                    echo.append(tag)
                 if at_least_two_thirds(count, n_v):
-                    decision.newly_accepted.append(tag)
+                    newly.append(tag)
                     if self._accepted_shared:
                         accepted = self.accepted = dict(accepted)
                         self._accepted_shared = False
                     accepted[tag] = round_no
             pending.clear()
-        return decision
+        return EchoDecision(echo=tuple(echo), newly_accepted=newly)
 
     def is_accepted(self, tag: Hashable) -> bool:
         return tag in self.accepted

@@ -37,7 +37,6 @@ class ByzantineRenaming(Protocol):
         self.tracker = ViewTracker()
         self.id_voting = EchoVoting()
         self.terminate_voting = EchoVoting()
-        self.names: set[NodeId] = set()  # the appendix's S
         self._last_change_round: int | None = None
         self._rounds_without_change = 0
 
@@ -52,36 +51,34 @@ class ByzantineRenaming(Protocol):
             return
 
         n_v = self.tracker.n_v
-        outgoing: list[tuple[str, object]] = []  # the appendix's M
 
+        # The appendix's M, echoes first: the decision's round-shared
+        # tuple is one batch.  Its S is ``id_voting.accepted``.
         self.id_voting.absorb_inbox(inbox, KIND_ECHO)
         decision = self.id_voting.evaluate(n_v, api.round)
-        outgoing.extend((KIND_ECHO, tag) for tag in decision.echo)
-        changed = bool(decision.newly_accepted)
+        api.broadcast_many(KIND_ECHO, decision.echo)
         for name in decision.newly_accepted:
-            self.names.add(name)
             api.emit("rename-add", name=name)
 
-        if changed:
+        terminate = []
+        if decision.newly_accepted:
             self._rounds_without_change = 0
         else:
             self._rounds_without_change += 1
         if self._rounds_without_change >= 2:
-            outgoing.append((KIND_TERMINATE, api.round - 1))
+            terminate.append(api.round - 1)
 
         self.terminate_voting.absorb_inbox(inbox, KIND_TERMINATE)
         term_decision = self.terminate_voting.evaluate(n_v, api.round)
-        outgoing.extend(
-            (KIND_TERMINATE, tag) for tag in term_decision.echo
-        )
+        terminate.extend(term_decision.echo)
 
-        # Deduplicate M (a terminate proposal may be both self-initiated
+        # Deduplicate (a terminate proposal may be both self-initiated
         # and threshold-relayed in the same round).
-        for kind, payload in dict.fromkeys(outgoing):
-            api.broadcast(kind, payload)
+        for proposal in dict.fromkeys(terminate):
+            api.broadcast(KIND_TERMINATE, proposal)
 
         if term_decision.newly_accepted:
-            assignment = tuple(sorted(self.names))
+            assignment = tuple(sorted(self.id_voting.accepted))
             api.emit("rename-done", size=len(assignment))
             self.decide(api, assignment)
 

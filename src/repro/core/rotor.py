@@ -106,12 +106,14 @@ class CandidateSet:
 
     def evaluate(
         self, api: NodeApi, n_v: int, broadcast: bool = True
-    ) -> list[NodeId]:
+    ) -> tuple[NodeId, ...]:
         """Apply thresholds: accept full quorums, (re-)echo sub-quorum ids.
 
-        Returns the ids due an echo; with ``broadcast=False`` the caller
-        is responsible for sending them (Algorithm 2 defers the broadcast
-        of ``B_v`` to the end of the round and skips it on termination).
+        Returns the ids due an echo — the decision's (round-shared)
+        tuple, unchanged, so every node hands ``broadcast_many`` the
+        same object; with ``broadcast=False`` the caller is responsible
+        for sending them (Algorithm 2 defers the broadcast of ``B_v`` to
+        the end of the round and skips it on termination).
         """
         decision = self.voting.evaluate(n_v, api.round)
         newly = decision.newly_accepted

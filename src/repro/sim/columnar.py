@@ -51,10 +51,6 @@ _ANY = ...
 #: fell back to scalar staging (mixed batch/scalar traffic).
 _SCALARIZED = object()
 
-#: Stop growing the batch identity-alias map past this point (a run
-#: that churns distinct payload tuples falls back to value hashing).
-_MAX_BATCH_ALIASES = 65536
-
 
 class Batch:
     """A canonical interned broadcast batch: one kind/instance, k payloads.
@@ -154,6 +150,9 @@ class ColumnarPlane:
         self._batches: dict[tuple, Batch] = {}
         #: id(payload_tuple) -> (referent, Batch): identity fast path
         #: for the shared tuples the quorum plane hands every node.
+        #: Serves the round that derived the tuple and is cleared by
+        #: :meth:`new_round`, so however a protocol builds its payloads
+        #: the plane never pins more than one round's tuples.
         self._batch_aliases: dict[int, tuple[tuple, Batch]] = {}
 
     @property
@@ -203,11 +202,14 @@ class ColumnarPlane:
     ) -> Batch:
         """The canonical batch for this fan-out (identity fast path).
 
-        Nodes broadcasting the round's shared payload tuple (e.g. the
-        quorum plane's sorted-announcers tuple) hit the id() alias and
-        skip hashing the tuple entirely.  The alias still has to agree
-        on kind and instance: one tuple object may be fanned out under
-        several instance tags.
+        Nodes broadcasting the round's shared payload tuple (the echo
+        decision's ``echo``, the sorted-announcers tuple) hit the id()
+        alias and skip hashing the tuple entirely: one node per round
+        pays the O(k) hash, not every sender.  Every tuple seen is
+        aliased, not only a batch's canonical one — a later round's
+        tuple that *equals* an earlier batch is never canonical.  The
+        alias still has to agree on kind and instance: one tuple object
+        may be fanned out under several instance tags.
         """
         alias = self._batch_aliases.get(id(payloads))
         if alias is not None and alias[0] is payloads:
@@ -220,11 +222,11 @@ class ColumnarPlane:
             batch = self._batches[key] = Batch(
                 self, kind, payloads, instance
             )
-        if len(self._batch_aliases) < _MAX_BATCH_ALIASES:
-            self._batch_aliases[id(payloads)] = (payloads, batch)
+        self._batch_aliases[id(payloads)] = (payloads, batch)
         return batch
 
     def new_round(self) -> "RoundColumns":
+        self._batch_aliases.clear()
         return RoundColumns(self)
 
 

@@ -66,8 +66,11 @@ class NodeApi:
         Semantically identical to calling :meth:`broadcast` for each
         payload; the fan-out is staged as one batch so a round that
         re-echoes every known tag costs O(1) on the wire-staging path.
-        Passing the same payload tuple object from every node (e.g. a
-        shared per-round tally) lets the network intern the batch once.
+        Pass the same tuple object from every node and the network
+        interns the batch once per round, by identity — the canonical
+        example is :attr:`EchoDecision.echo
+        <repro.core.quorum.EchoDecision.echo>`, round-shared on the
+        quorum plane's fast path: hand it over as is, never copied.
         """
         self._outbox.broadcast_many(kind, payloads, instance)
 

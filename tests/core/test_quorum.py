@@ -169,7 +169,7 @@ class TestEchoVoting:
         voting = EchoVoting()
         voting.absorb((s, "tag") for s in range(3))
         decision = voting.evaluate(n_v=9, round_no=3)
-        assert decision.echo == ["tag"]
+        assert decision.echo == ("tag",)
         assert decision.newly_accepted == []
 
     def test_accepting_tag_also_echoed(self):
@@ -178,7 +178,7 @@ class TestEchoVoting:
         voting = EchoVoting()
         voting.absorb((s, "tag") for s in range(9))
         decision = voting.evaluate(n_v=9, round_no=3)
-        assert decision.echo == ["tag"]
+        assert decision.echo == ("tag",)
         assert decision.newly_accepted == ["tag"]
 
     def test_accepted_tags_ignored_afterwards(self):
@@ -187,7 +187,7 @@ class TestEchoVoting:
         voting.evaluate(9, 3)
         voting.absorb((s, "tag") for s in range(9))
         decision = voting.evaluate(9, 4)
-        assert decision.echo == []
+        assert decision.echo == ()
         assert decision.newly_accepted == []
 
     def test_pending_cleared_between_evaluations(self):
@@ -197,7 +197,7 @@ class TestEchoVoting:
         voting.absorb([(3, "tag")])
         decision = voting.evaluate(9, 4)
         # counts did NOT accumulate: 1 < 3
-        assert decision.echo == []
+        assert decision.echo == ()
 
     def test_accumulation_within_one_evaluation_window(self):
         # The embedded rotor absorbs several rounds before one evaluate.
@@ -205,7 +205,7 @@ class TestEchoVoting:
         voting.absorb([(1, "t"), (2, "t")])
         voting.absorb([(3, "t"), (1, "t")])  # sender 1 repeated: one vote
         decision = voting.evaluate(9, 5)
-        assert decision.echo == ["t"]
+        assert decision.echo == ("t",)
 
     def test_absorb_inbox(self):
         voting = EchoVoting()
@@ -215,7 +215,7 @@ class TestEchoVoting:
         )
         voting.absorb_inbox(inbox, "echo")
         decision = voting.evaluate(6, 3)
-        assert decision.echo == ["p"]
+        assert decision.echo == ("p",)
 
     def test_acceptance_round_recorded(self):
         voting = EchoVoting()
