@@ -13,12 +13,15 @@
   1/2 factor.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 import statistics
 
 from repro.adversary import QuorumSplitterStrategy
 from repro.core.approx_agreement import trim_and_midpoint
 from repro.core.consensus import EarlyConsensus
 from repro.errors import SimulationError
+from repro.sim.rng import make_rng
 from repro.sim.runner import Scenario, run_scenario
 
 from benchmarks._harness import emit_table
@@ -122,7 +125,6 @@ def test_ablation_substitution(benchmark):
 
 def test_ablation_trim_operator(benchmark):
     """Trim-midpoint (the paper) vs trim-mean on adversarial value sets."""
-    import random
 
     def trim_and_mean(values):
         ordered = sorted(values)
@@ -130,7 +132,7 @@ def test_ablation_trim_operator(benchmark):
         survivors = ordered[trim: len(ordered) - trim] or ordered
         return sum(survivors) / len(survivors)
 
-    rng = random.Random(0)
+    rng = make_rng(0)
     worst_mid, worst_mean = 0.0, 0.0
     for _ in range(300):
         correct = [rng.uniform(0, 1) for _ in range(7)]

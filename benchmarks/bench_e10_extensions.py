@@ -8,6 +8,8 @@ rounds.
 Regenerated table: rounds vs f for both, agreement rates (expect 100%).
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 from repro.adversary import MembershipLiarStrategy, SilentStrategy
 from repro.core.renaming import ByzantineRenaming
 from repro.core.terminating_broadcast import TerminatingReliableBroadcast

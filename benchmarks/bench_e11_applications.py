@@ -11,6 +11,8 @@ Plus the §11 dynamic approximate-agreement claim: the estimate range
 halves per round, and joiner inputs can widen it before being absorbed.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 import statistics
 
 from repro.adversary import AdaptiveStrategy, SilentStrategy

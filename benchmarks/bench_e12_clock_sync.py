@@ -11,6 +11,8 @@ synchronized skew plateaus at O(max-drift · resync-interval) regardless
 of the adversary.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 import statistics
 
 from repro.adversary import ValueInjectorStrategy

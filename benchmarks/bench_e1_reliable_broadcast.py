@@ -9,6 +9,8 @@ shape: 100% everywhere, acceptance always in round 3 for a correct
 sender.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 from repro.adversary import (
     EchoForgerStrategy,
     MembershipLiarStrategy,

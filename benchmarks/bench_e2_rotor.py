@@ -9,6 +9,8 @@ Regenerated series: max termination round vs n (expect linear, slope
 coordinator usurper.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 from repro.adversary import (
     CoordinatorUsurperStrategy,
     MembershipLiarStrategy,

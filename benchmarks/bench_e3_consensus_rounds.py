@@ -8,6 +8,8 @@ Regenerated series: (a) rounds vs f at the tight population n = 3f + 1,
 (b) rounds vs n at fixed f (expect flat), (c) the unanimous fast path.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 from repro.adversary import QuorumSplitterStrategy
 from repro.core.consensus import EarlyConsensus
 from repro.sim.runner import Scenario, run_scenario

@@ -8,6 +8,8 @@ strongest implemented attack (rushing full-split adversary), expect a
 cliff between f = 3 (3f = 9 < 10) and f = 4 (3f = 12 >= 10).
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 from repro.adversary.base import ByzantineStrategy
 from repro.core.consensus import EarlyConsensus
 from repro.errors import SimulationError

@@ -8,6 +8,8 @@ Regenerated table: per (instance count, awareness pattern), agreement
 rate and rounds; rounds must stay flat in the number of instances.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 from repro.adversary import RandomNoiseStrategy, SilentStrategy
 from repro.analysis.checkers import check_parallel_outputs
 from repro.core.parallel_consensus import ParallelConsensus

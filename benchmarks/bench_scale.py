@@ -16,6 +16,8 @@ Nothing may grow superlinearly per node: that would be a regression
 against the classics.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 from repro.analysis.complexity import classify_growth
 from repro.core.approx_agreement import IteratedApproximateAgreement
 from repro.core.consensus import EarlyConsensus

@@ -9,6 +9,8 @@ protocol trick hiding in the margins, exactly as the impossibility
 results predict.
 """
 
+# repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
+
 from repro.core.consensus import EarlyConsensus
 from repro.errors import SimulationError
 from repro.sim.lossy import LossyNetwork

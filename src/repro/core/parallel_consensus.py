@@ -150,7 +150,6 @@ def _vote_base(
         )
         votes.setdefault(decoded, set()).add(message.sender)
     if kind == KIND_INPUT:
-        # repro-lint: disable=R304 -- commutative set-vote accumulation
         for sender in index.sender_set(KIND_NOINPUT, ..., ...):
             votes.setdefault(BOTTOM, set()).add(sender)
     base = {value: frozenset(senders) for value, senders in votes.items()}

@@ -160,7 +160,6 @@ class TotalOrderNode(Protocol):
         # Membership announcements landing in the same inbox as our acks
         # must not be lost: leavers are removed immediately, concurrent
         # joiners queued for admission like anywhere else.
-        # repro-lint: disable=R304 -- commutative set removal, order-free
         for leaver in inbox.senders(KIND_ABSENT):
             self.participants.discard(leaver)
         for joiner in sorted(inbox.senders(KIND_PRESENT)):
@@ -196,7 +195,6 @@ class TotalOrderNode(Protocol):
             self._admissions.setdefault(api.round + 3, []).append(joiner)
         for due in [r for r in self._admissions if r <= api.round]:
             self.participants.update(self._admissions.pop(due))
-        # repro-lint: disable=R304 -- commutative set removal, order-free
         for leaver in inbox.senders(KIND_ABSENT):
             self.participants.discard(leaver)
 

@@ -15,22 +15,23 @@ Usage::
     python -m repro.lint --format=json src   # machine-readable output
     python -m repro.lint --list-rules        # what is enforced
 
-Findings can be silenced in two ways (see ``docs/lint.md``):
-
-* an inline ``repro-lint: disable=<code> -- justification`` comment on
-  the flagged line;
-* an entry in the committed baseline file (``lint-baseline.json``) for
-  grandfathered findings, regenerated with ``--write-baseline``.
+Every run does both phases (per-file rules, then the whole-program
+passes).  A finding is silenced one way only, by an inline directive
+with a justification (see ``docs/lint.md``):
+``repro-lint: disable=<code> -- reason`` on or above the flagged line,
+or ``disable-file=<code> -- reason`` for the whole file.
 
 The rule families:
 
 * **R1xx — id-only model** (``repro.core``/``repro.baselines``): no
-  global-membership surfaces outside ``ViewTracker``/``NodeApi``.
+  global-membership surfaces outside ``ViewTracker``/``NodeApi``; the
+  known-population parameter ban (R103) covers ``repro.core`` only,
+  since the ``repro.baselines`` comparators know ``n`` and ``f`` by
+  definition.
 * **R2xx — integer quorum math**: thresholds compare via
   ``3 * count >= n_v``, never float division or fraction literals.
 * **R3xx — determinism**: randomness through ``repro.sim.rng``, no wall
-  clocks outside ``repro.net``/``repro.analysis``, no order-dependent
-  iteration over unordered collections in protocol code.
+  clocks outside ``repro.net``/``repro.analysis``.
 * **R4xx — protocol hygiene**: protocols never touch ``Outbox`` or
   stamp sender ids; the network does.
 * **R5xx — event-plane discipline**: protocols emit semantic events
@@ -40,15 +41,13 @@ The rule families:
 * **R6xx — whole-program taint** (phase two): the interprocedural
   versions of the invariants above — global-knowledge taint into
   ``core/`` (R601), float taint into quorum comparisons (R602), and
-  unordered-iteration escape analysis (R603, superseding R304's
-  syntactic ban).
+  unordered-iteration escape analysis (R603).
 * **R7xx — async runtime**: stale check-then-act on engine-shared
   state across ``await`` points (R701).
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline, fingerprint
 from repro.lint.diagnostics import Diagnostic, format_json, format_text
 from repro.lint.engine import (
     FileContext,
@@ -61,7 +60,6 @@ from repro.lint.rules import all_program_rules, all_rules, rules_by_code
 from repro.lint.sarif import format_sarif
 
 __all__ = [
-    "Baseline",
     "Diagnostic",
     "FileContext",
     "LintResult",
@@ -69,7 +67,6 @@ __all__ = [
     "Rule",
     "all_program_rules",
     "all_rules",
-    "fingerprint",
     "format_json",
     "format_sarif",
     "format_text",

@@ -1,7 +1,6 @@
 """``python -m repro.lint`` — command-line front end.
 
-Exit codes: 0 clean (or fully baselined/suppressed), 1 findings,
-2 usage error.
+Exit codes: 0 clean (or fully suppressed), 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -10,13 +9,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
 from repro.lint.diagnostics import format_json, format_text
 from repro.lint.engine import run_paths
 from repro.lint.rules import all_program_rules, all_rules
 from repro.lint.sarif import format_sarif
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,44 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report grandfathered findings)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file to absorb all current findings",
-    )
-    parser.add_argument(
         "--select",
         default="",
         metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--no-program",
-        action="store_true",
-        help=(
-            "skip the whole-program passes (R6xx/R7xx); per-file rules "
-            "only, including the R304 ban they normally supersede"
-        ),
-    )
-    parser.add_argument(
-        "--program-cache",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "persist per-module dataflow facts keyed by content hash, "
-            "so unchanged files skip extraction on the next run"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -90,23 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _selected_rules(select: str, with_program: bool):
+def _selected_rules(select: str):
     """Split a ``--select`` list into (file rules, program rules)."""
     rules = all_rules()
-    program = all_program_rules() if with_program else []
+    program = all_program_rules()
     if not select:
         return rules, program
     wanted = {code.strip().upper() for code in select.split(",") if code}
     chosen = [rule for rule in rules if rule.code in wanted]
     chosen_program = [rule for rule in program if rule.code in wanted]
-    known = {rule.code for rule in chosen} | {
-        rule.code for rule in chosen_program
-    }
-    if not with_program:
-        known |= {
-            rule.code for rule in all_program_rules()
-        }  # selecting R6xx with --no-program is not an unknown code
-    unknown = wanted - known
+    unknown = wanted - {rule.code for rule in [*chosen, *chosen_program]}
     if unknown:
         raise SystemExit(
             f"unknown rule code(s): {', '.join(sorted(unknown))}"
@@ -132,43 +87,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    baseline_path = args.baseline or Path(DEFAULT_BASELINE)
-    rules, program_rules = _selected_rules(
-        args.select, with_program=not args.no_program
-    )
-    cache = None
-    if args.program_cache is not None and program_rules:
-        from repro.lint.program.cache import ProgramCache
-
-        cache = ProgramCache(args.program_cache)
-
-    if args.write_baseline:
-        # Collect *everything* (no baseline filtering), then absorb it.
-        raw = run_paths(
-            paths,
-            rules,
-            baseline=Baseline(),
-            program_rules=program_rules,
-            cache=cache,
-        )
-        Baseline.from_diagnostics(raw.diagnostics).write(baseline_path)
-        print(
-            f"wrote {len(raw.diagnostics)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    baseline = (
-        Baseline()
-        if args.no_baseline
-        else Baseline.load(baseline_path)
-    )
-    result = run_paths(
-        paths,
-        rules,
-        baseline=baseline,
-        program_rules=program_rules,
-        cache=cache,
-    )
+    rules, program_rules = _selected_rules(args.select)
+    result = run_paths(paths, rules, program_rules=program_rules)
     if args.format == "sarif":
         print(
             format_sarif(

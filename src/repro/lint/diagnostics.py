@@ -15,8 +15,7 @@ class Diagnostic:
     col: int
     code: str
     message: str
-    #: The stripped source line, used for baseline fingerprinting and
-    #: for human-readable baseline entries.
+    #: The stripped source line the finding points at.
     source_line: str = ""
     #: Optional pointer at the sanctioned alternative.
     hint: str = ""
@@ -38,7 +37,6 @@ class Summary:
     files: int = 0
     findings: int = 0
     suppressed: int = 0
-    baselined: int = 0
     by_code: dict[str, int] = field(default_factory=dict)
 
 
@@ -47,7 +45,7 @@ def format_text(diagnostics: list[Diagnostic], summary: Summary) -> str:
     lines = [d.render() for d in sorted(diagnostics, key=Diagnostic.sort_key)]
     tail = (
         f"{summary.findings} finding(s) in {summary.files} file(s)"
-        f" ({summary.suppressed} suppressed, {summary.baselined} baselined)"
+        f" ({summary.suppressed} suppressed)"
     )
     if lines:
         return "\n".join(lines) + "\n" + tail
@@ -64,7 +62,6 @@ def format_json(diagnostics: list[Diagnostic], summary: Summary) -> str:
             "files": summary.files,
             "findings": summary.findings,
             "suppressed": summary.suppressed,
-            "baselined": summary.baselined,
             "by_code": dict(sorted(summary.by_code.items())),
         },
     }

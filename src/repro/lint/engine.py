@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.lint.baseline import Baseline
 from repro.lint.diagnostics import Diagnostic, Summary
 from repro.lint.suppressions import (
     Suppression,
@@ -113,11 +112,6 @@ class Rule(ABC):
     name: str = ""
     #: One-line statement of the invariant.
     description: str = ""
-    #: Code of a program rule that subsumes this one.  When that rule is
-    #: active in the same run, this file rule is skipped — the program
-    #: pass reports the same hazard with real escape reasoning instead
-    #: of a syntactic ban.
-    superseded_by: str = ""
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule runs on *ctx* at all (default: everywhere)."""
@@ -134,8 +128,8 @@ class ProgramRule(ABC):
     Program rules see every file at once through a
     :class:`repro.lint.program.ProgramModel` and may follow flows
     across modules; their findings are still attributed to one file and
-    filtered through that file's inline suppressions and the baseline,
-    exactly like file-rule findings.
+    filtered through that file's inline suppressions, exactly like
+    file-rule findings.
     """
 
     code: str = ""
@@ -208,49 +202,35 @@ def load_context(path: Path) -> FileContext | Diagnostic:
     )
 
 
-def _record(
-    result: LintResult,
-    ctx: FileContext,
-    baseline: Baseline,
-    diag: Diagnostic,
-) -> None:
-    """Route one finding through suppressions and the baseline."""
+def _report(result: LintResult, diag: Diagnostic) -> None:
+    result.diagnostics.append(diag)
+    result.summary.findings += 1
+    result.summary.by_code[diag.code] = (
+        result.summary.by_code.get(diag.code, 0) + 1
+    )
+
+
+def _record(result: LintResult, ctx: FileContext, diag: Diagnostic) -> None:
+    """Route one finding through the file's inline suppressions."""
     if is_suppressed(ctx.suppressions, diag.code, diag.line):
         result.summary.suppressed += 1
-    elif baseline.absorb(diag):
-        result.summary.baselined += 1
     else:
-        result.diagnostics.append(diag)
-        result.summary.findings += 1
-        result.summary.by_code[diag.code] = (
-            result.summary.by_code.get(diag.code, 0) + 1
-        )
+        _report(result, diag)
 
 
 def run_paths(
     paths: Iterable[Path],
     rules: Iterable[Rule],
-    baseline: Baseline | None = None,
     program_rules: Iterable[ProgramRule] = (),
-    cache=None,
 ) -> LintResult:
-    """Lint *paths*, filtering suppressed/baselined findings.
+    """Lint *paths*, filtering suppressed findings.
 
     Phase one parses every file and runs the per-file *rules*; phase
     two links all parsed files into one program model and runs the
-    *program_rules* against it.  A file rule whose ``superseded_by``
-    names an active program rule is skipped — its program-level
-    replacement owns the invariant for this run.
+    *program_rules* against it.
     """
     rules = list(rules)
     program_rules = list(program_rules)
-    program_codes = {rule.code for rule in program_rules}
-    active_rules = [
-        rule
-        for rule in rules
-        if rule.superseded_by not in program_codes or not rule.superseded_by
-    ]
-    baseline = baseline or Baseline()
     result = LintResult()
     contexts: list[FileContext] = []
     for path in discover_files(paths):
@@ -265,43 +245,36 @@ def run_paths(
             # Blanket opt-outs must say why, or they get reported
             # themselves — suppressions stay visible in review.
             if sup.file_scoped and not sup.reason:
-                diag = Diagnostic(
-                    path=ctx.display_path,
-                    line=sup.line,
-                    col=1,
-                    code="R001",
-                    message=(
-                        "file-scoped suppression without a justification "
-                        "('-- reason')"
+                _report(
+                    result,
+                    Diagnostic(
+                        path=ctx.display_path,
+                        line=sup.line,
+                        col=1,
+                        code="R001",
+                        message=(
+                            "file-scoped suppression without a "
+                            "justification ('-- reason')"
+                        ),
+                        source_line=ctx.source_line(sup.line).strip(),
                     ),
-                    source_line=ctx.source_line(sup.line).strip(),
                 )
-                if not baseline.absorb(diag):
-                    result.diagnostics.append(diag)
-                    result.summary.findings += 1
-                    result.summary.by_code["R001"] = (
-                        result.summary.by_code.get("R001", 0) + 1
-                    )
-        for rule in active_rules:
+        for rule in rules:
             if not rule.applies_to(ctx):
                 continue
             for diag in rule.check(ctx):
-                _record(result, ctx, baseline, diag)
+                _record(result, ctx, diag)
     if program_rules and contexts:
         from repro.lint.program import build_program
 
-        model = build_program(contexts, cache=cache)
+        model = build_program(contexts)
         by_display = {ctx.display_path: ctx for ctx in contexts}
         for rule in program_rules:
             for diag in rule.check_program(model):
                 ctx = by_display.get(diag.path)
                 if ctx is None:
-                    result.diagnostics.append(diag)
-                    result.summary.findings += 1
-                    result.summary.by_code[diag.code] = (
-                        result.summary.by_code.get(diag.code, 0) + 1
-                    )
+                    _report(result, diag)
                 else:
-                    _record(result, ctx, baseline, diag)
+                    _record(result, ctx, diag)
     result.diagnostics.sort(key=Diagnostic.sort_key)
     return result

@@ -6,21 +6,17 @@ entries are linked by a :class:`~repro.lint.program.callgraph.Resolver`,
 and program rules query interprocedural taint through
 :meth:`ProgramModel.taint`, which memoizes one fixpoint per spec.
 
-Contexts are duck-typed (``path``, ``layer``, ``tree``, ``source``),
+Contexts are duck-typed (``path``, ``layer``, ``tree``),
 deliberately: the engine imports this package, not the other way
 around.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.lint.program.cache import ProgramCache, content_digest
-from repro.lint.program.callgraph import (
-    Resolver,
-    build_call_graph,
-)
+from repro.lint.program.callgraph import Resolver
 from repro.lint.program.dataflow import (
     FloatSpec,
     FunctionFacts,
@@ -30,7 +26,6 @@ from repro.lint.program.dataflow import (
     UnorderedSpec,
     extract_module_facts,
 )
-from repro.lint.program.imports import import_graph
 from repro.lint.program.symbols import (
     ModuleSymbols,
     build_module_symbols,
@@ -51,7 +46,6 @@ class ModuleEntry:
     ctx: object  # FileContext (duck-typed)
     symbols: ModuleSymbols
     facts: dict[str, FunctionFacts]  # keyed by local name
-    digest: str
 
 
 class ProgramModel:
@@ -60,10 +54,6 @@ class ProgramModel:
     def __init__(self, entries: dict[str, ModuleEntry]):
         #: dotted module name -> entry
         self.modules = entries
-        #: str(path) -> entry, for suppression/baseline lookups
-        self.by_path = {
-            str(entry.ctx.path): entry for entry in entries.values()
-        }
         self.resolver = Resolver(
             {name: entry.symbols for name, entry in entries.items()}
         )
@@ -87,41 +77,15 @@ class ProgramModel:
     def entry_for(self, facts: FunctionFacts) -> ModuleEntry | None:
         return self.modules.get(facts.module)
 
-    def import_graph(self) -> dict[str, set[str]]:
-        return import_graph(
-            {name: entry.symbols for name, entry in self.modules.items()}
-        )
 
-    def call_graph(self) -> dict[str, set[str]]:
-        return build_call_graph(
-            {name: entry.symbols for name, entry in self.modules.items()},
-            self.functions,
-            self.resolver,
-        )
-
-
-def build_program(
-    contexts: list, cache: ProgramCache | None = None
-) -> ProgramModel:
+def build_program(contexts: list) -> ProgramModel:
     """Phase one: link all parsed contexts into a :class:`ProgramModel`."""
     entries: dict[str, ModuleEntry] = {}
     for ctx in contexts:
         path = Path(ctx.path)
         name = module_name_of(path)
         symbols = build_module_symbols(name, path, ctx.layer, ctx.tree)
-        digest = content_digest(ctx.source)
-        facts: dict[str, FunctionFacts] | None = None
-        if cache is not None:
-            cached = cache.get(str(ctx.path), digest)
-            if cached is not None:
-                facts = {item.local_name: item for item in cached}
-        if facts is None:
-            facts = extract_module_facts(symbols)
-            if cache is not None:
-                cache.put(str(ctx.path), digest, list(facts.values()))
         entries[name] = ModuleEntry(
-            ctx=ctx, symbols=symbols, facts=facts, digest=digest
+            ctx=ctx, symbols=symbols, facts=extract_module_facts(symbols)
         )
-    if cache is not None:
-        cache.save()
     return ProgramModel(entries)

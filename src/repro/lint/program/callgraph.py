@@ -1,4 +1,4 @@
-"""Name resolution and the project-wide call graph.
+"""Name resolution: call references to program-wide functions.
 
 Call sites are recorded by the dataflow extractor as *references* — the
 callee as written, before any cross-module knowledge is applied:
@@ -118,42 +118,9 @@ class Resolver:
                 return ref[2] in target.classes
         return False
 
-    def constructor_class(self, module: str, ref: Ref) -> str:
-        """Class name constructed by *ref*, or '' when not a constructor."""
-        if ref[0] == "local":
-            target = self.resolve_symbol(module, ref[1])
-            if isinstance(target, ClassInfo):
-                return target.name
-        elif ref[0] == "attr":
-            target = self.resolve_symbol(module, ref[1])
-            if isinstance(target, ModuleSymbols) and ref[2] in target.classes:
-                return ref[2]
-        return ""
-
 
 def ref_name(ref: Ref) -> str:
     """Terminal written name of a reference (for messages and hooks)."""
     if ref[0] == "local":
         return ref[1]
     return ref[-1]
-
-
-def build_call_graph(
-    modules: dict[str, ModuleSymbols],
-    facts_by_function: dict[str, "object"],
-    resolver: Resolver,
-) -> dict[str, set[str]]:
-    """``caller qualname -> resolved callee qualnames``.
-
-    *facts_by_function* maps qualnames to objects exposing ``module``
-    and ``calls`` (each call exposing ``ref``) — the dataflow facts.
-    """
-    graph: dict[str, set[str]] = {}
-    for qualname, facts in facts_by_function.items():
-        edges: set[str] = set()
-        for call in facts.calls:
-            target = resolver.resolve_ref(facts.module, call.ref)
-            if target is not None:
-                edges.add(target.qualname)
-        graph[qualname] = edges
-    return graph

@@ -1,7 +1,7 @@
 """Per-function dataflow facts and the interprocedural taint fixpoint.
 
-The extractor walks each function once and records *facts* — a small,
-serializable term graph instead of the AST:
+The extractor walks each function once and records *facts* — a small
+term graph instead of the AST:
 
 * which **terms** flow to the return value, where a term is
   ``("param", i)`` (derived from parameter *i*), ``("src", spec)`` (an
@@ -16,8 +16,7 @@ serializable term graph instead of the AST:
 * which parameters locally reach an **order-sensitive sink**
   (``.append``, ``api.send``, ...).
 
-Facts are purely local — no cross-module knowledge — which is what
-makes them cacheable by file content hash.  The
+Facts are purely local — no cross-module knowledge.  The
 :class:`TaintAnalysis` fixpoint then combines them under one
 :class:`TaintSpec` into per-function summaries (does the return carry
 taint? which parameters propagate? which parameters reach a sink?),
@@ -224,125 +223,6 @@ class FunctionFacts:
     compares: list[CompareFact] = field(default_factory=list)
     loops: list[LoopFact] = field(default_factory=list)
     local_order_sinks: frozenset[int] = frozenset()
-
-    # -- cache serialization -------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "q": self.qualname,
-            "m": self.module,
-            "ly": list(self.layer),
-            "ln": self.local_name,
-            "cn": self.class_name,
-            "li": self.lineno,
-            "p": list(self.params),
-            "pa": list(self.param_annotations),
-            "ra": self.return_annotation,
-            "as": self.is_async,
-            "ret": _terms_json(self.ret_terms),
-            "calls": [
-                {
-                    "l": c.lineno,
-                    "c": c.col,
-                    "ref": list(c.ref),
-                    "a": [_terms_json(a) for a in c.args],
-                    "kw": [[n, _terms_json(t)] for n, t in c.kwargs],
-                    "k": c.has_key_kwarg,
-                }
-                for c in self.calls
-            ],
-            "cmp": [
-                {"l": c.lineno, "c": c.col, "t": _terms_json(c.terms),
-                 "n": c.countlike}
-                for c in self.compares
-            ],
-            "loops": [
-                {
-                    "l": lp.lineno,
-                    "c": lp.col,
-                    "u": lp.intrinsic_unordered,
-                    "d": lp.source_desc,
-                    "t": _terms_json(lp.iter_terms),
-                    "e": [
-                        {
-                            "l": e.lineno,
-                            "c": e.col,
-                            "k": e.kind,
-                            "d": e.detail,
-                            "i": e.call_index,
-                            "a": list(e.derived_args),
-                            "r": e.receiver,
-                        }
-                        for e in lp.escapes
-                    ],
-                }
-                for lp in self.loops
-            ],
-            "sinks": sorted(self.local_order_sinks),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FunctionFacts":
-        facts = cls(
-            qualname=data["q"],
-            module=data["m"],
-            layer=tuple(data["ly"]),
-            local_name=data["ln"],
-            class_name=data["cn"],
-            lineno=data["li"],
-            params=tuple(data["p"]),
-            param_annotations=tuple(data["pa"]),
-            return_annotation=data["ra"],
-            is_async=data["as"],
-            ret_terms=_terms_load(data["ret"]),
-        )
-        facts.calls = [
-            CallFact(
-                lineno=c["l"],
-                col=c["c"],
-                ref=tuple(c["ref"]),
-                args=tuple(_terms_load(a) for a in c["a"]),
-                kwargs=tuple((n, _terms_load(t)) for n, t in c["kw"]),
-                has_key_kwarg=c["k"],
-            )
-            for c in data["calls"]
-        ]
-        facts.compares = [
-            CompareFact(lineno=c["l"], col=c["c"], terms=_terms_load(c["t"]),
-                        countlike=c["n"])
-            for c in data["cmp"]
-        ]
-        facts.loops = [
-            LoopFact(
-                lineno=lp["l"],
-                col=lp["c"],
-                intrinsic_unordered=lp["u"],
-                source_desc=lp["d"],
-                iter_terms=_terms_load(lp["t"]),
-                escapes=tuple(
-                    EscapeFact(
-                        lineno=e["l"],
-                        col=e["c"],
-                        kind=e["k"],
-                        detail=e["d"],
-                        call_index=e["i"],
-                        derived_args=tuple(e["a"]),
-                        receiver=e["r"],
-                    )
-                    for e in lp["e"]
-                ),
-            )
-            for lp in data["loops"]
-        ]
-        facts.local_order_sinks = frozenset(data["sinks"])
-        return facts
-
-
-def _terms_json(terms: TermSet) -> list:
-    return sorted([list(t) for t in terms])
-
-
-def _terms_load(data: list) -> TermSet:
-    return frozenset(tuple(t) for t in data)
 
 
 # ---------------------------------------------------------------------------

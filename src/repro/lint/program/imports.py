@@ -1,4 +1,4 @@
-"""Import bindings and the project-wide import graph.
+"""Import bindings: what each imported local name refers to.
 
 An :class:`ImportBinding` records what one local name means in terms of
 other modules: ``import a.b as c`` binds ``c`` to module ``a.b``;
@@ -62,31 +62,3 @@ def parse_import_bindings(
                 local = alias.asname or alias.name
                 bindings[local] = ImportBinding(local, module, alias.name)
     return bindings
-
-
-def import_graph(
-    modules: dict[str, "object"],
-) -> dict[str, set[str]]:
-    """``module -> imported modules`` restricted to modules in the program.
-
-    *modules* maps dotted names to :class:`ModuleSymbols`-like objects
-    exposing ``imported_modules()``.  Imports of modules outside the
-    analyzed tree (stdlib, third-party) are dropped: the graph answers
-    "which analyzed module depends on which", which is what the
-    re-export resolver and the tests need.
-    """
-    known = set(modules)
-    graph: dict[str, set[str]] = {}
-    for name, symbols in modules.items():
-        edges = set()
-        for target in symbols.imported_modules():
-            if target in known:
-                edges.add(target)
-            else:
-                # ``from repro.core.quorum import X`` seen from a module
-                # that only knows the package: keep prefix matches too.
-                prefix = target.rsplit(".", 1)[0]
-                if prefix in known:
-                    edges.add(prefix)
-        graph[name] = edges
-    return graph

@@ -98,10 +98,6 @@ class ModuleSymbols:
     aliases: dict[str, str] = field(default_factory=dict)
     imports: dict[str, ImportBinding] = field(default_factory=dict)
 
-    def imported_modules(self) -> set[str]:
-        """Every module this one imports (for the import graph)."""
-        return {binding.module for binding in self.imports.values()}
-
 
 def _function_info(
     node: ast.FunctionDef | ast.AsyncFunctionDef,

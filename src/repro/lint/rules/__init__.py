@@ -12,7 +12,6 @@ from repro.lint.engine import ProgramRule, Rule
 from repro.lint.rules.determinism import (
     DirectRandomImport,
     ModuleRandomCall,
-    UnorderedIteration,
     WallClockCall,
 )
 from repro.lint.rules.hygiene import (
@@ -55,7 +54,6 @@ def all_rules() -> list[Rule]:
         DirectRandomImport(),
         WallClockCall(),
         ModuleRandomCall(),
-        UnorderedIteration(),
         OutboxInProtocol(),
         PrivateApiAccess(),
         SenderStamping(),

@@ -3,10 +3,10 @@
 Every run must be exactly reproducible from its seed: recordings are
 verified byte-for-byte (``repro record --verify``), and the adversarial
 matrix relies on replayable failures.  Randomness must therefore flow
-through :func:`repro.sim.rng.make_rng`, wall clocks stay confined to the
-real-network layer (``repro.net``) and offline analysis, and protocol
-code must not let the iteration order of unordered collections pick
-winners.
+through :func:`repro.sim.rng.make_rng`, and wall clocks stay confined
+to the real-network layer (``repro.net``) and offline analysis.
+Iteration order leaking out of unordered collections is the concern of
+the whole-program rule R603.
 """
 
 from __future__ import annotations
@@ -147,91 +147,3 @@ class ModuleRandomCall(Rule):
                 "unseeded generator",
                 hint="use a repro.sim.rng.make_rng(seed) instance",
             )
-
-
-class UnorderedIteration(Rule):
-    """R304: protocol choices must not depend on set iteration order.
-
-    Heuristic by design: it flags iterating directly over a freshly
-    built ``set(...)``/``frozenset(...)`` and ``max``/``min``/``next``
-    over unordered views (``set(...)``, ``.senders()``, ``.keys()``,
-    ``.values()``) *without* a ``key=`` that could impose a total
-    order.  Tie-breaking via an explicit ``key`` (see
-    ``parallel_consensus._best``) is the sanctioned pattern.
-    """
-
-    code = "R304"
-    name = "unordered-iteration"
-    description = (
-        "protocol code must not iterate/select over unordered "
-        "collections where order can pick the winner; sort first or "
-        "supply a total-order key"
-    )
-    #: R603's escape analysis reports the same hazard with flow
-    #: reasoning; when it runs, this syntactic ban stands down.
-    superseded_by = "R603"
-
-    UNORDERED_CALLS = frozenset({"set", "frozenset"})
-    #: Methods returning genuinely unordered views.  Dict views are
-    #: insertion-ordered in Python and therefore deterministic, so
-    #: ``.keys()``/``.values()`` are only a hazard under max/min ties.
-    UNORDERED_METHODS = frozenset({"senders"})
-    TIE_METHODS = frozenset({"senders", "keys", "values", "items"})
-    SELECTORS = frozenset({"max", "min", "next"})
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_layer("core", "baselines")
-
-    def _unordered(
-        self, node: ast.AST, methods: frozenset[str]
-    ) -> str:
-        """Name of the unordered source *node* builds, or ''."""
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Name)
-                and func.id in self.UNORDERED_CALLS
-            ):
-                return f"{func.id}(...)"
-            if isinstance(func, ast.Attribute) and func.attr in methods:
-                return f".{func.attr}()"
-        elif isinstance(node, (ast.Set, ast.SetComp)):
-            return "a set literal"
-        return ""
-
-    def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
-        iters: list[ast.AST] = []
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                       ast.GeneratorExp)
-            ):
-                iters.extend(gen.iter for gen in node.generators)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in self.SELECTORS
-                and node.args
-                and not any(kw.arg == "key" for kw in node.keywords)
-            ):
-                source = self._unordered(node.args[0], self.TIE_METHODS)
-                if source:
-                    yield ctx.diagnostic(
-                        node,
-                        self.code,
-                        f"'{node.func.id}()' over {source} without a "
-                        "key= lets iteration order break ties",
-                        hint="supply key= with a total order, or sorted()",
-                    )
-        for iter_node in iters:
-            source = self._unordered(iter_node, self.UNORDERED_METHODS)
-            if source:
-                yield ctx.diagnostic(
-                    iter_node,
-                    self.code,
-                    f"iterating directly over {source}: set order must "
-                    "not influence protocol behaviour",
-                    hint="wrap in sorted() when order can matter",
-                )

@@ -5,9 +5,9 @@ set, ``n``, or ``f``.  The only sanctioned membership surfaces inside
 ``repro.core``/``repro.baselines`` are the locally observed ones:
 :class:`~repro.core.quorum.ViewTracker` (``n_v``, frozen views) and
 :class:`~repro.sim.node.NodeApi` (``knows``/``send`` gating).  The
-known-``n``/``f`` comparison baselines exist precisely to violate this —
-their findings are grandfathered in the committed baseline file, which
-keeps the violation visible without letting it spread.
+known-``n``/``f`` comparators in ``repro.baselines`` take ``n`` and
+``f`` by definition, so the parameter ban (R103) covers ``repro.core``
+only — the same scope R601 uses for membership taint.
 """
 
 from __future__ import annotations
@@ -147,12 +147,14 @@ class KnownPopulationParameter(Rule):
     code = "R103"
     name = "known-population-parameter"
     description = (
-        "functions in repro.core / repro.baselines may not take the "
-        "population (n, f, members) as a parameter"
+        "functions in repro.core may not take the population "
+        "(n, f, members) as a parameter"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return _protocol_layer(ctx)
+        # Not baselines/: the classical comparators are known-n,f
+        # algorithms by definition.
+        return ctx.in_layer("core")
 
     def check(self, ctx: FileContext) -> Iterable[Diagnostic]:
         for node in ast.walk(ctx.tree):

@@ -1,24 +1,23 @@
-"""R603 — unordered-iteration escape analysis (supersedes R304).
+"""R603 — unordered-iteration escape analysis.
 
-R304 bans iterating a freshly built set in protocol code outright.
-That is sound but blunt: commutative folds over a set (counting,
-``.discard()``, building another set) are perfectly deterministic, and
-the real tree needs inline suppressions to say so.  R603 replaces the
-ban with escape reasoning: a loop over an unordered iterable is only a
-finding when something *order-sensitive* leaves the loop — an ordered
-sequence is built (``.append``), a payload is emitted (``send``/
-``broadcast``/``decide``), a value is returned/yielded from inside the
-loop, a first-match ``break`` selects a winner, or the loop variable is
-handed to a function that provably carries it to such a sink (decided
-against the callee's interprocedural sink summary).
+Iterating a set in protocol code is not a defect by itself: commutative
+folds over a set (counting, ``.discard()``, building another set) are
+perfectly deterministic, and a syntactic ban would need inline
+suppressions to say so.  R603 uses escape reasoning instead: a loop
+over an unordered iterable is only a finding when something
+*order-sensitive* leaves the loop — an ordered sequence is built
+(``.append``), a payload is emitted (``send``/``broadcast``/
+``decide``), a value is returned/yielded from inside the loop, a
+first-match ``break`` selects a winner, or the loop variable is handed
+to a function that provably carries it to such a sink (decided against
+the callee's interprocedural sink summary).
 
 Whether the iterable is unordered is itself interprocedural: a
 ``frozenset`` built three calls away, an annotated ``set`` parameter,
 or an ``InboxIndex.senders()`` view all taint the loop.
 
-The selector-tie check (``max``/``min``/``next`` over an unordered view
-without ``key=``) is carried over from R304 unchanged, so R603 is
-strictly stronger and the engine skips R304 whenever R603 runs.
+A second check covers selector ties: ``max``/``min``/``next`` over an
+unordered view without ``key=`` lets iteration order pick the winner.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.lint.rules.program_taint import _diag
 ORDER_LAYERS = ("core", "baselines")
 
 #: Unordered-view producers whose ties a key-less selector may break
-#: by iteration order (mirrors R304's ``TIE_METHODS``).
+#: by iteration order.
 TIE_NAMES = frozenset(
     {
         "set",

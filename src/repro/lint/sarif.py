@@ -96,7 +96,6 @@ def format_sarif(
                     "files": summary.files,
                     "findings": summary.findings,
                     "suppressed": summary.suppressed,
-                    "baselined": summary.baselined,
                 },
             }
         ],

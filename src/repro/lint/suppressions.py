@@ -8,19 +8,17 @@ Two forms, both carrying an optional justification after ``--``:
 
       self._rng = random.Random(seed)  # repro-lint: disable=R301 -- seeded here
 
-      # repro-lint: disable=R304 -- commutative set ops, order-free
-      for sender in tagged.senders(KIND_NOINPUT):
-          ...
+      # repro-lint: disable=R302 -- times its own setup, not a simulation
+      started = time.perf_counter()
 
 * file-scoped — a comment line anywhere in the file (conventionally at
   the top) silences matching findings in the whole file::
 
       # repro-lint: disable-file=R302 -- wall-clock layer by design
 
-``disable=all`` (or ``*``) matches every rule; otherwise the value is a
-comma-separated list of rule codes.  Unjustified file-scoped directives
-are themselves reported (code ``R001``) so blanket opt-outs stay
-visible in review.
+The value is a comma-separated list of rule codes; there is no
+wildcard.  Unjustified file-scoped directives are themselves reported
+(code ``R001``) so blanket opt-outs stay visible in review.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 _DIRECTIVE = re.compile(
     r"#\s*repro-lint:\s*(?P<scope>disable(?:-file)?)\s*=\s*"
-    r"(?P<codes>[A-Za-z0-9*,\s]+?)"
+    r"(?P<codes>[A-Za-z0-9,\s]+?)"
     r"(?:\s*--\s*(?P<reason>.*))?$"
 )
 
@@ -40,14 +38,14 @@ class Suppression:
     """One parsed directive."""
 
     line: int  # 1-based physical line of the comment
-    codes: frozenset[str]  # upper-cased rule codes; {"ALL"} for wildcards
+    codes: frozenset[str]  # upper-cased rule codes
     file_scoped: bool
     reason: str
     #: The comment stands alone on its line, so it guards the next line.
     own_line: bool = False
 
     def matches(self, code: str) -> bool:
-        return "ALL" in self.codes or code.upper() in self.codes
+        return code.upper() in self.codes
 
     def covers_line(self, line: int) -> bool:
         if self.file_scoped:
@@ -64,10 +62,9 @@ def parse_suppressions(source: str) -> list[Suppression]:
         match = _DIRECTIVE.search(text)
         if match is None:
             continue
-        raw = match.group("codes").replace("*", "all")
         codes = frozenset(
             part.strip().upper()
-            for part in raw.split(",")
+            for part in match.group("codes").split(",")
             if part.strip()
         )
         found.append(

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import all_program_rules, all_rules, run_paths
-from repro.lint.baseline import Baseline
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -35,22 +34,17 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
 def lint_tree(tmp_path):
     """Lint a dict of {relative path: source} and return the result."""
 
-    def _lint(files, select=None, baseline=None, program=True):
+    def _lint(files, select=None):
         root = write_tree(tmp_path / "tree", files)
         rules = all_rules()
-        program_rules = all_program_rules() if program else []
+        program_rules = all_program_rules()
         if select is not None:
             wanted = set(select)
             rules = [rule for rule in rules if rule.code in wanted]
             program_rules = [
                 rule for rule in program_rules if rule.code in wanted
             ]
-        return run_paths(
-            [root],
-            rules,
-            baseline=baseline or Baseline(),
-            program_rules=program_rules,
-        )
+        return run_paths([root], rules, program_rules=program_rules)
 
     return _lint
 

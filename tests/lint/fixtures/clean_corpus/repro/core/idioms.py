@@ -24,8 +24,8 @@ class ViewTracker:
 
 
 def commutative_removal(inbox, participants):
-    # The pattern behind total_order's R304 suppressions: set.discard
-    # in a loop over an unordered view is order-free.
+    # total_order's membership update: set.discard in a loop over an
+    # unordered view is order-free.
     for leaver in inbox.senders(KIND_ABSENT):
         participants.discard(leaver)
     for joiner in sorted(inbox.senders(KIND_PRESENT)):

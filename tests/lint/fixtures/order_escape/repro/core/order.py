@@ -1,6 +1,6 @@
-# Seeded R603 positives: set iteration order escaping through sinks the
-# syntactic R304 ban could never connect, plus the clean commutative
-# and sorted forms that R304 would have needed suppressions for.
+# Seeded R603 positives: set iteration order escaping through sinks a
+# per-file syntactic ban could never connect, plus the clean commutative
+# and sorted forms such a ban would have needed suppressions for.
 from repro.core.sinks import stash_deep
 from repro.sim.views import as_iter, sender_view
 

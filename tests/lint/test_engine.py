@@ -1,12 +1,10 @@
-"""Engine mechanics: layers, suppressions, baseline, output formats."""
+"""Engine mechanics: layers, suppressions, output formats."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from repro.lint import Diagnostic, fingerprint, run_paths
-from repro.lint.baseline import Baseline
 from repro.lint.engine import layer_of
 from repro.lint.rules import all_rules, rules_by_code
 
@@ -119,74 +117,20 @@ class TestSuppressions:
         )
         assert [d.code for d in result.diagnostics] == ["R001"]
 
-    def test_disable_all_wildcard(self, lint_tree):
-        result = lint_tree(
-            {
-                "repro/sim/x.py": (
-                    "import random  # repro-lint: disable=all -- fixture\n"
-                )
-            }
-        )
-        assert result.ok
-
-
-class TestBaseline:
-    def test_absorbs_exact_multiplicity(self, lint_tree, tmp_path):
-        files = {
-            "repro/sim/x.py": "import random\n",
-            "repro/sim/y.py": "import random\n",
-        }
-        raw = lint_tree(files)
-        assert len(raw.diagnostics) == 2
-        baseline = Baseline.from_diagnostics(raw.diagnostics)
-        # Re-running the same tree against the generated baseline: the
-        # tmp_path changes per fixture use, so rebuild in place.
-        clean = run_paths(
-            [tmp_path / "tree"], all_rules(), baseline=baseline
-        )
-        assert clean.ok
-        assert clean.summary.baselined == 2
-
-    def test_fingerprint_survives_line_shift(self):
-        a = Diagnostic("p.py", 5, 1, "R301", "m", source_line="import random")
-        b = Diagnostic("p.py", 50, 9, "R301", "m", source_line="import random")
-        assert fingerprint(a) == fingerprint(b)
-
-    def test_fingerprint_changes_with_content(self):
-        a = Diagnostic("p.py", 5, 1, "R301", "m", source_line="import random")
-        b = Diagnostic(
-            "p.py", 5, 1, "R301", "m", source_line="import random as r"
-        )
-        assert fingerprint(a) != fingerprint(b)
-
-    def test_roundtrip_through_file(self, tmp_path):
-        diag = Diagnostic(
-            "src/x.py", 3, 1, "R103", "m", source_line="def f(n):"
-        )
-        path = tmp_path / "baseline.json"
-        Baseline.from_diagnostics([diag]).write(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 1
-        assert loaded.absorb(diag)
-        assert not loaded.absorb(diag)  # multiplicity is exact
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
 
 class TestCli:
     def test_clean_tree_exits_zero(self, lint_cli, tmp_path):
         (tmp_path / "repro" / "core").mkdir(parents=True)
         good = tmp_path / "repro" / "core" / "good.py"
         good.write_text("x = 3 * 2 >= 4\n", encoding="utf-8")
-        proc = lint_cli(tmp_path, "--no-baseline")
+        proc = lint_cli(tmp_path)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_violation_exits_one_with_location(self, lint_cli, tmp_path):
         bad = tmp_path / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import os\nimport random\n", encoding="utf-8")
-        proc = lint_cli(tmp_path, "--no-baseline")
+        proc = lint_cli(tmp_path)
         assert proc.returncode == 1
         assert "bad.py:2:1: R301" in proc.stdout
 
@@ -194,7 +138,7 @@ class TestCli:
         bad = tmp_path / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import random\n", encoding="utf-8")
-        proc = lint_cli(tmp_path, "--no-baseline", "--format=json")
+        proc = lint_cli(tmp_path, "--format=json")
         payload = json.loads(proc.stdout)
         assert payload["summary"]["findings"] == 1
         assert payload["findings"][0]["code"] == "R301"
@@ -203,7 +147,7 @@ class TestCli:
     def test_syntax_error_is_reported(self, lint_cli, tmp_path):
         bad = tmp_path / "oops.py"
         bad.write_text("def broken(:\n", encoding="utf-8")
-        proc = lint_cli(bad, "--no-baseline")
+        proc = lint_cli(bad)
         assert proc.returncode == 1
         assert "E001" in proc.stdout
 
@@ -214,25 +158,12 @@ class TestCli:
     def test_list_rules(self, lint_cli):
         proc = lint_cli("--list-rules")
         assert proc.returncode == 0
-        for code in ("R101", "R203", "R304", "R403"):
+        for code in ("R101", "R203", "R403", "R603"):
             assert code in proc.stdout
 
     def test_select_subset(self, lint_cli, tmp_path):
         bad = tmp_path / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import random\n", encoding="utf-8")
-        proc = lint_cli(tmp_path, "--no-baseline", "--select=R302")
+        proc = lint_cli(tmp_path, "--select=R302")
         assert proc.returncode == 0  # R301 not selected
-
-    def test_write_baseline_then_clean(self, lint_cli, tmp_path):
-        bad = tmp_path / "repro" / "sim" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import random\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        wrote = lint_cli(
-            tmp_path, "--write-baseline", "--baseline", baseline
-        )
-        assert wrote.returncode == 0
-        clean = lint_cli(tmp_path, "--baseline", baseline)
-        assert clean.returncode == 0
-        assert "1 baselined" in clean.stdout

@@ -1,11 +1,10 @@
 """Self-timing budget for the whole-program lint of ``src``.
 
 The program passes must stay cheap enough to run on every commit.  The
-committed thresholds carry roughly 10x headroom over the measured cost
-(~1.2 s cold, ~1.0 s warm on the reference container, interpreter
-startup included) so the test only trips on an algorithmic regression —
-an accidental quadratic fixpoint, cache misses on unchanged files —
-never on machine noise.
+committed threshold carries roughly 10x headroom over the measured cost
+(~1.2 s, interpreter startup included) so the test only trips on an
+algorithmic regression — an accidental quadratic fixpoint — never on
+machine noise.
 """
 
 from __future__ import annotations
@@ -15,80 +14,24 @@ import subprocess
 import sys
 import time
 
-from repro.lint.program.cache import ProgramCache
-
 from .conftest import REPO_ROOT
 
-COLD_BUDGET_SECONDS = 15.0
-WARM_BUDGET_SECONDS = 12.0
+BUDGET_SECONDS = 15.0
 
 
-def _timed_run(cache_path) -> tuple[float, subprocess.CompletedProcess]:
+def test_full_lint_fits_budget():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     start = time.perf_counter()
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro.lint",
-            "src",
-            "--program-cache",
-            str(cache_path),
-        ],
+        [sys.executable, "-m", "repro.lint", "src"],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
         text=True,
     )
-    return time.perf_counter() - start, proc
-
-
-def test_full_lint_fits_budget_cold_and_warm(tmp_path):
-    cache_path = tmp_path / "facts.json"
-
-    cold, proc = _timed_run(cache_path)
+    elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert cold < COLD_BUDGET_SECONDS, (
-        f"cold whole-program lint took {cold:.2f}s "
-        f"(budget {COLD_BUDGET_SECONDS}s)"
+    assert elapsed < BUDGET_SECONDS, (
+        f"whole-program lint took {elapsed:.2f}s (budget {BUDGET_SECONDS}s)"
     )
-    assert cache_path.exists(), "run did not persist the facts cache"
-
-    warm, proc = _timed_run(cache_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert warm < WARM_BUDGET_SECONDS, (
-        f"warm whole-program lint took {warm:.2f}s "
-        f"(budget {WARM_BUDGET_SECONDS}s)"
-    )
-
-
-def test_warm_cache_skips_all_extraction(tmp_path):
-    # The budget above tolerates noise; this pins the mechanism — a
-    # second run over an unchanged tree must not re-extract anything.
-    from repro.lint import all_program_rules, all_rules, run_paths
-    from repro.lint.baseline import Baseline
-
-    cache_path = tmp_path / "facts.json"
-    baseline = REPO_ROOT / "lint-baseline.json"
-
-    cache = ProgramCache(cache_path)
-    run_paths(
-        [REPO_ROOT / "src"],
-        all_rules(),
-        baseline=Baseline.load(baseline),
-        program_rules=all_program_rules(),
-        cache=cache,
-    )
-    assert cache.misses > 0 and cache.hits == 0
-
-    warm = ProgramCache(cache_path)
-    run_paths(
-        [REPO_ROOT / "src"],
-        all_rules(),
-        baseline=Baseline.load(baseline),
-        program_rules=all_program_rules(),
-        cache=warm,
-    )
-    assert warm.misses == 0, "warm run re-extracted unchanged modules"
-    assert warm.hits == cache.misses

@@ -1,4 +1,4 @@
-"""The whole-program model: symbols, resolution, call graph, cache."""
+"""The whole-program model: module naming, symbols, call resolution."""
 
 from __future__ import annotations
 
@@ -7,10 +7,9 @@ from pathlib import Path
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import load_context
 from repro.lint.program import build_program
-from repro.lint.program.cache import ProgramCache, content_digest
 from repro.lint.program.symbols import module_name_of
 
-from .conftest import FIXTURES, write_tree
+from .conftest import FIXTURES
 
 
 def _contexts(root: Path):
@@ -21,8 +20,18 @@ def _contexts(root: Path):
     ]
 
 
-def _build(root: Path, cache=None):
-    return build_program(_contexts(root), cache=cache)
+def _build(root: Path):
+    return build_program(_contexts(root))
+
+
+def _callees(model, qualname: str) -> set[str]:
+    """Qualnames of every call in *qualname* the resolver can place."""
+    facts = model.functions[qualname]
+    targets = (
+        model.resolver.resolve_ref(facts.module, call.ref)
+        for call in facts.calls
+    )
+    return {target.qualname for target in targets if target is not None}
 
 
 class TestModuleNaming:
@@ -57,71 +66,17 @@ class TestSymbolsAndCallGraph:
         # core.proto calls exported_roster, which is a re-export of
         # sim.surface.roster_alias; the edge must land on the original.
         model = _build(FIXTURES / "taint_membership")
-        graph = model.call_graph()
-        edges = graph["repro.core.proto.learn"]
+        edges = _callees(model, "repro.core.proto.learn")
         assert "repro.sim.surface.roster_alias" in edges
 
     def test_call_graph_resolves_same_module_helpers(self):
         model = _build(FIXTURES / "taint_membership")
-        graph = model.call_graph()
-        assert "repro.sim.surface.roster" in graph[
-            "repro.sim.surface.roster_alias"
-        ]
-
-    def test_import_graph_restricted_to_analyzed_modules(self):
-        model = _build(FIXTURES / "taint_membership")
-        graph = model.import_graph()
-        assert "repro.sim.surface" in graph["repro.sim.exports"]
-        # stdlib/unanalyzed imports never show up
-        for targets in graph.values():
-            assert all(t in model.modules for t in targets)
+        assert "repro.sim.surface.roster" in _callees(
+            model, "repro.sim.surface.roster_alias"
+        )
 
     def test_method_resolution_through_self(self):
         model = _build(FIXTURES / "clean_corpus")
-        graph = model.call_graph()
-        callers = graph["repro.core.idioms.tally_from_messages"]
+        callers = _callees(model, "repro.core.idioms.tally_from_messages")
         assert "repro.core.idioms.ViewTracker.observe" in callers
         assert "repro.core.idioms.ViewTracker.count" in callers
-
-
-class TestFactsCache:
-    def test_warm_cache_hits_every_module(self, tmp_path):
-        cache_path = tmp_path / "facts.json"
-        cache = ProgramCache(cache_path)
-        _build(FIXTURES / "clean_corpus", cache=cache)
-        assert cache.misses > 0 and cache.hits == 0
-        warm = ProgramCache(cache_path)
-        _build(FIXTURES / "clean_corpus", cache=warm)
-        assert warm.misses == 0
-        assert warm.hits == cache.misses
-
-    def test_edit_invalidates_only_that_module(self, tmp_path):
-        root = write_tree(
-            tmp_path / "tree",
-            {
-                "repro/core/a.py": "def f():\n    return 1\n",
-                "repro/core/b.py": "def g():\n    return 2\n",
-            },
-        )
-        cache_path = tmp_path / "facts.json"
-        _build(root, cache=ProgramCache(cache_path))
-        edited = root / "repro" / "core" / "a.py"
-        edited.write_text("def f():\n    return 3\n", encoding="utf-8")
-        warm = ProgramCache(cache_path)
-        model = _build(root, cache=warm)
-        assert warm.hits == 1 and warm.misses == 1
-        # the re-extracted facts reflect the edit
-        assert "repro.core.a" in model.modules
-
-    def test_cached_and_fresh_facts_agree(self, tmp_path):
-        cache_path = tmp_path / "facts.json"
-        cold = _build(FIXTURES / "taint_float", cache=ProgramCache(cache_path))
-        warm = _build(
-            FIXTURES / "taint_float", cache=ProgramCache(cache_path)
-        )
-        cold_summary = cold.taint("float").summaries
-        warm_summary = warm.taint("float").summaries
-        assert cold_summary == warm_summary
-
-    def test_content_digest_changes_with_content(self):
-        assert content_digest("a = 1\n") != content_digest("a = 2\n")

@@ -339,7 +339,7 @@ class TestSeededViolationCli:
             "    api._outbox.send(dest, 'x', None, None)\n",
             encoding="utf-8",
         )
-        proc = lint_cli(tmp_path, "--no-baseline")
+        proc = lint_cli(tmp_path)
         assert proc.returncode == 1
         assert "forger.py:2:" in proc.stdout
         assert "R402" in proc.stdout

@@ -113,6 +113,19 @@ class TestKnownPopulationParameter:
         )
         assert codes(result) == ["R103", "R103"]
 
+    def test_baselines_layer_out_of_scope(self, lint_tree):
+        # The classical comparators know n and f by definition.
+        result = lint_tree(
+            {
+                "repro/baselines/classic.py": """\
+                class P:
+                    def __init__(self, value, n, f):
+                        self.quorum = n - f
+                """
+            }
+        )
+        assert result.ok
+
     def test_n_v_parameter_passes(self, lint_tree):
         result = lint_tree(
             {
@@ -136,7 +149,7 @@ class TestSeededViolationCli:
             "    return len(network.nodes)\n",
             encoding="utf-8",
         )
-        proc = lint_cli(tmp_path, "--no-baseline")
+        proc = lint_cli(tmp_path)
         assert proc.returncode == 1
         assert "sneaky.py:2:" in proc.stdout
         assert "R102" in proc.stdout

@@ -3,18 +3,12 @@
 from __future__ import annotations
 
 from repro.lint import all_program_rules, all_rules, run_paths
-from repro.lint.baseline import Baseline
 
 from .conftest import FIXTURES
 
 
 def _lint(root):
-    return run_paths(
-        [root],
-        all_rules(),
-        baseline=Baseline(),
-        program_rules=all_program_rules(),
-    )
+    return run_paths([root], all_rules(), program_rules=all_program_rules())
 
 
 def _r701(result):

@@ -1,20 +1,14 @@
-"""R603 — unordered-iteration escape analysis (the R304 replacement)."""
+"""R603 — unordered-iteration escape analysis."""
 
 from __future__ import annotations
 
 from repro.lint import all_program_rules, all_rules, run_paths
-from repro.lint.baseline import Baseline
 
 from .conftest import FIXTURES
 
 
 def _lint(root):
-    return run_paths(
-        [root],
-        all_rules(),
-        baseline=Baseline(),
-        program_rules=all_program_rules(),
-    )
+    return run_paths([root], all_rules(), program_rules=all_program_rules())
 
 
 def _r603(result):
@@ -57,25 +51,16 @@ class TestUnorderedEscape:
         assert flagged_lines == {13, 22, 30}
 
     def test_real_core_suppression_sites_are_clean_under_r603(self):
-        # total_order/parallel_consensus carry R304 suppressions for
-        # commutative set ops; R603's escape reasoning needs none.
+        # The commutative set ops of total_order/parallel_consensus:
+        # R603's escape reasoning needs no suppression for them.
         result = _lint(FIXTURES / "clean_corpus")
         assert not _r603(result)
 
 
 class TestSupersession:
-    def test_r304_skipped_when_r603_active(self, lint_tree):
-        files = {
-            "repro/core/bad.py": """\
-            def first(inbox):
-                for sender in set(inbox.raw()):
-                    return sender
-            """
-        }
-        with_program = lint_tree(files)
-        assert {d.code for d in with_program.diagnostics} == {"R603"}
+    """R603 reports every input the old syntactic set-iteration ban did."""
 
-    def test_r304_still_runs_without_program_passes(self, lint_tree):
+    def test_first_of_fresh_set_flagged(self, lint_tree):
         files = {
             "repro/core/bad.py": """\
             def first(inbox):
@@ -83,12 +68,11 @@ class TestSupersession:
                     return sender
             """
         }
-        without = lint_tree(files, program=False)
-        assert {d.code for d in without.diagnostics} == {"R304"}
+        assert {d.code for d in lint_tree(files).diagnostics} == {"R603"}
 
     def test_selector_tie_check_carried_over(self, lint_tree):
-        # max() without key= over an unordered view: R304's other half
-        # must survive in R603.
+        # max() without key= over an unordered view lets iteration
+        # order break the tie.
         files = {
             "repro/core/bad.py": """\
             def leader(votes):

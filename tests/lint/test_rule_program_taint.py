@@ -7,7 +7,6 @@ R1xx/R2xx rules see nothing in these trees.
 from __future__ import annotations
 
 from repro.lint import all_program_rules, all_rules, run_paths
-from repro.lint.baseline import Baseline
 
 from .conftest import FIXTURES
 
@@ -16,9 +15,7 @@ def _lint(root, codes=None):
     program = all_program_rules()
     if codes:
         program = [r for r in program if r.code in codes]
-    return run_paths(
-        [root], all_rules(), baseline=Baseline(), program_rules=program
-    )
+    return run_paths([root], all_rules(), program_rules=program)
 
 
 def _findings(result, code):
@@ -100,7 +97,5 @@ class TestSyntacticRulesSeeNothing:
         # The whole reason for phase two: with the program passes off,
         # these corpora look perfectly clean.
         for corpus in ("taint_membership", "taint_float"):
-            result = run_paths(
-                [FIXTURES / corpus], all_rules(), baseline=Baseline()
-            )
+            result = run_paths([FIXTURES / corpus], all_rules())
             assert result.ok, corpus

@@ -127,7 +127,7 @@ class TestSeededViolationCli:
             "    return count >= 2 * n_v / 3\n",
             encoding="utf-8",
         )
-        proc = lint_cli(tmp_path, "--no-baseline")
+        proc = lint_cli(tmp_path)
         assert proc.returncode == 1
         assert "floaty.py:2:" in proc.stdout
         assert "R201" in proc.stdout

@@ -46,7 +46,7 @@ class TestSarifDocument:
         rules = [*all_rules(), *all_program_rules()]
         doc = json.loads(format_sarif([], Summary(), rules=rules))
         ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"R101", "R304", "R601", "R602", "R603", "R701"} <= ids
+        assert {"R101", "R301", "R601", "R602", "R603", "R701"} <= ids
 
     def test_results_sorted_and_deterministic(self):
         diags = [
@@ -65,14 +65,10 @@ class TestSarifDocument:
         assert uris == sorted(uris)
 
     def test_summary_counters_recorded(self):
-        doc = json.loads(
-            format_sarif(
-                [], Summary(files=94, suppressed=2, baselined=8)
-            )
-        )
+        doc = json.loads(format_sarif([], Summary(files=94, suppressed=2)))
         props = doc["runs"][0]["properties"]
         assert props["files"] == 94
-        assert props["baselined"] == 8
+        assert props["suppressed"] == 2
 
 
 class TestSarifCli:
@@ -93,6 +89,5 @@ class TestSarifCli:
             "files",
             "findings",
             "suppressed",
-            "baselined",
             "by_code",
         }
