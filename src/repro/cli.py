@@ -5,13 +5,13 @@ Subcommands:
 * ``repro run <protocol>`` — one seeded run of any core protocol against
   a chosen adversary, with the outcome and metrics printed; accepts
   ``--scenario FILE`` to replay a serialized :class:`RunSpec` instead
-  (e.g. a campaign violation artifact);
+  (e.g. a campaign violation artifact), and ``--events FILE`` to record
+  the run's event stream (two runs of one spec write identical bytes);
 * ``repro sweep <protocol>`` — a resiliency sweep over ``f`` for a fixed
   population, printing the success-rate table;
 * ``repro matrix <protocol>`` — every registered adversary, one table;
 * ``repro campaign [protocol]`` — a Monte Carlo churn campaign: many
   seed-derived RunSpecs in a worker pool, per-monitor violation rates;
-* ``repro record <protocol>`` — record a run to JSONL, or verify one;
 * ``repro demo impossibility`` — the §9 partition/embedding experiments;
 * ``repro lint`` — the static model-invariant checker (``repro.lint``).
 
@@ -45,7 +45,6 @@ from repro.scenario import (
     RunSpec,
     SAMPLED_PROTOCOLS,
     collector_paused,
-    materialize,
     run_spec,
 )
 
@@ -251,31 +250,6 @@ def cmd_campaign(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_record(args) -> int:
-    from repro.sim.replay import RunRecording, record_scenario, verify_replay
-
-    scenario = materialize(_spec_from_args(args, seed=args.seed))
-    if args.verify:
-        recording = RunRecording.load(args.verify)
-        differences = verify_replay(scenario, recording)
-        if differences:
-            print("REPLAY MISMATCH:")
-            for difference in differences:
-                print(f"  {difference}")
-            return 1
-        print(
-            f"replay of {args.verify} matches: "
-            f"{len(recording.deliveries)} deliveries, "
-            f"{recording.rounds} rounds, outputs identical"
-        )
-        return 0
-    result, recording = record_scenario(scenario)
-    recording.save(args.out)
-    print(f"recorded {len(recording.deliveries)} deliveries over "
-          f"{result.rounds} rounds -> {args.out}")
-    return 0
-
-
 def cmd_demo(args) -> int:
     from repro.asyncsim import run_async_partition, run_semisync_embedding
 
@@ -451,21 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_p.set_defaults(
         func=cmd_campaign, variant="full", force=False
     )
-
-    record_p = sub.add_parser(
-        "record", help="record a run to JSONL, or verify one"
-    )
-    common(record_p)
-    record_p.add_argument("--seed", type=int, default=0)
-    record_p.add_argument(
-        "--out", default="run.jsonl", help="recording output path"
-    )
-    record_p.add_argument(
-        "--verify",
-        default=None,
-        help="verify a prior recording instead of writing one",
-    )
-    record_p.set_defaults(func=cmd_record)
 
     demo_p = sub.add_parser("demo", help="canned demonstrations")
     demo_p.add_argument("what", choices=["impossibility"])

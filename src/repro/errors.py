@@ -45,6 +45,20 @@ class RoundLimitExceeded(SimulationError):
         )
 
 
+class EventStreamError(ReproError, ValueError):
+    """A JSONL event stream cannot be read.
+
+    Raised by :mod:`repro.obs.jsonl`'s readers with the 1-based line
+    number of the offending line: malformed JSON, a line that is not an
+    object or has no ``topic``, a schema newer than the reader, or a
+    ``protocol`` line missing a field.
+    """
+
+    def __init__(self, line: int, problem: str):
+        self.line = line
+        super().__init__(f"events line {line}: {problem}")
+
+
 class PropertyViolation(ReproError):
     """A checked correctness property (agreement, validity, ...) failed.
 

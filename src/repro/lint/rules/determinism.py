@@ -1,12 +1,12 @@
 """R3xx — simulator determinism (DESIGN.md "determinism is sacred").
 
-Every run must be exactly reproducible from its seed: recordings are
-verified byte-for-byte (``repro record --verify``), and the adversarial
-matrix relies on replayable failures.  Randomness must therefore flow
-through :func:`repro.sim.rng.make_rng`, and wall clocks stay confined
-to the real-network layer (``repro.net``) and offline analysis.
-Iteration order leaking out of unordered collections is the concern of
-the whole-program rule R603.
+Every run must be exactly reproducible from its seed: recorded event
+streams (``repro run --events``) are re-run and compared line for line,
+and the adversarial matrix relies on replayable failures.  Randomness
+must therefore flow through :func:`repro.sim.rng.make_rng`, and wall
+clocks stay confined to the real-network layer (``repro.net``) and
+offline analysis.  Iteration order leaking out of unordered collections
+is the concern of the whole-program rule R603.
 """
 
 from __future__ import annotations

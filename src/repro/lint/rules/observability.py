@@ -21,16 +21,13 @@ from repro.lint.engine import FileContext, Rule
 PROTOCOL_LAYERS = ("core", "baselines")
 
 #: Observability plumbing classes protocol code must never name.
-PLUMBING_NAMES = frozenset(
-    {"EventBus", "Trace", "Metrics", "JsonlSink", "RecordingNetwork"}
-)
+PLUMBING_NAMES = frozenset({"EventBus", "Trace", "Metrics", "JsonlSink"})
 
 #: Modules whose import into protocol code means plumbing access.
 PLUMBING_MODULES = (
     "repro.obs",
     "repro.sim.trace",
     "repro.sim.metrics",
-    "repro.sim.replay",
 )
 
 

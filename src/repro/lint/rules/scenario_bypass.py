@@ -27,7 +27,6 @@ CONSTRUCTION_NAMES = frozenset(
     {
         "SyncNetwork",
         "LossyNetwork",
-        "RecordingNetwork",
         "Scenario",
         "run_scenario",
     }

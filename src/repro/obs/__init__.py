@@ -4,7 +4,7 @@ Producers (:mod:`repro.sim.network`, :mod:`repro.net.runner`,
 :mod:`repro.asyncsim.engine`) publish the typed events of
 :mod:`repro.obs.events` onto an :class:`EventBus`; consumers —
 :class:`~repro.sim.metrics.Metrics`, :class:`~repro.sim.trace.Trace`,
-the online monitors, timelines, replay recorders, and JSONL files —
+the online monitors, timelines, and JSONL files —
 subscribe.  See docs/observability.md.
 """
 

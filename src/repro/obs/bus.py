@@ -4,7 +4,7 @@ An :class:`EventBus` carries the typed events of
 :mod:`repro.obs.events` from whichever runtime is executing a run to
 whatever wants to observe it — :class:`~repro.sim.metrics.Metrics`
 counters, the :class:`~repro.sim.trace.Trace` log, online monitors
-(:mod:`repro.analysis.monitor`), replay recorders, JSONL files.
+(:mod:`repro.analysis.monitor`), JSONL files.
 
 Design constraints, in order:
 

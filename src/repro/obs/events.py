@@ -10,7 +10,7 @@ subscribers must never mutate what they receive.  The sync simulator (:mod:`repr
 the TCP lock-step runner (:mod:`repro.net.runner`) and the discrete-event
 engine (:mod:`repro.asyncsim.engine`) all publish the *same* classes onto
 an :class:`~repro.obs.bus.EventBus`, so every consumer — traces, metrics,
-online monitors, timelines, replay recorders, JSONL files — works
+online monitors, timelines, JSONL files — works
 unchanged whichever runtime drove the run.
 
 Topics

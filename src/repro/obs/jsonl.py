@@ -9,9 +9,10 @@ One JSON object per line; the first line is a schema header::
 
 JSON-native values pass through; dicts and sequences recurse (tuples
 become JSON arrays); everything else (``⊥``, frozensets, protocol
-payload objects) is rendered via ``repr`` — the same witness-not-wire
-convention :mod:`repro.sim.replay` uses — so a recording is diffable
-and greppable with ordinary tools without committing to a wire codec.
+payload objects) is rendered via ``repr`` — a witness, not a wire
+format — so a stream is diffable and greppable with ordinary tools
+without committing to a wire codec.  Two runs of one spec write the
+same bytes, so ``cmp`` is a determinism check.
 
 ``deliver`` events render their message batch as a count plus a list of
 ``{"from", "kind", "payload", "instance"}`` objects, so post-processing
@@ -26,7 +27,8 @@ import pathlib
 from dataclasses import fields
 from typing import Any, Iterable, Iterator
 
-from repro.obs.events import SCHEMA_VERSION, EVENT_TYPES, ProtocolEvent
+from repro.errors import EventStreamError
+from repro.obs.events import SCHEMA_VERSION, ProtocolEvent
 
 __all__ = [
     "JsonlSink",
@@ -132,50 +134,73 @@ class JsonlSink:
         self.close()
 
 
-def read_jsonl(source) -> Iterator[dict]:
-    """Iterate the event dicts of a JSONL recording (header included).
-
-    *source* is a path or an iterable of lines.  Raises ``ValueError``
-    on a schema version newer than this reader understands.
-    """
+def _numbered_docs(source) -> Iterator[tuple[int, dict]]:
+    """``(1-based line number, event dict)`` for each non-blank line."""
     lines: Iterable[str]
     if isinstance(source, (str, pathlib.Path)):
         lines = pathlib.Path(source).read_text(encoding="utf-8").splitlines()
     else:
         lines = source
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        doc = json.loads(line)
-        if doc.get("topic") == "schema" and doc.get("v", 0) > SCHEMA_VERSION:
-            raise ValueError(
-                f"events file has schema v{doc['v']}; this reader "
-                f"understands up to v{SCHEMA_VERSION}"
+        try:
+            doc = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            problem = getattr(exc, "msg", exc)
+            raise EventStreamError(number, f"not JSON ({problem})") from None
+        if not isinstance(doc, dict):
+            raise EventStreamError(
+                number, f"expected a JSON object, got {type(doc).__name__}"
             )
+        if not isinstance(doc.get("topic"), str):
+            raise EventStreamError(number, "no 'topic' string")
+        if doc["topic"] == "schema":
+            version = doc.get("v", 0)
+            if not isinstance(version, int) or version > SCHEMA_VERSION:
+                raise EventStreamError(
+                    number,
+                    f"schema v{version!r}; this reader understands up "
+                    f"to v{SCHEMA_VERSION}",
+                )
+        yield number, doc
+
+
+def read_jsonl(source) -> Iterator[dict]:
+    """Iterate the event dicts of a JSONL stream (header included).
+
+    *source* is a path or an iterable of lines.  Raises
+    :class:`~repro.errors.EventStreamError` naming the line for
+    malformed JSON, a line that is not an object or has no ``topic``,
+    and a schema version newer than this reader understands.
+    """
+    for _number, doc in _numbered_docs(source):
         yield doc
 
 
 def load_protocol_events(source) -> list[ProtocolEvent]:
-    """Rehydrate the semantic (``protocol``) events of a recording.
+    """Rehydrate the semantic (``protocol``) events of a stream.
 
     Payload values inside ``detail`` come back as their JSONL rendering
     (JSON-native values intact, everything else as ``repr`` strings) —
-    enough for timelines, monitors, and stream diffing.
+    enough for timelines, monitors, and stream diffing.  A ``protocol``
+    line without ``round``, ``node`` or ``event``, or with a ``detail``
+    that is not an object, raises :class:`~repro.errors.EventStreamError`.
     """
     events: list[ProtocolEvent] = []
-    for doc in read_jsonl(source):
-        if doc.get("topic") != ProtocolEvent.topic:
+    for number, doc in _numbered_docs(source):
+        if doc["topic"] != ProtocolEvent.topic:
             continue
-        events.append(
-            ProtocolEvent(
-                doc["round"], doc["node"], doc["event"],
-                dict(doc.get("detail", {})),
+        missing = [k for k in ("round", "node", "event") if k not in doc]
+        if missing:
+            raise EventStreamError(
+                number, f"protocol event lacks {', '.join(missing)}"
             )
+        detail = doc.get("detail", {})
+        if not isinstance(detail, dict):
+            raise EventStreamError(number, "protocol detail is not an object")
+        events.append(
+            ProtocolEvent(doc["round"], doc["node"], doc["event"], dict(detail))
         )
     return events
-
-
-#: Topic -> event class map, re-exported for consumers that want to
-#: dispatch on rehydrated dicts.
-TOPICS = dict(EVENT_TYPES)

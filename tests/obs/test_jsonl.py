@@ -6,7 +6,9 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import EventStreamError
 from repro.obs import (
     SCHEMA_VERSION,
     EventBus,
@@ -139,3 +141,52 @@ class TestReaders:
         line = json.dumps({"topic": "schema", "v": SCHEMA_VERSION + 1})
         with pytest.raises(ValueError):
             list(read_jsonl([line]))
+
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            ("{not json", "not JSON"),
+            ("[" * 100_000, "not JSON"),  # the decoder's recursion limit
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('{"round": 3}', "no 'topic'"),
+            ('{"topic": "schema", "v": 99}', "schema v99"),
+        ],
+        ids=["syntax", "nesting", "array", "no-topic", "newer-schema"],
+    )
+    def test_malformed_line_is_named(self, bad, problem):
+        lines = [json.dumps({"topic": "schema", "v": 1}), "", bad]
+        with pytest.raises(EventStreamError, match=problem) as info:
+            list(read_jsonl(lines))
+        assert info.value.line == 3
+        assert str(info.value).startswith("events line 3: ")
+
+    def test_protocol_line_without_its_fields_is_named(self):
+        lines = ['{"topic": "round-start", "round": 1}',
+                 '{"topic": "protocol", "round": 1, "detail": {}}']
+        with pytest.raises(EventStreamError, match="lacks node, event") as e:
+            load_protocol_events(lines)
+        assert e.value.line == 2
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=8,
+)
+_doc = st.fixed_dictionaries(
+    {"topic": st.sampled_from(["schema", "protocol", "deliver"])},
+    optional={key: _json for key in ("v", "round", "node", "event", "detail")},
+)
+_line = st.text() | _json.map(json.dumps) | _doc.map(json.dumps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_line, max_size=6))
+def test_any_lines_read_as_dicts_or_a_stream_error(lines):
+    try:
+        docs = list(read_jsonl(lines))
+        events = load_protocol_events(lines)
+    except EventStreamError:
+        return
+    assert all(isinstance(doc, dict) and "topic" in doc for doc in docs)
+    assert all(isinstance(event, ProtocolEvent) for event in events)

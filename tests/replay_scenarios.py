@@ -1,21 +1,19 @@
-"""Representative scenarios pinned by committed replay recordings.
+"""Representative scenarios pinned by committed event streams.
 
 These four runs — reliable broadcast, rotor, consensus, and parallel
 consensus, each under a rushing adversary — are the round engine's
-refactor safety net.  Their recordings live in ``tests/data/`` and are
-checked by ``tests/integration/test_replay_equivalence.py``: any engine
-change that alters a single delivery, output, or round count in any of
-them names the first diverging delivery.
+refactor safety net.  Each ``tests/data/replay_<name>.jsonl`` is exactly
+the ``repro run --scenario SPEC --events FILE`` output of its spec, and
+``tests/integration/test_replay_equivalence.py`` re-runs the spec and
+compares the two streams line for line: any engine change that alters a
+single send, delivery (or its order), protocol event, or round count in
+any of them names the first diverging line.
 
 Each scenario is a declarative :class:`~repro.scenario.RunSpec`
 materialized through :mod:`repro.scenario` — the same construction path
-as the CLI, benchmarks, and campaign runner — so the recordings pin the
+as the CLI, benchmarks, and campaign runner — so the streams pin the
 scenario layer's wiring (id assignment, input resolution, adversary
 wrapping) along with the engine.
-
-None of the scenarios uses a membership schedule, so their recordings
-are invariant under the delivery-time broadcast-recipient semantics
-(joiners are the only runs the fix intentionally changes).
 
 Regenerate after an *intentional* wire-behaviour change with::
 
@@ -26,15 +24,16 @@ and document the change in DESIGN.md.
 
 from __future__ import annotations
 
+import io
 import pathlib
 
-from repro.scenario import RunSpec, materialize
-from repro.sim.runner import Scenario
+from repro.obs import EventBus
+from repro.scenario import RunSpec, run_spec
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
-#: name -> the RunSpec behind each committed recording.
+#: name -> the RunSpec behind each committed stream.
 SPECS = {
     "reliable_broadcast": RunSpec(
         protocol="reliable-broadcast",
@@ -77,29 +76,53 @@ SPECS = {
 }
 
 
-def build_scenario(name: str) -> Scenario:
-    return materialize(SPECS[name])
-
-
-#: name -> zero-argument Scenario builder, one per committed recording.
-SCENARIOS = {
-    name: (lambda name=name: build_scenario(name)) for name in SPECS
-}
-
-
 def recording_path(name: str) -> pathlib.Path:
     return DATA_DIR / f"replay_{name}.jsonl"
 
 
-def regenerate() -> None:
-    from repro.sim.replay import record_scenario
+def stream(spec: RunSpec) -> str:
+    """The ``--events`` JSONL stream of one run of *spec*.
 
-    for name, build in SCENARIOS.items():
-        _result, recording = record_scenario(build())
-        recording.save(recording_path(name))
+    The same path ``repro run --events`` takes: a JSONL sink on the
+    run's event bus, attached before the run starts.
+    """
+    bus = EventBus()
+    buffer = io.StringIO()
+    sink = bus.to_jsonl(buffer)
+    try:
+        run_spec(spec, bus=bus)
+    finally:
+        sink.close()
+    return buffer.getvalue()
+
+
+def first_divergence(fresh: str, recorded: str) -> str | None:
+    """Where two streams first differ (1-based line), or ``None``."""
+    fresh_lines = fresh.splitlines()
+    recorded_lines = recorded.splitlines()
+    for number, (new, old) in enumerate(
+        zip(fresh_lines, recorded_lines), start=1
+    ):
+        if new != old:
+            return (
+                f"line {number} differs:\n"
+                f"  fresh:    {new}\n"
+                f"  recorded: {old}"
+            )
+    if len(fresh_lines) != len(recorded_lines):
+        return (
+            f"fresh stream has {len(fresh_lines)} lines, "
+            f"recorded stream has {len(recorded_lines)}"
+        )
+    return None
+
+
+def regenerate() -> None:
+    for name, spec in SPECS.items():
+        text = stream(spec)
+        recording_path(name).write_text(text, encoding="utf-8")
         print(
-            f"{name}: {recording.rounds} rounds, "
-            f"{len(recording.deliveries)} deliveries -> "
+            f"{name}: {len(text.splitlines())} lines -> "
             f"{recording_path(name)}"
         )
 

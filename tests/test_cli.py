@@ -142,61 +142,17 @@ class TestCommands:
             "d1aacd0e7542d86137050a5477a851c1"
         )
 
-    def test_record_and_verify_roundtrip(self, tmp_path, capsys):
-        out = tmp_path / "run.jsonl"
-        assert (
-            main(
-                [
-                    "record",
-                    "consensus",
-                    "--n",
-                    "7",
-                    "--f",
-                    "2",
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        assert out.exists()
-        assert (
-            main(
-                [
-                    "record",
-                    "consensus",
-                    "--n",
-                    "7",
-                    "--f",
-                    "2",
-                    "--verify",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        assert "matches" in capsys.readouterr().out
+    def test_run_events_of_a_replay_spec_are_its_recording(
+        self, tmp_path, capsys
+    ):
+        from tests.replay_scenarios import SPECS, recording_path
 
-    def test_record_verify_detects_mismatch(self, tmp_path, capsys):
-        out = tmp_path / "run.jsonl"
-        main(["record", "consensus", "--n", "7", "--f", "2", "--out",
-              str(out)])
-        code = main(
-            [
-                "record",
-                "consensus",
-                "--n",
-                "7",
-                "--f",
-                "2",
-                "--seed",
-                "9",
-                "--verify",
-                str(out),
-            ]
-        )
-        assert code == 1
-        assert "MISMATCH" in capsys.readouterr().out
+        spec = SPECS["rotor"].save(tmp_path / "rotor.json")
+        events = tmp_path / "rotor.jsonl"
+        code = main(["run", "--scenario", str(spec), "--events", str(events)])
+        assert code == 0
+        assert f"-> {events}" in capsys.readouterr().out
+        assert events.read_bytes() == recording_path("rotor").read_bytes()
 
     def test_matrix_command(self, capsys):
         code = main(

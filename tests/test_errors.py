@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
+    EventStreamError,
     PropertyViolation,
     ProtocolViolation,
     ReproError,
@@ -17,6 +18,7 @@ class TestHierarchy:
         "exc",
         [
             ConfigurationError,
+            EventStreamError,
             PropertyViolation,
             ProtocolViolation,
             SimulationError,
@@ -24,6 +26,9 @@ class TestHierarchy:
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
+
+    def test_event_stream_error_is_a_value_error(self):
+        assert issubclass(EventStreamError, ValueError)
 
     def test_round_limit_is_simulation_error(self):
         assert issubclass(RoundLimitExceeded, SimulationError)
