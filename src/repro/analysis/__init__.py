@@ -1,13 +1,13 @@
-"""Run analysis: property checkers, statistics, sweeps, and reports.
+"""Run analysis: property checkers, monitors, the judge, and reports.
 
 * :mod:`~repro.analysis.checkers` — machine-checkable versions of every
   guarantee the paper proves (agreement, validity, the three
   reliable-broadcast properties, the rotor's good round, approximate
   agreement's range conditions, chain prefix/growth);
-* :mod:`~repro.analysis.stats` — aggregate many runs into summary rows;
-* :mod:`~repro.analysis.sweep` — parameter grids over (n, f, adversary,
-  seed);
-* :mod:`~repro.analysis.campaign` — Monte Carlo churn campaigns: many
+* :mod:`~repro.analysis.monitor` — online monitors that name the round
+  a property broke in;
+* :mod:`~repro.analysis.campaign` — :func:`judge`, the one verdict per
+  spec that every harness uses, and Monte Carlo churn campaigns: many
   seed-derived RunSpecs in a worker pool, per-monitor violation rates;
 * :mod:`~repro.analysis.report` — ASCII tables for EXPERIMENTS.md.
 """
@@ -18,6 +18,7 @@ from repro.analysis.campaign import (
     derive_seed,
     evaluate_spec,
     format_campaign_report,
+    judge,
     run_campaign,
 )
 from repro.analysis.checkers import (
@@ -30,8 +31,6 @@ from repro.analysis.checkers import (
     check_rotor_good_round,
     check_validity,
 )
-from repro.analysis.stats import RunStats, summarize_runs
-from repro.analysis.sweep import SweepResult, sweep
 from repro.analysis.complexity import classify_growth, fit_line
 from repro.analysis.monitor import (
     AgreementMonitor,
@@ -58,8 +57,6 @@ __all__ = [
     "OracleReport",
     "OracleVerdict",
     "RelayMonitor",
-    "RunStats",
-    "SweepResult",
     "TraceMonitor",
     "build_specs",
     "check_agreement",
@@ -77,8 +74,7 @@ __all__ = [
     "fit_line",
     "format_campaign_report",
     "format_table",
+    "judge",
     "render_timeline",
     "run_campaign",
-    "summarize_runs",
-    "sweep",
 ]

@@ -9,12 +9,13 @@ from each run's event stream into per-monitor violation rates:
 
 * **chain-prefix** / **chain-growth** / **finality-lag** — Theorem 11.1
   under churn, for ``total-order`` runs (online
-  :class:`~repro.analysis.monitor.ChainConsistencyMonitor` plus
-  post-hoc checks over the finished chains);
+  :class:`~repro.analysis.monitor.ChainConsistencyMonitor` for the
+  prefix, post-hoc checks over the finished chains for growth and lag);
 * **agreement** — conflicting ``decide`` events, for deciding
   protocols (online :class:`~repro.analysis.monitor.AgreementMonitor`);
-* **termination** — the run finished inside its round budget, plus the
-  O(f) early-stopping bound for full-variant consensus;
+* **termination** — the run finished inside its round budget without
+  crashing, plus the O(f) early-stopping bound for full-variant
+  consensus;
 * **half-range** — approximate agreement's range contraction.
 
 The report is byte-deterministic for a given (base spec, campaign
@@ -25,6 +26,11 @@ report.  Timings go to a :class:`CampaignTiming` the caller hands in —
 beside the report, never in it (``repro campaign --out R.json`` writes
 them to ``R.timing.json``).  Any violating spec is saved as a JSON
 artifact that ``repro run --scenario FILE`` replays directly.
+
+:func:`judge` is the one place that decides which properties a
+protocol promises: ``repro run``, ``repro sweep``, ``repro matrix``,
+campaigns and the sampled-consensus oracle all take their verdicts from
+it, so a replayed artifact reads exactly what the report said.
 """
 
 from __future__ import annotations
@@ -35,11 +41,7 @@ import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from repro.analysis.checkers import (
-    check_agreement,
-    check_approx_agreement,
-    check_chain_prefix,
-)
+from repro.analysis.checkers import check_approx_agreement
 from repro.analysis.monitor import AgreementMonitor, ChainConsistencyMonitor
 from repro.analysis.report import format_table
 from repro.errors import PropertyViolation, SimulationError
@@ -52,6 +54,7 @@ from repro.scenario import (
     resolve_inputs,
     run_spec,
 )
+from repro.sim.runner import ScenarioResult
 
 __all__ = [
     "CampaignReport",
@@ -60,8 +63,13 @@ __all__ = [
     "derive_seed",
     "evaluate_spec",
     "format_campaign_report",
+    "judge",
     "run_campaign",
 ]
+
+#: The directory that holds the ``repro`` package: crash locations are
+#: reported relative to it, so they read the same in every checkout.
+_PACKAGE_PARENT = pathlib.Path(__file__).resolve().parents[2]
 
 _MASK64 = (1 << 64) - 1
 
@@ -135,17 +143,17 @@ def _correct_inputs(spec: RunSpec, result) -> list:
     ]
 
 
+def _chains(result: ScenarioResult) -> list[list]:
+    return [
+        list(p.output) if p.halted else p.chain
+        for p in result.network.protocols().values()
+    ]
+
+
 def _total_order_verdicts(spec: RunSpec, result, verdicts: dict) -> None:
     network = result.network
     protocols = network.protocols()
     alive = network.alive_ids
-    chains = {
-        nid: (list(p.output) if p.halted else p.chain)
-        for nid, p in protocols.items()
-    }
-    prefix = check_chain_prefix(chains)
-    if not prefix.ok and verdicts.get("chain-prefix") is None:
-        verdicts["chain-prefix"] = "; ".join(prefix.violations)
 
     # The finality horizon: a machine for round r' is final once
     # 2(r - r') > 5|S| + 4, so with |S| bounded by every id ever
@@ -154,16 +162,16 @@ def _total_order_verdicts(spec: RunSpec, result, verdicts: dict) -> None:
     population_bound = len(network.node_ids)
     lag_bound = (5 * population_bound) // 2 + 4
     first_event = int(spec.protocol_params.get("event_first", 2))
-    verdicts.setdefault("chain-growth", None)
+    verdicts["chain-growth"] = None
     if spec.max_rounds >= first_event + lag_bound + 5:
-        longest = max((len(c) for c in chains.values()), default=0)
+        longest = max(map(len, _chains(result)), default=0)
         if longest == 0:
             verdicts["chain-growth"] = (
                 f"no chain grew within {spec.max_rounds} rounds "
                 f"(finality horizon {first_event + lag_bound})"
             )
 
-    verdicts.setdefault("finality-lag", None)
+    verdicts["finality-lag"] = None
     for nid, protocol in protocols.items():
         if nid not in alive or protocol.halted:
             continue
@@ -180,20 +188,41 @@ def _total_order_verdicts(spec: RunSpec, result, verdicts: dict) -> None:
             )
 
 
-@collector_paused
-def evaluate_spec(spec: RunSpec) -> dict[str, Any]:
-    """Run one spec under its monitors; return a picklable verdict row.
+def _crash(exc: Exception) -> str:
+    """``crash: <Type> at repro/<path>:<line>: <message>``.
 
-    ``verdicts`` maps monitor name -> None (held) or the violation
-    message; a liveness failure (round budget exhausted) is recorded
-    under ``termination``.
-
-    This call owns the run's lifetime, so the collector pause covers
-    all of it: the ``ScenarioResult`` is a local, freed by reference
-    counting on return, and the collector resumes on an almost empty
-    heap instead of re-traversing the run (DESIGN.md §4).
+    The location is the innermost traceback frame inside the package
+    (a crash in the standard library points at the package line that
+    called it), relative to the package's parent directory.
     """
-    bus = EventBus()
+    import traceback
+
+    where = "?"
+    for frame in reversed(traceback.extract_tb(exc.__traceback__)):
+        path = pathlib.Path(frame.filename).resolve()
+        if path.is_relative_to(_PACKAGE_PARENT / "repro"):
+            relative = path.relative_to(_PACKAGE_PARENT).as_posix()
+            where = f"{relative}:{frame.lineno}"
+            break
+    return f"crash: {type(exc).__name__} at {where}: {exc}"
+
+
+def judge(
+    spec: RunSpec, bus: EventBus
+) -> tuple[ScenarioResult | None, dict[str, str | None]]:
+    """Run *spec* on *bus* under its protocol's monitors.
+
+    Returns the finished result (``None`` when the run did not finish)
+    and ``verdicts``: monitor name -> None (held) or the violation
+    message.  The online monitors (``chain-prefix`` for total-order,
+    ``agreement`` for deciding protocols) subscribe to *bus* and name
+    the round a property broke in; the post-hoc checks (chain growth,
+    finality lag, the O(f) consensus bound, half-range contraction)
+    run over the finished result.  A run that exhausts its round budget
+    is a ``termination`` liveness violation, and a run that raises any
+    other exception is a ``termination`` crash — a finding, never an
+    aborted caller.
+    """
     online: list[_RecordingMonitor] = []
     if spec.protocol == "total-order":
         online.append(
@@ -206,55 +235,58 @@ def evaluate_spec(spec: RunSpec) -> dict[str, Any]:
 
     verdicts: dict[str, str | None] = {w.name: None for w in online}
     verdicts["termination"] = None
-    rounds = None
-    sends = None
-    chain_length = None
+    result = None
     try:
         result = run_spec(spec, bus=bus)
     except SimulationError as exc:
         verdicts["termination"] = f"liveness: {exc}"
-        result = None
-    if result is not None:
-        rounds = result.rounds
-        sends = result.metrics.sends_total
-        for wrapper in online:
-            if wrapper.violation is not None:
-                verdicts[wrapper.name] = wrapper.violation
-        if spec.protocol == "total-order":
-            _total_order_verdicts(spec, result, verdicts)
-            chain_length = max(
-                (
-                    len(list(p.output) if p.halted else p.chain)
-                    for p in result.network.protocols().values()
-                ),
-                default=0,
+    except Exception as exc:
+        verdicts["termination"] = _crash(exc)
+    for wrapper in online:
+        verdicts[wrapper.name] = wrapper.violation
+    if result is None:
+        return None, verdicts
+    if spec.protocol == "total-order":
+        _total_order_verdicts(spec, result, verdicts)
+    elif spec.protocol == "consensus" and spec.variant == "full":
+        # Early-stopping consensus terminates in O(f) rounds: two init
+        # rounds plus at most 2f + 4 five-round phases.
+        bound = 2 + 5 * (2 * spec.f + 4)
+        if result.rounds > bound:
+            verdicts["termination"] = (
+                f"consensus took {result.rounds} rounds; O(f) bound is "
+                f"{bound}"
             )
-        elif spec.protocol in _DECIDING:
-            agreement = check_agreement(result)
-            if not agreement.ok and verdicts.get("agreement") is None:
-                verdicts["agreement"] = "; ".join(agreement.violations)
-            if spec.protocol == "consensus" and spec.variant == "full":
-                # Early-stopping consensus terminates in O(f) rounds:
-                # two init rounds plus at most 2f + 4 five-round phases.
-                bound = 2 + 5 * (2 * spec.f + 4)
-                if result.rounds > bound:
-                    verdicts["termination"] = (
-                        f"consensus took {result.rounds} rounds; O(f) "
-                        f"bound is {bound}"
-                    )
-        elif spec.protocol == "approx":
-            verdicts.setdefault("half-range", None)
-            report = check_approx_agreement(
-                result, [float(v) for v in _correct_inputs(spec, result)]
-            )
-            if not report.ok:
-                verdicts["half-range"] = "; ".join(report.violations)
-    return {
+    elif spec.protocol == "approx":
+        report = check_approx_agreement(
+            result, [float(v) for v in _correct_inputs(spec, result)]
+        )
+        verdicts["half-range"] = "; ".join(report.violations) or None
+    return result, verdicts
+
+
+@collector_paused
+def evaluate_spec(spec: RunSpec) -> dict[str, Any]:
+    """:func:`judge` one spec on a fresh bus; return a picklable row.
+
+    This call owns the run's lifetime, so the collector pause covers
+    all of it: the ``ScenarioResult`` is a local, freed by reference
+    counting on return, and the collector resumes on an almost empty
+    heap instead of re-traversing the run (DESIGN.md §4).
+    """
+    result, verdicts = judge(spec, EventBus())
+    row = {
         "verdicts": verdicts,
-        "rounds": rounds,
-        "sends": sends,
-        "chain_length": chain_length,
+        "rounds": None,
+        "sends": None,
+        "chain_length": None,
     }
+    if result is not None:
+        row["rounds"] = result.rounds
+        row["sends"] = result.metrics.sends_total
+        if spec.protocol == "total-order":
+            row["chain_length"] = max(map(len, _chains(result)), default=0)
+    return row
 
 
 #: A monotonic time source in seconds (``time.perf_counter``): injected

@@ -7,8 +7,8 @@ same population and the same seed, every correct node ends up with the
 decision the classical protocol would have produced.  This module runs
 both side by side — the full-broadcast :class:`~repro.core.EarlyConsensus`
 as the oracle, :class:`~repro.core.CommitteeConsensus` as the candidate —
-under a live :class:`~repro.analysis.monitor.AgreementMonitor`, and
-reports per-seed verdicts.
+each judged by :func:`~repro.analysis.campaign.judge`, and reports
+per-seed verdicts.
 
 Both runs are described as :class:`~repro.scenario.RunSpec`\\ s differing
 only in ``variant`` — the scenario layer is the single construction
@@ -32,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
-from repro.analysis.monitor import AgreementMonitor
+from repro.analysis.campaign import judge
+from repro.errors import PropertyViolation
 from repro.obs.bus import EventBus
 from repro.scenario import (
     RunSpec,
     alternating_inputs,
-    run_spec,
     supermajority_inputs,
 )
 
@@ -103,9 +103,15 @@ def _single_outcome(outputs: dict) -> Hashable:
 
 
 def _monitored(spec: RunSpec):
-    bus = EventBus()
-    AgreementMonitor().attach(bus)
-    return run_spec(spec, bus=bus)
+    result, verdicts = judge(spec, EventBus())
+    violated = [
+        f"{name}: {message}"
+        for name, message in verdicts.items()
+        if message is not None
+    ]
+    if violated:
+        raise PropertyViolation(f"{spec.label()}: " + "; ".join(violated))
+    return result
 
 
 def compare_with_oracle(
@@ -120,9 +126,9 @@ def compare_with_oracle(
     Both runs share the population size, the seed (so id assignment and
     all protocol randomness line up), and the named input assignment;
     the sampled run additionally keys its committee off the same seed.
-    An :class:`AgreementMonitor` rides each run, so internal
-    disagreement raises immediately with the offending round in the
-    traceback.
+    Each run is judged like any other spec: internal disagreement (with
+    the round it was born in), a blown round budget or a crash raises
+    :class:`~repro.errors.PropertyViolation`.
     """
     base = RunSpec(
         protocol="consensus",

@@ -17,7 +17,9 @@ Subcommands:
 
 Every run is constructed through :mod:`repro.scenario` — the CLI never
 assembles populations by hand (lint rule R502 enforces this), so
-anything it runs can be serialized, shared, and replayed.
+anything it runs can be serialized, shared, and replayed.  Every run is
+judged by :func:`repro.analysis.campaign.judge`, so ``run``, ``sweep``,
+``matrix`` and ``campaign`` give one spec one verdict.
 """
 
 from __future__ import annotations
@@ -25,19 +27,15 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 from dataclasses import replace
-from typing import Hashable
 
 from repro.adversary import STRATEGY_BUILDERS
-from repro.analysis.checkers import (
-    CheckReport,
-    check_agreement,
-    check_chain_prefix,
-)
+from repro.analysis.campaign import evaluate_spec, judge
 from repro.analysis.report import format_table
-from repro.analysis.sweep import sweep
+from repro.obs.bus import EventBus
 from repro.scenario import (
     CHURN_KINDS,
     ChurnSpec,
@@ -45,7 +43,6 @@ from repro.scenario import (
     RunSpec,
     SAMPLED_PROTOCOLS,
     collector_paused,
-    run_spec,
 )
 
 
@@ -88,19 +85,18 @@ def _spec_from_args(
     )
 
 
-def _judge(spec: RunSpec, result) -> CheckReport:
-    """The protocol-appropriate pass/fail report for one finished run."""
-    if spec.protocol == "total-order":
-        chains = {
-            nid: (list(p.output) if p.halted else p.chain)
-            for nid, p in result.network.protocols().items()
-        }
-        return check_chain_prefix(chains)
-    if spec.protocol == "reliable-broadcast":
-        # No decide events to compare; acceptance properties have their
-        # own checker requiring the sender tag — out of run's scope.
-        return CheckReport("reliable-broadcast")
-    return check_agreement(result)
+def _ok_percent(rows: list[dict]) -> float:
+    """Share of :func:`evaluate_spec` rows with every verdict held."""
+    if not rows:
+        return 0.0
+    held = sum(
+        all(v is None for v in row["verdicts"].values()) for row in rows
+    )
+    return round(100 * held / len(rows), 1)
+
+
+def _mean(values: list, digits: int) -> float:
+    return round(statistics.fmean(values), digits) if values else 0.0
 
 
 # Owns the run's lifetime: ``result`` is a local, so the run's graph is
@@ -115,57 +111,61 @@ def cmd_run(args) -> int:
         raise SystemExit("run: need a protocol or --scenario FILE")
     else:
         spec = _spec_from_args(args, seed=args.seed or 0)
-    sink = None
-    bus = None
-    if args.events:
-        from repro.obs import EventBus
-
-        bus = EventBus()
-        sink = bus.to_jsonl(args.events)
+    bus = EventBus()
+    sink = bus.to_jsonl(args.events) if args.events else None
     try:
-        result = run_spec(spec, bus=bus)
+        result, verdicts = judge(spec, bus)
     finally:
         if sink is not None:
             sink.close()
     print(f"scenario : {spec.label()}")
-    print(f"rounds   : {result.rounds}")
-    print(f"messages : {result.metrics.sends_total}")
-    if result.metrics.decisions:
-        print(
-            "economy  : "
-            f"{result.metrics.messages_per_decision:.2f} msgs/decision "
-            f"over {result.metrics.decisions} decisions"
-        )
-    print(f"outputs  : {result.outputs}")
-    report = _judge(spec, result)
-    print(f"{report.name}: {'OK' if report.ok else report.violations}")
+    if result is not None:
+        print(f"rounds   : {result.rounds}")
+        print(f"messages : {result.metrics.sends_total}")
+        if result.metrics.decisions:
+            print(
+                "economy  : "
+                f"{result.metrics.messages_per_decision:.2f} msgs/decision "
+                f"over {result.metrics.decisions} decisions"
+            )
+        print(f"outputs  : {result.outputs}")
+    for name, violation in verdicts.items():
+        print(f"{name}: {'OK' if violation is None else violation}")
     if sink is not None:
         print(f"events   : {sink.count} -> {args.events}")
-    if args.timeline:
+    if args.timeline and result is not None:
         from repro.analysis.timeline import render_timeline
 
         print()
         print(render_timeline(result.trace, result.correct_ids))
-    return 0 if report.ok else 1
+    return 0 if all(v is None for v in verdicts.values()) else 1
 
 
 def cmd_sweep(args) -> int:
-    def build(point: Hashable, seed: int) -> RunSpec:
-        return _spec_from_args(args, f_override=point, seed=seed)
+    """Every f from 0 to ``--max-f`` over ``--seeds`` seeds, one row each.
 
-    outcome = sweep(
-        points=range(0, args.max_f + 1),
-        build=build,
-        judge=lambda r: check_agreement(r).ok,
-        seeds=range(args.seeds),
-    )
-    for row in outcome.rows:
-        row["f"] = row.pop("point")
-        row["n>3f"] = "yes" if args.n > 3 * row["f"] else "no"
+    A run counts as ok when every verdict holds; the means are over the
+    runs that finished.
+    """
+    rows = []
+    for f in range(args.max_f + 1):
+        runs = [
+            evaluate_spec(_spec_from_args(args, f_override=f, seed=seed))
+            for seed in range(args.seeds)
+        ]
+        finished = [run for run in runs if run["rounds"] is not None]
+        rows.append(
+            {
+                "f": f,
+                "n>3f": "yes" if args.n > 3 * f else "no",
+                "ok%": _ok_percent(runs),
+                "rounds(mean)": _mean([r["rounds"] for r in finished], 1),
+                "msgs(mean)": _mean([r["sends"] for r in finished], 0),
+            }
+        )
     print(
         format_table(
-            outcome.rows,
-            columns=["f", "n>3f", "ok%", "rounds(mean)", "msgs(mean)"],
+            rows,
             title=f"{args.protocol}, n={args.n}, adversary={args.adversary}",
         )
     )
@@ -176,26 +176,24 @@ def cmd_matrix(args) -> int:
     """Run every registered adversary against one protocol."""
     rows = []
     for name in STRATEGY_BUILDERS:
-        agreed = 0
-        rounds = []
-        for seed in range(args.seeds):
-            spec = replace(
-                _spec_from_args(args, seed=seed),
-                adversary=name,
-                rushing=True,
+        runs = [
+            evaluate_spec(
+                replace(
+                    _spec_from_args(args, seed=seed),
+                    adversary=name,
+                    rushing=True,
+                )
             )
-            try:
-                result = run_spec(spec)
-            except Exception:
-                rounds.append(args.max_rounds)
-                continue
-            agreed += check_agreement(result).ok
-            rounds.append(result.rounds)
+            for seed in range(args.seeds)
+        ]
         rows.append(
             {
                 "adversary": name,
-                "ok%": round(100 * agreed / args.seeds, 1),
-                "rounds(max)": max(rounds),
+                "ok%": _ok_percent(runs),
+                "rounds(max)": max(
+                    (r["rounds"] for r in runs if r["rounds"] is not None),
+                    default="-",
+                ),
             }
         )
     print(

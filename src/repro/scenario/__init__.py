@@ -3,8 +3,8 @@
 A run is *described* by a frozen, JSON-portable
 :class:`~repro.scenario.spec.RunSpec` and *materialized* by
 :func:`~repro.scenario.build.materialize`.  The CLI, the benchmark
-harness, the oracle, the sweep driver, the replay scenarios, and the
-Monte Carlo campaign runner all construct runs through this package —
+harness, the oracle, the replay scenarios, and the Monte Carlo campaign
+runner all construct runs through this package —
 never by assembling :class:`~repro.sim.network.SyncNetwork` populations
 by hand (lint rule R502 fences the CLI and benchmarks).
 

@@ -1,7 +1,7 @@
 """Materialize a :class:`RunSpec` on the sync simulator.
 
 ``materialize`` is the one funnel through which every harness — CLI,
-benchmarks, oracle, sweeps, replay scenarios, campaigns — turns a
+benchmarks, oracle, replay scenarios, campaigns — turns a
 declarative spec into a runnable :class:`~repro.sim.runner.Scenario`;
 ``run_spec`` runs it.  Keeping this the only construction path is what
 makes a campaign's violating spec a complete, replayable artifact

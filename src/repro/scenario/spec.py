@@ -1,7 +1,7 @@
 """The frozen, JSON-portable description of one run.
 
 A :class:`RunSpec` is the single vocabulary every harness speaks: the
-CLI, the benchmarks, the oracle, the sweep driver, and the replay
+CLI, the benchmarks, the oracle, the campaign runner, and the replay
 scenarios all *describe* a run as a ``RunSpec`` and *materialize* it
 through :func:`repro.scenario.build.materialize`.  Because a spec is
 frozen and built only from JSON-native values, any run — including a

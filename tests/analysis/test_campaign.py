@@ -2,8 +2,13 @@
 
 import itertools
 import json
+import multiprocessing
+import re
 import time
 
+import pytest
+
+from repro.analysis import campaign
 from repro.analysis.campaign import (
     CampaignTiming,
     build_specs,
@@ -202,3 +207,64 @@ class TestEvaluateSpec:
         assert row["rounds"] == BASE.max_rounds
         assert row["chain_length"] > 0
         assert row["sends"] > 0
+
+
+def crash_every_run(monkeypatch, owner=campaign, name="run_spec") -> None:
+    def crashing(spec, *args, **kwargs):
+        raise RuntimeError(f"boom {spec.seed}")
+
+    monkeypatch.setattr(owner, name, crashing)
+
+
+class TestCrashVerdict:
+    """A run that raises is a ``termination`` finding, not a dead caller."""
+
+    def test_message_names_type_location_and_message(self, monkeypatch):
+        crash_every_run(monkeypatch)
+        row = evaluate_spec(BASE)
+        assert row == {
+            "verdicts": {
+                "chain-prefix": None,
+                "termination": row["verdicts"]["termination"],
+            },
+            "rounds": None,
+            "sends": None,
+            "chain_length": None,
+        }
+        # The raising function lives outside the package, so the
+        # location is the innermost package frame: judge's call.
+        assert re.fullmatch(
+            r"crash: RuntimeError at repro/analysis/campaign\.py:\d+: "
+            rf"boom {BASE.seed}",
+            row["verdicts"]["termination"],
+        )
+
+    def test_location_is_the_innermost_package_frame(self, monkeypatch):
+        import repro.scenario.build as build
+
+        crash_every_run(monkeypatch, build, "materialize")
+        message = evaluate_spec(BASE)["verdicts"]["termination"]
+        assert re.fullmatch(
+            r"crash: RuntimeError at repro/scenario/build\.py:\d+: boom \d+",
+            message,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_saves_each_crash_and_keeps_going(
+        self, workers, monkeypatch, tmp_path
+    ):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patch only when forked")
+        crash_every_run(monkeypatch)
+        report = run_campaign(
+            BASE, runs=3, workers=workers, artifacts_dir=tmp_path
+        )
+        assert report.monitors["termination"] == {
+            "checked": 3, "violations": 3,
+        }
+        assert report.monitors["chain-prefix"]["violations"] == 0
+        assert [record["index"] for record in report.violations] == [0, 1, 2]
+        for record in report.violations:
+            assert record["message"].startswith("crash: RuntimeError at ")
+            assert RunSpec.load(record["artifact"]).seed == record["seed"]
+        assert len(list(tmp_path.glob("violation-*.json"))) == 3

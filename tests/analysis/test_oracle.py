@@ -1,5 +1,7 @@
 """Oracle comparison: sampled consensus vs full-broadcast consensus."""
 
+import pytest
+
 from repro.analysis.oracle import (
     OracleReport,
     OracleVerdict,
@@ -8,6 +10,7 @@ from repro.analysis.oracle import (
     compare_with_oracle,
     supermajority_inputs,
 )
+from repro.errors import PropertyViolation
 
 
 class TestInputAssignments:
@@ -36,6 +39,12 @@ class TestCompareWithOracle:
         # the comparison is near-tautological — but must still pass.
         verdict = compare_with_oracle(40, seed=3)
         assert verdict.agree
+
+    def test_a_violated_verdict_raises(self):
+        # Each run is judged like a campaign's: two rounds cannot
+        # finish, so the oracle run's termination verdict fails.
+        with pytest.raises(PropertyViolation, match="termination: liveness"):
+            compare_with_oracle(40, seed=0, max_rounds=2)
 
 
 class TestCheckSampledAgreement:

@@ -1,135 +1,10 @@
-"""Tests for stats aggregation, sweeps, and table rendering."""
+"""Tests for table rendering and sparklines.
 
-import json
-from dataclasses import replace
-
-import pytest
+(The sweep behaviours are tested over ``repro sweep`` in
+``tests/test_cli.py``.)
+"""
 
 from repro.analysis.report import format_table
-from repro.analysis.stats import summarize_runs
-from repro.analysis.sweep import sweep
-from repro.scenario import RunSpec
-from repro.sim.metrics import Metrics
-from repro.sim.runner import ScenarioResult
-from repro.sim.trace import Trace
-
-
-def result_with(rounds, sends):
-    metrics = Metrics()
-    metrics.rounds = rounds
-    metrics.sends_total = sends
-    return ScenarioResult(
-        network=None,
-        correct_ids=[1],
-        byzantine_ids=[],
-        rounds=rounds,
-        outputs={1: 0},
-        metrics=metrics,
-        trace=Trace(),
-    )
-
-
-class TestStats:
-    def test_summary_values(self):
-        stats = summarize_runs(
-            [result_with(10, 100), result_with(20, 300)]
-        )
-        assert stats.runs == 2
-        assert stats.rounds_mean == 15
-        assert stats.rounds_max == 20
-        assert stats.sends_mean == 200
-        assert stats.success_rate == 1.0
-
-    def test_success_rate(self):
-        stats = summarize_runs(
-            [result_with(1, 1), result_with(1, 1)], [True, False]
-        )
-        assert stats.success_rate == 0.5
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize_runs([])
-
-    def test_mismatched_successes_raises(self):
-        with pytest.raises(ValueError):
-            summarize_runs([result_with(1, 1)], [True, False])
-
-    def test_as_row_keys(self):
-        row = summarize_runs([result_with(5, 50)]).as_row()
-        assert {"runs", "ok%", "rounds(mean)", "msgs(mean)"} <= set(row)
-
-
-class TestSweep:
-    def build(self, point, seed):
-        return RunSpec(
-            protocol="consensus",
-            n=4,
-            inputs=f"constant:{json.dumps(point)}",
-            seed=seed,
-            max_rounds=50,
-        )
-
-    def test_rows_per_point(self):
-        outcome = sweep(
-            points=[0, 1],
-            build=self.build,
-            judge=lambda r: r.agreed,
-            seeds=range(3),
-        )
-        assert len(outcome.rows) == 2
-        assert all(row["ok%"] == 100.0 for row in outcome.rows)
-
-    def test_judge_failures_counted(self):
-        outcome = sweep(
-            points=[0],
-            build=self.build,
-            judge=lambda r: False,
-            seeds=range(2),
-        )
-        assert outcome.rows[0]["ok%"] == 0.0
-        assert outcome.failures[0]
-
-    def test_liveness_failures_counted_not_raised(self):
-        def tiny_budget(point, seed):
-            # one round cannot possibly finish
-            return replace(self.build(point, seed), max_rounds=1)
-
-        outcome = sweep(
-            points=["x"],
-            build=tiny_budget,
-            judge=lambda r: True,
-            seeds=range(2),
-        )
-        assert outcome.rows[0]["ok%"] == 0.0
-        assert len(outcome.failures["x"]) == 2
-
-    def test_crash_is_failure_false_propagates(self):
-        import pytest as _pytest
-
-        from repro.errors import SimulationError
-
-        def tiny_budget(point, seed):
-            return replace(self.build(point, seed), max_rounds=1)
-
-        with _pytest.raises(SimulationError):
-            sweep(
-                points=["x"],
-                build=tiny_budget,
-                judge=lambda r: True,
-                seeds=range(1),
-                crash_is_failure=False,
-            )
-
-    def test_row_for(self):
-        outcome = sweep(
-            points=[7],
-            build=self.build,
-            judge=lambda r: True,
-            seeds=range(1),
-        )
-        assert outcome.row_for(7)["point"] == 7
-        with pytest.raises(KeyError):
-            outcome.row_for(8)
 
 
 class TestSparkline:

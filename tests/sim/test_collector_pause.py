@@ -110,7 +110,12 @@ class TestCollectorStateIsRestored:
 
 
 class TestCliOutputUnchanged:
-    """``repro run --scenario``: stdout and exit code as at the parent."""
+    """``repro run --scenario``: stdout and exit code as at the parent.
+
+    The run's lines (scenario through outputs) are the bytes recorded
+    before the collector pause; the verdict lines are ``judge``'s, one
+    per monitor.
+    """
 
     def test_passing_spec(self, tmp_path, capsys):
         path = RunSpec(
@@ -126,6 +131,7 @@ class TestCliOutputUnchanged:
             "outputs  : {162501: 1, 247515: 1, 318032: 1, 415298: 1, "
             "502141: 1}\n"
             "agreement: OK\n"
+            "termination: OK\n"
         )
 
     def test_violating_spec_exits_one(self, tmp_path, capsys):
@@ -140,6 +146,7 @@ class TestCliOutputUnchanged:
             "messages : 142\n"
             "economy  : 47.33 msgs/decision over 3 decisions\n"
             "outputs  : {42451: 0, 403959: 0, 933489: 1}\n"
-            "agreement: ['conflicting outputs: {42451: 0, 403959: 0, "
-            "933489: 1}']\n"
+            "agreement: agreement broken in round 7: node 933489 decided 1 "
+            "but node 42451 decided 0\n"
+            "termination: OK\n"
         )

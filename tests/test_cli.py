@@ -2,7 +2,33 @@
 
 import pytest
 
+from repro.analysis import campaign
+from repro.analysis.campaign import evaluate_spec
 from repro.cli import build_parser, main
+from repro.scenario import RunSpec
+
+
+def table_rows(out: str) -> list[dict]:
+    """The rows of the one markdown table in *out*, column -> cell."""
+    lines = [line for line in out.splitlines() if line.startswith("|")]
+
+    def cells(line: str) -> list[str]:
+        return [cell.strip() for cell in line.strip("|").split("|")]
+
+    header = cells(lines[0])
+    return [dict(zip(header, cells(line))) for line in lines[2:]]
+
+
+def crash_when(monkeypatch, doomed) -> None:
+    """Make every run whose spec satisfies *doomed* raise mid-run."""
+    real = campaign.run_spec
+
+    def run_spec(spec, *, bus=None):
+        if doomed(spec):
+            raise RuntimeError("boom")
+        return real(spec, bus=bus)
+
+    monkeypatch.setattr(campaign, "run_spec", run_spec)
 
 
 class TestParser:
@@ -198,8 +224,6 @@ class TestCommands:
 
 class TestScenarioFile:
     def test_run_from_scenario_file(self, tmp_path, capsys):
-        from repro.scenario import RunSpec
-
         path = RunSpec(
             protocol="consensus", n=7, f=2, adversary="splitter",
             rushing=True, seed=4,
@@ -211,8 +235,6 @@ class TestScenarioFile:
         assert "seed=4" in out
 
     def test_seed_flag_overrides_scenario_seed(self, tmp_path, capsys):
-        from repro.scenario import RunSpec
-
         path = RunSpec(protocol="consensus", n=7, f=2, seed=4).save(
             tmp_path / "spec.json"
         )
@@ -279,3 +301,150 @@ class TestCampaign:
         assert "repro run --scenario" in out
         artifacts = sorted((tmp_path / "bad").glob("*.json"))
         assert len(artifacts) == 2
+
+
+class TestSweep:
+    """``repro sweep``: one row per f, every run judged like a campaign's."""
+
+    def sweep(self, capsys, *argv):
+        code = main(["sweep", *argv])
+        assert code == 0
+        return table_rows(capsys.readouterr().out)
+
+    def test_rows_per_point(self, capsys):
+        rows = self.sweep(
+            capsys, "consensus", "--n", "4", "--max-f", "1", "--seeds", "3",
+            "--max-rounds", "50",
+        )
+        assert [row["f"] for row in rows] == ["0", "1"]
+        assert all(row["ok%"] == "100" for row in rows)
+
+    def test_judge_failures_counted(self, capsys):
+        # f=3 of n=6 under a rushing splitter finishes with split
+        # decisions: a verdict failure of a run that did finish.
+        rows = self.sweep(
+            capsys, "consensus", "--n", "6", "--max-f", "3", "--seeds", "1",
+            "--adversary", "splitter", "--rushing", "--max-rounds", "60",
+        )
+        assert rows[3]["ok%"] == "0"
+        assert rows[3]["rounds(mean)"] == "7"
+
+    def test_liveness_failures_counted_not_raised(self, capsys):
+        # One round cannot possibly finish.
+        rows = self.sweep(
+            capsys, "consensus", "--n", "4", "--max-f", "0", "--seeds", "2",
+            "--max-rounds", "1",
+        )
+        assert rows == [
+            {"f": "0", "n>3f": "yes", "ok%": "0", "rounds(mean)": "0",
+             "msgs(mean)": "0"},
+        ]
+
+    def test_means_are_over_finished_runs(self, capsys):
+        rows = self.sweep(
+            capsys, "consensus", "--n", "7", "--max-f", "2", "--seeds", "3",
+            "--adversary", "splitter", "--rushing",
+        )
+        runs = [
+            evaluate_spec(
+                RunSpec(
+                    protocol="consensus", n=7, f=2, adversary="splitter",
+                    rushing=True, seed=seed, max_rounds=500,
+                    enforce_resiliency=False,
+                )
+            )
+            for seed in range(3)
+        ]
+        rounds = sum(run["rounds"] for run in runs) / 3
+        sends = sum(run["sends"] for run in runs) / 3
+        assert rows[2]["rounds(mean)"] == f"{round(rounds, 1):g}"
+        assert rows[2]["msgs(mean)"] == f"{round(sends):g}"
+
+    def test_ok_share_counts_runs_with_every_verdict_held(
+        self, capsys, monkeypatch
+    ):
+        crash_when(monkeypatch, lambda spec: spec.seed == 1)
+        rows = self.sweep(
+            capsys, "consensus", "--n", "4", "--max-f", "0", "--seeds", "2"
+        )
+        assert rows[0]["ok%"] == "50"
+
+    def test_approx_is_judged_by_half_range_not_equal_outputs(self, capsys):
+        rows = self.sweep(
+            capsys, "approx", "--n", "10", "--max-f", "3", "--seeds", "3",
+            "--adversary", "value-injector", "--rushing",
+        )
+        assert [row["ok%"] for row in rows] == ["100"] * 4
+
+
+#: Specs that each harness used to judge its own way (all rushing).
+DISPUTED = {
+    "approx-value-injector": RunSpec(
+        protocol="approx", n=10, f=3, adversary="value-injector",
+        rushing=True,
+    ),
+    "total-order-crash": RunSpec(
+        protocol="total-order", n=7, f=3, adversary="crash", rushing=True,
+        enforce_resiliency=False,
+    ),
+    "consensus-two-rounds": RunSpec(
+        protocol="consensus", n=7, f=2, rushing=True, max_rounds=2
+    ),
+    "consensus-echo-forger": RunSpec(
+        protocol="consensus", n=9, f=3, adversary="echo-forger",
+        rushing=True, enforce_resiliency=False,
+    ),
+}
+
+
+class TestOneJudge:
+    """``repro run``, ``matrix`` and campaigns give a spec one verdict."""
+
+    @pytest.mark.parametrize("name", sorted(DISPUTED))
+    def test_run_prints_the_campaign_verdicts(self, name, tmp_path, capsys):
+        spec = DISPUTED[name]
+        verdicts = evaluate_spec(spec)["verdicts"]
+        code = main(["run", "--scenario", str(spec.save(tmp_path / "s.json"))])
+        lines = capsys.readouterr().out.splitlines()
+        expected = [
+            f"{monitor}: {'OK' if message is None else message}"
+            for monitor, message in verdicts.items()
+        ]
+        assert lines[-len(expected):] == expected
+        assert lines[-len(expected) - 1].startswith(("outputs", "scenario"))
+        violated = any(message is not None for message in verdicts.values())
+        assert code == (1 if violated else 0)
+
+    def test_liveness_failure_is_a_verdict_not_a_traceback(self, capsys):
+        code = main(
+            ["run", "consensus", "--n", "7", "--f", "2", "--max-rounds", "2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "termination: liveness: round limit 2 exceeded" in (
+            captured.out
+        )
+        assert "rounds   :" not in captured.out
+        assert "Traceback" not in captured.err
+
+    def test_crash_is_a_verdict(self, capsys, monkeypatch):
+        crash_when(monkeypatch, lambda spec: True)
+        code = main(["run", "consensus", "--n", "4", "--f", "0"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "termination: crash: RuntimeError at repro/analysis/" in out
+        assert out.rstrip().endswith(": boom")
+
+    def test_matrix_counts_a_crash_as_failed(self, capsys, monkeypatch):
+        crash_when(monkeypatch, lambda spec: spec.adversary == "noise")
+        code = main(
+            ["matrix", "consensus", "--n", "4", "--f", "1", "--seeds", "1"]
+        )
+        rows = {
+            row["adversary"]: row
+            for row in table_rows(capsys.readouterr().out)
+        }
+        assert code == 1
+        assert rows["noise"]["ok%"] == "0"
+        assert rows["noise"]["rounds(max)"] == "-"
+        assert rows["silent"]["ok%"] == "100"
