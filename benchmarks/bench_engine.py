@@ -54,8 +54,9 @@ Results go to ``results/BENCH_engine.json`` (and a table in
 perf smoke over the workloads: it fails only on a
 >``PERF_SMOKE_MAX_SLOWDOWN``× rounds/sec regression against the
 committed baseline.  ``--check-economy`` additionally fails when a
-row's ``messages_per_decision`` exceeds the committed baseline's by
-more than ``ECONOMY_MAX_INCREASE``×; ``--agreement-seeds N`` reruns the
+row's ``messages_per_decision`` or ``materialized_messages`` exceeds the
+committed baseline's by more than ``ECONOMY_MAX_INCREASE``×;
+``--agreement-seeds N`` reruns the
 sampled-vs-oracle agreement check (:mod:`repro.analysis.oracle`) over N
 seeds and records the verdict in the JSON.
 """
@@ -116,9 +117,11 @@ TRACEMALLOC_MAX_N = 500
 #: magnitude regressions; re-baseline with ``--baseline-out`` whenever a
 #: deliberate engine change moves the numbers.
 PERF_SMOKE_MAX_SLOWDOWN = 2.0
-#: CI economy-smoke tolerance: ``messages_per_decision`` is a counted
-#: (deterministic) figure, so the allowance is thin — 1.1x catches any
-#: real fan-out regression in the sampled path.
+#: CI economy-smoke tolerance: ``messages_per_decision`` and
+#: ``materialized_messages`` are counted (deterministic) figures, so the
+#: allowance is thin — 1.1x catches any real fan-out regression in the
+#: sampled path, and any sub-inbox that goes back to building the
+#: round's Message objects.
 ECONOMY_MAX_INCREASE = 1.1
 #: The CI-smoke baseline additionally pins the sampled-consensus
 #: economy at this population (the satellite row next to n=50).
@@ -521,10 +524,13 @@ def check_against_baseline(payload: dict, baseline_path: pathlib.Path) -> int:
 def check_economy_against_baseline(
     payload: dict, baseline_path: pathlib.Path
 ) -> int:
-    """Exit status 1 when ``messages_per_decision`` grew by more than
-    ``ECONOMY_MAX_INCREASE``x at any shared (workload, n) pair.
+    """Exit status 1 when a counted figure grew beyond
+    ``ECONOMY_MAX_INCREASE``x the baseline's at any shared (workload, n)
+    pair: ``messages_per_decision`` (the protocols' fan-out) or
+    ``materialized_messages`` (Message objects the engine built — a
+    regression back onto the object path shows here first).
 
-    Unlike rounds/sec this is a deterministic counted figure, so the
+    Unlike rounds/sec both are deterministic per (n, seed), so the
     check is meaningful even on noisy shared runners.
     """
     baseline = json.loads(baseline_path.read_text())
@@ -539,20 +545,19 @@ def check_economy_against_baseline(
             base = base_by_key.get((entry["workload"], row["n"]))
             if base is None:
                 continue
-            current = row.get("messages_per_decision")
-            committed = base.get("messages_per_decision")
-            if current is None or committed is None:
-                continue
-            ratio = current / committed
-            ok = ratio <= ECONOMY_MAX_INCREASE
-            verdict = "ok" if ok else "ECONOMY REGRESSION"
-            print(
-                f"{entry['workload']} n={row['n']}: "
-                f"{current} msgs/decision vs baseline {committed} "
-                f"(x{ratio:.3f}) {verdict}"
-            )
-            if not ok:
-                status = 1
+            for figure in ("messages_per_decision", "materialized_messages"):
+                current = row.get(figure)
+                committed = base.get(figure)
+                if current is None or committed is None:
+                    continue
+                ok = current <= ECONOMY_MAX_INCREASE * committed
+                verdict = "ok" if ok else "ECONOMY REGRESSION"
+                print(
+                    f"{entry['workload']} n={row['n']}: {figure} "
+                    f"{current} vs baseline {committed} {verdict}"
+                )
+                if not ok:
+                    status = 1
     return status
 
 
@@ -672,8 +677,9 @@ def main(argv=None) -> int:
         "--check-economy",
         type=pathlib.Path,
         default=None,
-        help="baseline JSON to compare messages_per_decision against "
-        "(fails on a >%.1fx increase)" % ECONOMY_MAX_INCREASE,
+        help="baseline JSON to compare messages_per_decision and "
+        "materialized_messages against (fails on a >%.1fx increase)"
+        % ECONOMY_MAX_INCREASE,
     )
     parser.add_argument(
         "--agreement-seeds",

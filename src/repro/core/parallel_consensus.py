@@ -142,17 +142,21 @@ def _vote_base(
     per-node rebuild exactly.  Memoized on the instance's (round-shared)
     index via :meth:`InboxIndex.derive`, so every recipient counting
     this instance's votes pays for the grouping once per round.
+
+    Built from the index's first-occurrence-ordered payload tally, never
+    from message objects: folding ``"__bottom__"`` into ``⊥`` over it
+    keeps both the key order and the sender sets of a per-message scan.
     """
-    votes: dict[Hashable, set[NodeId]] = {}
-    for message in index.kind_bucket(kind):
-        decoded = (
-            BOTTOM if message.payload == "__bottom__" else message.payload
-        )
-        votes.setdefault(decoded, set()).add(message.sender)
+    base: dict[Hashable, frozenset[NodeId]] = {}
+    tallies = list(index.payload_senders(kind, ...).items())
     if kind == KIND_INPUT:
-        for sender in index.sender_set(KIND_NOINPUT, ..., ...):
-            votes.setdefault(BOTTOM, set()).add(sender)
-    base = {value: frozenset(senders) for value, senders in votes.items()}
+        tallies.append((BOTTOM, index.sender_set(KIND_NOINPUT, ..., ...)))
+    for payload, senders in tallies:
+        if not senders:
+            continue
+        value = BOTTOM if payload == "__bottom__" else payload
+        held = base.get(value)
+        base[value] = senders if held is None else held | senders
     if base:
         value, senders = max(
             base.items(), key=lambda item: (len(item[1]), repr(item[0]))

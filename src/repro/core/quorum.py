@@ -48,6 +48,30 @@ def less_than_third(count: int, n_v: int) -> bool:
     return 3 * count < n_v
 
 
+def sorted_tags(tags: Iterable[Hashable]) -> list[Hashable]:
+    """*tags* in ascending order, whatever a Byzantine node forged.
+
+    Correct nodes only ever accept node ids, which sort as ever.  Outside
+    ``n > 3f`` a forged tag (a string, a tuple) can reach the accept
+    threshold too, and ids and forgeries do not compare; then numbers
+    come first in their own order and every other tag follows by type
+    name and repr — a total order, so a correct node never crashes on a
+    Byzantine payload.
+    """
+    tags = list(tags)
+    try:
+        tags.sort()
+    except TypeError:
+        tags.sort(key=_total_key)
+    return tags
+
+
+def _total_key(tag: Hashable) -> tuple:
+    if isinstance(tag, (int, float)):
+        return (0, tag)
+    return (1, type(tag).__name__, repr(tag))
+
+
 class ViewTracker:
     """Tracks ``n_v``: the distinct nodes that ever sent us a message.
 
@@ -184,7 +208,7 @@ class _EchoDelta:
         if cached is None or cached[0] != round_no:
             cached = self._sorted = (
                 round_no,
-                sorted(self.merged(round_no)),
+                sorted_tags(self.merged(round_no)),
             )
         return cached[1]
 

@@ -27,11 +27,10 @@ Three layers, composed bottom-up:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.core.quorum import EchoVoting, ViewTracker
+from repro.core.quorum import EchoVoting, ViewTracker, sorted_tags
 from repro.sim.inbox import Inbox
 from repro.sim.node import NodeApi, Protocol
 from repro.types import NodeId, Round
@@ -61,18 +60,16 @@ class CandidateSet:
     thresholds.  The set only ever grows and stays sorted by id.
     """
 
-    __slots__ = ("candidates", "voting", "instance", "_candidates_shared")
+    __slots__ = ("candidates", "voting", "instance")
 
     def __init__(self, instance: Hashable = None) -> None:
+        #: Sorted accepted tags; possibly a round-shared list, so it is
+        #: replaced, never mutated.
         self.candidates: list[NodeId] = []
         self.voting = EchoVoting()
         #: Instance namespace for the wire messages (total ordering runs
         #: one candidate set per consensus instance).
         self.instance = instance
-        #: True while ``candidates`` is a round-shared sorted list
-        #: adopted from the echo-decision plane; any private insertion
-        #: thaws a copy first (the list is never mutated while shared).
-        self._candidates_shared = False
 
     def announce(self, api: NodeApi) -> None:
         """Round 1: broadcast willingness to coordinate."""
@@ -116,23 +113,17 @@ class CandidateSet:
         the end of the round and skips it on termination).
         """
         decision = self.voting.evaluate(n_v, api.round)
-        newly = decision.newly_accepted
-        if newly:
+        if decision.newly_accepted:
+            # candidates is always sorted_tags(accepted): adopt the
+            # shared sorted list of a shared decision wholesale, sort a
+            # private one.  Neither list is ever mutated.
             delta = decision.shared_delta
             if delta is not None:
-                # The voting adopted the shared merged accepted dict;
-                # candidates is always sorted(accepted), so adopt the
-                # matching shared sorted list wholesale (copy-on-write).
                 self.candidates = delta.sorted_merged(
                     decision.decided_round
                 )
-                self._candidates_shared = True
             else:
-                if self._candidates_shared:
-                    self.candidates = list(self.candidates)
-                    self._candidates_shared = False
-                for candidate in newly:
-                    bisect.insort(self.candidates, candidate)
+                self.candidates = sorted_tags(self.voting.accepted)
         if broadcast and decision.echo:
             api.broadcast_many(
                 KIND_ECHO, decision.echo, instance=self.instance

@@ -57,7 +57,6 @@ COLUMNAR_PRIVATE_ATTRS = frozenset(
         "_batches",
         "_batch_aliases",
         "_sender_batches",
-        "_scalar_ki",
         "_sender_scalar_keys",
         "_materialized",
     }

@@ -22,11 +22,19 @@ Three pieces:
   ``broadcast_many`` fan-outs (one segment entry covers k logical
   sends).  Columns are append-only within a round and frozen at
   delivery; views never copy them (pinned in DESIGN.md §4).
-* :class:`ColumnarIndex` — an :class:`~repro.sim.inbox.InboxIndex`
-  whose sender sets, payload tallies and surveys are counting passes
-  over the columns; ``messages`` materializes lazily only when a
-  consumer genuinely iterates message objects (JSONL sinks, recorders,
-  per-kind and per-instance bucket filters).
+* :class:`ColumnarIndex` — an :class:`~repro.sim.inbox.InboxIndex` over
+  the columns and a *row selection*: the whole round, or a **row view**.
+
+Row views.  A round's rows are named in staging order by *row entries*:
+``j >= 0`` is scalar row ``j`` and ``~s`` is batch segment ``s`` (all of
+one batch's payloads: one sender, one kind, one instance).  Every
+single-axis sub-inbox the engine hands out — the instance partition,
+the kind buckets, a membership restriction — is a ``ColumnarIndex``
+over the same columns and a list of entries, bucketed in one pass per
+axis over its parent's entries.  It answers sender sets, tallies and
+surveys from the columns; a ``Message`` is built only for a row that
+somebody iterates, at most once per round whichever view asks first
+(:meth:`RoundColumns.messages`).
 
 Equivalence contract: every query answers exactly what a plain
 :class:`~repro.sim.inbox.InboxIndex` over the same messages answers,
@@ -38,9 +46,10 @@ by the naive reference engine in ``tests/reference_engine.py``.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Collection, Hashable, Iterable, Iterator
+from typing import Mapping, Sequence
 
-from repro.sim.inbox import InboxIndex
+from repro.sim.inbox import _EMPTY_SUB, Inbox, InboxIndex
 from repro.sim.message import Message
 from repro.types import NodeId
 
@@ -50,6 +59,9 @@ _ANY = ...
 #: Marker in the per-sender batch map: this (sender, kind, instance)
 #: fell back to scalar staging (mixed batch/scalar traffic).
 _SCALARIZED = object()
+
+#: Row axes: what :meth:`RoundColumns.keys` reads for each row entry.
+_SENDER, _KIND, _INSTANCE = 0, 1, 2
 
 
 class Batch:
@@ -67,7 +79,6 @@ class Batch:
         "instance",
         "payloads",
         "staged_payloads",
-        "payload_ids",
         "kind_id",
         "instance_id",
         "dup_flags",
@@ -82,24 +93,20 @@ class Batch:
     ):
         self.kind = kind
         self.instance = instance
-        self.payloads = payloads
-        staged = payloads
-        dup_flags: tuple[bool, ...] | None = None
+        self.payloads = self.staged_payloads = payloads
+        #: Per original payload: staged (True) or an exact repeat; None
+        #: when every payload stages.
+        self.dup_flags: tuple[bool, ...] | None = None
         if len(set(payloads)) != len(payloads):
-            unique = dict.fromkeys(payloads)
-            staged = tuple(unique)
+            self.staged_payloads = tuple(dict.fromkeys(payloads))
             seen: set = set()
-            flags = []
-            for payload in payloads:
-                fresh = payload not in seen
-                seen.add(payload)
-                flags.append(fresh)
-            dup_flags = tuple(flags)
-        self.staged_payloads = staged
-        self.dup_flags = dup_flags
-        self.payload_ids = tuple(
-            plane.intern_payload(p) for p in staged
-        )
+            self.dup_flags = tuple(
+                not (payload in seen or seen.add(payload))
+                for payload in payloads
+            )
+        for payload in self.staged_payloads:
+            # The intern table and its counters see every payload.
+            plane.intern_payload(payload)
         self.kind_id = plane.intern_kind(kind)
         self.instance_id = plane.intern_instance(instance)
 
@@ -138,10 +145,10 @@ class ColumnarPlane:
         #: Lookups that found an existing entry (the interning win the
         #: benchmarks otherwise only show as timing).
         self.payload_intern_hits: int = 0
-        #: Message objects actually built across the run (each round's
-        #: columns materialize at most once, and only when somebody
-        #: iterates messages) — the honest "work done" counter next to
-        #: the logical staged×recipients delivery figure.
+        #: Message objects actually built across the run: one per row
+        #: somebody iterated, each row at most once per round — the
+        #: honest "work done" counter next to the logical
+        #: staged×recipients delivery figure.
         self.messages_materialized: int = 0
         self._payload_ids: dict[Hashable, int] = {}
         self._kind_ids: dict[str, int] = {}
@@ -237,8 +244,9 @@ class RoundColumns:
     columns; ``broadcast_many`` batches append one *segment* record
     ``(scalar_boundary, sender, batch)`` covering k logical sends.
     Pinned invariant (DESIGN.md §4): columns are append-only within the
-    round and frozen once delivery starts; every view (indexes, lazy
-    message sequences, tallies) reads them in place and never copies.
+    round and frozen once delivery starts; every view (indexes, row
+    views, lazy message sequences, tallies) reads them in place and
+    never copies.
 
     Duplicate suppression is the model's per-round Message-set rule
     exactly: a (sender, kind, payload, instance) already staged this
@@ -255,8 +263,8 @@ class RoundColumns:
         "batch_rows",
         "_dedup",
         "_sender_batches",
-        "_scalar_ki",
         "_sender_scalar_keys",
+        "_rows",
         "_materialized",
     )
 
@@ -276,13 +284,15 @@ class RoundColumns:
         self._dedup: set[tuple] = set()
         #: (sender, kind_id, instance_id) -> [Batch, ...] | _SCALARIZED.
         self._sender_batches: dict[tuple, Any] = {}
-        #: Distinct (kind_id, instance_id) pairs among scalar rows.
-        self._scalar_ki: set[tuple[int, int]] = set()
         #: (sender, kind_id, instance_id) triples with at least one
         #: scalar row: a later batch on the same triple must fall back
         #: to scalar staging so cross-form duplicates are suppressed.
         self._sender_scalar_keys: set[tuple] = set()
-        self._materialized: tuple[Message, ...] | None = None
+        #: Every row entry in staging order (see :meth:`rows`).
+        self._rows: list[int] | None = None
+        #: Per-entry built messages (a Message per scalar row, a tuple
+        #: per segment), allocated by the first :meth:`messages` call.
+        self._materialized: list | None = None
 
     def __len__(self) -> int:
         return len(self.senders) + self.batch_rows
@@ -314,7 +324,6 @@ class RoundColumns:
         self.kind_ids.append(kid)
         self.payload_ids.append(plane.intern_payload(payload))
         self.instance_ids.append(iid)
-        self._scalar_ki.add((kid, iid))
         return True
 
     def stage_batch(
@@ -403,107 +412,92 @@ class RoundColumns:
         )
 
     # ------------------------------------------------------------------
-    # Views (read-only; the columns are frozen once delivery starts)
+    # Row passes (read-only; the columns are frozen once delivery starts)
     # ------------------------------------------------------------------
-    def _walk(self) -> Iterator[tuple]:
-        """Yield ``("s", row_index)`` / ``("b", sender, batch)`` in exact
-        staging order (segments interleave with scalar runs by their
-        recorded scalar boundary)."""
+    def _walk(self) -> Iterator[int]:
+        """Row entries in exact staging order (segments interleave with
+        scalar runs by their recorded scalar boundary)."""
         pos = 0
-        for boundary, sender, batch in self.segments:
-            while pos < boundary:
-                yield ("s", pos)
-                pos += 1
-            yield ("b", sender, batch)
-        total = len(self.senders)
-        while pos < total:
-            yield ("s", pos)
-            pos += 1
+        for segment, (boundary, _, _) in enumerate(self.segments):
+            yield from range(pos, boundary)
+            yield ~segment
+            pos = boundary
+        yield from range(pos, len(self.senders))
 
-    def materialize(self) -> tuple[Message, ...]:
-        """The round's messages as objects, built once and cached."""
-        cached = self._materialized
-        if cached is None:
-            plane = self.plane
-            kinds = plane.kinds
-            payloads = plane.payloads
-            instances = plane.instances
-            senders = self.senders
-            kind_ids = self.kind_ids
-            payload_ids = self.payload_ids
-            instance_ids = self.instance_ids
-            out: list[Message] = []
-            for entry in self._walk():
-                if entry[0] == "s":
-                    j = entry[1]
-                    out.append(
-                        Message(
-                            senders[j],
-                            kinds[kind_ids[j]],
-                            payloads[payload_ids[j]],
-                            instances[instance_ids[j]],
-                        )
-                    )
-                else:
-                    _, sender, batch = entry
-                    kind = batch.kind
-                    instance = batch.instance
-                    out.extend(
-                        Message(sender, kind, payload, instance)
-                        for payload in batch.staged_payloads
-                    )
-            cached = self._materialized = tuple(out)
-            plane.messages_materialized += len(cached)
-        return cached
+    def rows(self) -> list[int]:
+        """Every row entry of the round: one walk, kept for the round."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = list(self._walk())
+        return rows
 
-    def _scalar_matches(self, kid: int, iid_filter: Any) -> Iterator[int]:
-        """Scalar row indices with the given kind (and instance) id."""
-        hits = [j for j, k in enumerate(self.kind_ids) if k == kid]
-        if iid_filter is _ANY:
-            return iter(hits)
-        instance_ids = self.instance_ids
-        return (j for j in hits if instance_ids[j] == iid_filter)
-
-    def payload_tally(
-        self, kind: str, instance: Any
-    ) -> dict[Hashable, frozenset[NodeId]]:
-        """payload -> distinct senders, in first-occurrence order.
-
-        Matches a linear scan over the messages exactly, including
-        ordering.
-        The all-segments case groups by canonical batch so homogeneous
-        echo rounds cost O(senders + payloads), not O(senders x
-        payloads) — every tag then shares one sender frozenset, which
-        the quorum plane's threshold caches key on by identity.
-        """
-        plane = self.plane
-        kid = plane.kind_id_of(kind)
-        if kid is None:
-            return {}
-        iid = _ANY
-        if instance is not _ANY:
-            iid = plane.instance_id_of(instance)
-            if iid is None:
-                return {}
-        scalars_match = (
-            any(k == kid for k, _ in self._scalar_ki)
-            if iid is _ANY
-            else (kid, iid) in self._scalar_ki
-        )
-        seg_match = [
-            (sender, batch)
-            for _, sender, batch in self.segments
-            if batch.kind_id == kid
-            and (iid is _ANY or batch.instance_id == iid)
+    def keys(self, rows: Sequence[int], axis: int) -> list:
+        """Each entry's sender, kind id or instance id (by *axis*)."""
+        column = (self.senders, self.kind_ids, self.instance_ids)[axis]
+        segments = self.segments
+        if axis == _SENDER:
+            return [
+                column[e] if e >= 0 else segments[~e][1] for e in rows
+            ]
+        if axis == _KIND:
+            return [
+                column[e] if e >= 0 else segments[~e][2].kind_id
+                for e in rows
+            ]
+        return [
+            column[e] if e >= 0 else segments[~e][2].instance_id
+            for e in rows
         ]
-        if not scalars_match:
-            if not seg_match:
-                return {}
-            # Group segments by canonical batch (insertion order is the
-            # batches' first occurrence, which reproduces the stream's
-            # first-occurrence payload order).
+
+    def select(
+        self, rows: Sequence[int], axis: int, wanted: Collection
+    ) -> list[int]:
+        """The entries of *rows* whose *axis* key is in *wanted*."""
+        return [
+            entry
+            for entry, key in zip(rows, self.keys(rows, axis))
+            if key in wanted
+        ]
+
+    def partition(
+        self, rows: Sequence[int], axis: int
+    ) -> dict[int, list[int]]:
+        """*rows* bucketed by *axis* key, in first-occurrence order."""
+        keys = self.keys(rows, axis)
+        if keys and keys.count(keys[0]) == len(keys):
+            return {keys[0]: rows}  # one bucket: the rows themselves
+        buckets: dict[int, list[int]] = {}
+        for entry, key in zip(rows, keys):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [entry]
+            else:
+                bucket.append(entry)
+        return buckets
+
+    def distinct_senders(self) -> frozenset[NodeId]:
+        senders = set(self.senders)
+        senders.update(sender for _, sender, _ in self.segments)
+        return frozenset(senders)
+
+    def tally(
+        self, rows: Sequence[int]
+    ) -> dict[Hashable, frozenset[NodeId]]:
+        """payload -> distinct senders over *rows*, in first-occurrence
+        order — exactly a linear scan over their messages.
+
+        Segment-only rows (an echo round) group by canonical batch, so
+        they cost O(senders + payloads), not O(senders x payloads), and
+        every payload of a batch shares one sender frozenset, which the
+        quorum plane's threshold caches key on by identity.
+        """
+        segments = self.segments
+        if all(entry < 0 for entry in rows):
+            # Batches in first-occurrence order reproduce the stream's
+            # first-occurrence payload order.
             by_batch: dict[Batch, list[NodeId]] = {}
-            for sender, batch in seg_match:
+            for entry in rows:
+                _, sender, batch = segments[~entry]
                 group = by_batch.get(batch)
                 if group is None:
                     by_batch[batch] = [sender]
@@ -519,27 +513,19 @@ class RoundColumns:
                     )
             return out
         grouped: dict[Hashable, set[NodeId]] = {}
-        payloads = plane.payloads
+        payloads = self.plane.payloads
         payload_ids = self.payload_ids
         senders = self.senders
-        kind_ids = self.kind_ids
-        instance_ids = self.instance_ids
-        for entry in self._walk():
-            if entry[0] == "s":
-                j = entry[1]
-                if kind_ids[j] != kid:
-                    continue
-                if iid is not _ANY and instance_ids[j] != iid:
-                    continue
-                grouped.setdefault(payloads[payload_ids[j]], set()).add(
-                    senders[j]
-                )
+        for entry in rows:
+            if entry >= 0:
+                payload = payloads[payload_ids[entry]]
+                group = grouped.get(payload)
+                if group is None:
+                    grouped[payload] = {senders[entry]}
+                else:
+                    group.add(senders[entry])
             else:
-                _, sender, batch = entry
-                if batch.kind_id != kid:
-                    continue
-                if iid is not _ANY and batch.instance_id != iid:
-                    continue
+                _, sender, batch = segments[~entry]
                 for payload in batch.staged_payloads:
                     grouped.setdefault(payload, set()).add(sender)
         return {
@@ -547,233 +533,217 @@ class RoundColumns:
             for payload, group in grouped.items()
         }
 
-    def distinct_senders(self) -> frozenset[NodeId]:
-        senders = set(self.senders)
-        senders.update(sender for _, sender, _ in self.segments)
-        return frozenset(senders)
-
-    def kind_senders(self, kind: str, instance: Any) -> frozenset[NodeId]:
+    def messages(self, rows: Sequence[int]) -> tuple[Message, ...]:
+        """The messages of *rows*, each row built at most once a round."""
+        built = self._materialized
+        if built is None:
+            built = self._materialized = [None] * (
+                len(self.senders) + len(self.segments)
+            )
         plane = self.plane
-        kid = plane.kind_id_of(kind)
-        if kid is None:
-            return frozenset()
-        iid = _ANY
-        if instance is not _ANY:
-            iid = plane.instance_id_of(instance)
-            if iid is None:
-                return frozenset()
-        senders = self.senders
-        out = {senders[j] for j in self._scalar_matches(kid, iid)}
-        out.update(
-            sender
-            for _, sender, batch in self.segments
-            if batch.kind_id == kid
-            and (iid is _ANY or batch.instance_id == iid)
-        )
-        return frozenset(out)
-
-    def present_kinds(self) -> frozenset[str]:
-        kinds = self.plane.kinds
-        out = {kinds[kid] for kid, _ in self._scalar_ki}
-        out.update(batch.kind for _, _, batch in self.segments)
-        return frozenset(out)
-
-    def instance_survey(self) -> tuple[Hashable, ...]:
-        """Instance tags (None excluded) in first-occurrence order."""
-        seen: set[int] = set()
-        ordered: list[Hashable] = []
-        instances = self.plane.instances
-        instance_ids = self.instance_ids
-        for entry in self._walk():
-            if entry[0] == "s":
-                iid = instance_ids[entry[1]]
-            else:
-                iid = entry[2].instance_id
-            if iid not in seen:
-                seen.add(iid)
-                tag = instances[iid]
-                if tag is not None:
-                    ordered.append(tag)
-        return tuple(ordered)
-
-    def sender_rows(self, sender: NodeId) -> tuple[Message, ...]:
-        """All of one sender's messages, in staging order, without
-        materializing anyone else's."""
-        plane = self.plane
-        kinds = plane.kinds
-        payloads = plane.payloads
-        instances = plane.instances
-        senders = self.senders
+        scalars = len(self.senders)
         out: list[Message] = []
-        for entry in self._walk():
-            if entry[0] == "s":
-                j = entry[1]
-                if senders[j] != sender:
-                    continue
-                out.append(
-                    Message(
-                        sender,
-                        kinds[self.kind_ids[j]],
-                        payloads[self.payload_ids[j]],
-                        instances[self.instance_ids[j]],
+        fresh = 0
+        for entry in rows:
+            if entry >= 0:
+                message = built[entry]
+                if message is None:
+                    message = built[entry] = Message(
+                        self.senders[entry],
+                        plane.kinds[self.kind_ids[entry]],
+                        plane.payloads[self.payload_ids[entry]],
+                        plane.instances[self.instance_ids[entry]],
                     )
-                )
-            elif entry[1] == sender:
-                batch = entry[2]
-                out.extend(
-                    Message(sender, batch.kind, payload, batch.instance)
-                    for payload in batch.staged_payloads
-                )
-        plane.messages_materialized += len(out)
+                    fresh += 1
+                out.append(message)
+            else:
+                slot = scalars + ~entry
+                group = built[slot]
+                if group is None:
+                    _, sender, batch = self.segments[~entry]
+                    kind, instance = batch.kind, batch.instance
+                    group = built[slot] = tuple(
+                        Message(sender, kind, payload, instance)
+                        for payload in batch.staged_payloads
+                    )
+                    fresh += len(group)
+                out.extend(group)
+        plane.messages_materialized += fresh
         return tuple(out)
 
 
 class ColumnarMessages(Sequence):
-    """Lazy message sequence over one round's columns.
+    """Lazy message sequence over one round's shared index.
 
-    ``len`` and truthiness are O(1) column reads; iteration (a JSONL
-    sink rendering the delivery, a recorder) materializes the round's
-    shared message tuple once and caches it on the columns — the same
-    tuple the :class:`ColumnarIndex` exposes, so nothing is built
-    twice.  This is what :class:`~repro.obs.events.InboxDelivered`
+    ``len`` and truthiness read the size taken when the view was made
+    (one per round, however many recipients); iteration (a JSONL
+    sink rendering the delivery, a recorder) reads the index's message
+    tuple — the one every recipient of the index shares, so nothing is
+    built twice.  This is what :class:`~repro.obs.events.InboxDelivered`
     carries for recipients of the shared broadcasts; its wire shape (a
     sequence of messages) is that of any other delivery.
     """
 
-    __slots__ = ("_cols",)
+    __slots__ = ("_index", "_size")
 
-    def __init__(self, cols: RoundColumns):
-        self._cols = cols
+    def __init__(self, index: "ColumnarIndex", size: int):
+        self._index = index
+        self._size = size
 
     def __len__(self) -> int:
-        return len(self._cols)
-
-    def __bool__(self) -> bool:
-        return len(self._cols) > 0
+        return self._size
 
     def __iter__(self) -> Iterator[Message]:
-        return iter(self._cols.materialize())
+        return iter(self._index.messages)
 
     def __getitem__(self, item):
-        return self._cols.materialize()[item]
+        return self._index.messages[item]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ColumnarMessages):
-            other = other._cols.materialize()
+            other = other._index.messages
         if isinstance(other, (tuple, list)):
-            return self._cols.materialize() == tuple(other)
+            return self._index.messages == tuple(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._cols.materialize())
+        return hash(self._index.messages)
 
 
 class ColumnarIndex(InboxIndex):
-    """An inbox index whose answers are counting passes over columns.
+    """An inbox index over one round's columns and a row selection.
 
-    Drop-in compatible with :class:`~repro.sim.inbox.InboxIndex`: the
-    query methods that drive the paper's quorum counting (sender sets,
-    payload tallies, surveys, per-sender buckets) read the columns
-    directly; anything that genuinely needs message objects (per-kind
-    bucket filters, the per-round instance partition, restrictions,
-    layering) falls through to the base implementation via the lazily
-    materialized ``messages`` tuple — one staging-order pass per round,
-    however many kinds or instances are then asked for.
+    ``rows=None`` is the whole round (what every recipient of the
+    round's broadcasts shares); otherwise *rows* is a row view's entry
+    list.  Drop-in compatible with :class:`~repro.sim.inbox.InboxIndex`:
+    sender sets, payload tallies, surveys, sizes and the single-axis
+    sub-inboxes (instance partition, kind buckets, restrictions) are
+    passes over the columns, and the sub-inboxes are row views again.
+    ``messages`` — and a sender's bucket — build message objects only
+    for the rows asked for; layering and the ``kind=None`` filters with
+    a payload fall through to the base implementation over them.
     """
 
-    __slots__ = ("_cols", "_by_sender_cols")
+    __slots__ = ("_cols", "_rows", "_parts", "_size", "_sender_buckets")
 
-    def __init__(self, cols: RoundColumns):
+    def __init__(self, cols: RoundColumns, rows: list[int] | None = None):
         super().__init__(())
         # Unset the messages slot: reads fall into __getattr__, which
-        # materializes on first genuine demand and re-fills the slot.
+        # builds this view's messages on first genuine demand.
         del self.messages
         self._cols = cols
-        self._by_sender_cols: dict[NodeId, tuple[Message, ...]] = {}
+        self._rows = rows
+        #: axis -> {key id: row entries}, one pass per axis on demand.
+        self._parts: dict[int, dict[int, list[int]]] = {}
+        self._size = len(cols) if rows is None else None
+        #: sender -> that sender's messages, built one sender at a time
+        #: (``_by_sender`` stays the base class's whole bucket map, which
+        #: an overlay layered on this index may still ask for).
+        self._sender_buckets: dict[NodeId, tuple[Message, ...]] = {}
 
     def __getattr__(self, name: str):
         if name == "messages":
-            materialized = self._cols.materialize()
-            self.messages = materialized
-            return materialized
+            built = self.messages = self._cols.messages(self._entries())
+            return built
         raise AttributeError(name)
 
-    @property
-    def columns(self) -> RoundColumns:
-        return self._cols
-
     def message_view(self) -> ColumnarMessages:
-        return ColumnarMessages(self._cols)
+        return ColumnarMessages(self, self.message_count())
 
-    # -- counting passes ------------------------------------------------
-    @property
-    def all_senders(self) -> frozenset[NodeId]:
-        senders = self._all_senders
-        if senders is None:
-            senders = self._all_senders = self._cols.distinct_senders()
-        return senders
+    def _entries(self) -> list[int]:
+        rows = self._rows
+        return self._cols.rows() if rows is None else rows
 
-    def sender_set(
+    def _partition(self, axis: int) -> dict[int, list[int]]:
+        part = self._parts.get(axis)
+        if part is None:
+            part = self._parts[axis] = self._cols.partition(
+                self._entries(), axis
+            )
+        return part
+
+    def _rows_of(self, kind: str, instance: Any) -> Sequence[int]:
+        """The entries of *kind* (and of *instance*, unless ``...``)."""
+        plane = self._cols.plane
+        rows = self._partition(_KIND).get(plane.kind_id_of(kind), ())
+        if instance is _ANY or not rows:
+            return rows
+        iid = plane.instance_id_of(instance)
+        return self._cols.select(rows, _INSTANCE, (iid,))
+
+    def message_count(self) -> int:
+        size = self._size
+        if size is None:
+            segments = self._cols.segments
+            size = self._size = sum(
+                1 if entry >= 0 else len(segments[~entry][2])
+                for entry in self._rows
+            )
+        return size
+
+    # -- counting passes (the InboxIndex caches call these once) --------
+    def _distinct_senders(self) -> frozenset[NodeId]:
+        cols = self._cols
+        if self._rows is None:
+            return cols.distinct_senders()
+        return frozenset(cols.keys(self._rows, _SENDER))
+
+    def _senders_matching(
         self, kind: str | None, payload: Any, instance: Any
     ) -> frozenset[NodeId]:
         if kind is None:
-            if payload is _ANY and instance is _ANY:
-                return self.all_senders
-            return super().sender_set(kind, payload, instance)
-        key = (kind, payload, instance)
-        cached = self._sender_sets.get(key)
-        if cached is None:
-            if payload is _ANY:
-                cached = self._cols.kind_senders(kind, instance)
-            else:
-                cached = self.payload_senders(kind, instance).get(
-                    payload, frozenset()
-                )
-            self._sender_sets[key] = cached
-        return cached
+            return super()._senders_matching(kind, payload, instance)
+        if payload is _ANY:
+            rows = self._rows_of(kind, instance)
+            return frozenset(self._cols.keys(rows, _SENDER))
+        return self.payload_senders(kind, instance).get(payload, frozenset())
 
-    def payload_senders(
+    def _tally(
         self, kind: str, instance: Any
-    ) -> Mapping[Hashable, frozenset[NodeId]]:
-        key = (kind, instance)
-        cached = self._payload_senders.get(key)
-        if cached is None:
-            cached = self._payload_senders[key] = MappingProxyType(
-                self._cols.payload_tally(kind, instance)
+    ) -> dict[Hashable, frozenset[NodeId]]:
+        return self._cols.tally(self._rows_of(kind, instance))
+
+    def _kind_set(self) -> frozenset[str]:
+        names = self._cols.plane.kinds
+        return frozenset(names[kid] for kid in self._partition(_KIND))
+
+    def _instance_keys(self) -> Iterable[Hashable]:
+        names = self._cols.plane.instances
+        return map(names.__getitem__, self._partition(_INSTANCE))
+
+    # -- row views ------------------------------------------------------
+    def _view(self, rows: list[int]) -> Inbox:
+        return Inbox(index=ColumnarIndex(self._cols, rows))
+
+    def instance_subs(self) -> Mapping[Hashable, Inbox]:
+        subs = self._instance_subs
+        if subs is None:
+            names = self._cols.plane.instances
+            subs = self._instance_subs = MappingProxyType(
+                {
+                    names[iid]: self._view(rows)
+                    for iid, rows in self._partition(_INSTANCE).items()
+                }
             )
-        return cached
+        return subs
 
-    # -- surveys --------------------------------------------------------
-    @property
-    def all_kinds(self) -> frozenset[str]:
-        kinds = self._kinds
-        if kinds is None:
-            kinds = self._kinds = self._cols.present_kinds()
-        return kinds
+    def sub_by_kind(self, kind: str) -> Inbox:
+        kid = self._cols.plane.kind_id_of(kind)
+        rows = self._partition(_KIND).get(kid)
+        if rows is None:
+            return self._sub(_EMPTY_SUB, ())
+        sub = self._subs.get(("kind", kind))
+        if sub is None:
+            sub = self._subs[("kind", kind)] = self._view(rows)
+        return sub
 
-    @property
-    def all_instances(self) -> frozenset[Hashable]:
-        instances = self._instances
-        if instances is None:
-            instances = self._instances = frozenset(
-                self.instance_tags()
-            )
-        return instances
+    def _restriction(self, members: frozenset[NodeId]) -> Inbox:
+        return self._view(self._cols.select(self._entries(), _SENDER, members))
 
-    def instance_tags(self) -> tuple[Hashable, ...]:
-        tags = self._instance_tags
-        if tags is None:
-            tags = self._instance_tags = self._cols.instance_survey()
-        return tags
-
-    # -- one sender's bucket without whole-round materialization --------
     def sender_bucket(self, sender: NodeId) -> tuple[Message, ...]:
-        if self._by_sender is not None:
-            # Someone already materialized the full bucket map.
-            return self._by_sender.get(sender, ())
-        bucket = self._by_sender_cols.get(sender)
+        bucket = self._sender_buckets.get(sender)
         if bucket is None:
-            bucket = self._by_sender_cols[sender] = self._cols.sender_rows(
-                sender
-            )
+            cols = self._cols
+            rows = cols.select(self._entries(), _SENDER, (sender,))
+            bucket = self._sender_buckets[sender] = cols.messages(rows)
         return bucket

@@ -7,22 +7,27 @@ messages from the same sender within a round, and all threshold arguments
 Counting is backed by a lazily-built :class:`InboxIndex`.  The engine hands
 every recipient of the round's shared broadcast tuple an :class:`Inbox`
 view that *aliases one shared index*, so per-kind buckets, sender sets and
-payload tallies are materialized once per round instead of once per node —
+payload tallies are computed once per round instead of once per node —
 the paper's protocols are all distinct-sender threshold counts over a
 common view, which is exactly the shape this amortizes.
 
 Shared-index invariant: an index (and every bucket, set and counter it
 caches) is a pure *view* over one immutable tuple of
-:class:`~repro.sim.message.Message` objects.  Nothing may mutate a message
+:class:`~repro.sim.message.Message` objects, or over one round's frozen
+columns.  Nothing may mutate a message
 or a cached structure after it is handed out; the query methods therefore
 return fresh ``set``/``Counter`` copies wherever callers could mutate the
 result.  Mutating an index internal is a bug, not a feature request.
 
 Buckets are partitions, not per-key scans: the first per-kind,
 per-sender or per-instance read of an index groups *every* key in one
-pass over the tuple, and :meth:`InboxIndex.instance_subs` exposes the
-instance partition whole (``tag -> shared sub-inbox``) so a protocol
-running many instances pays one dict probe per instance per round.
+pass, and :meth:`InboxIndex.instance_subs` exposes the instance
+partition whole (``tag -> shared sub-inbox``) so a protocol running
+many instances pays one dict probe per instance per round.  On the
+engine's columnar plane (:mod:`repro.sim.columnar`) the pass buckets
+row numbers, not messages: every instance and kind sub-inbox is a *row
+view* of the round's columns, answering counts and tallies from them,
+and a ``Message`` exists only for a row that somebody iterates.
 
 The *quorum-tally plane* extends the sharing one layer up, into the
 protocols' counting: :meth:`InboxIndex.derive` memoizes arbitrary derived
@@ -80,7 +85,6 @@ class InboxIndex:
         "_payload_senders",
         "_best",
         "_kinds",
-        "_instances",
         "_instance_tags",
         "_subs",
         "_instance_subs",
@@ -113,7 +117,6 @@ class InboxIndex:
         #: (kind, instance) -> cached best_payload result.
         self._best: dict[tuple, tuple[Hashable, int]] = {}
         self._kinds: frozenset[str] | None = None
-        self._instances: frozenset[Hashable] | None = None
         self._instance_tags: tuple[Hashable, ...] | None = None
         #: Cached sub-Inbox views for kind/sender/instance buckets, so
         #: repeated ``filter(kind)`` calls across recipients share one
@@ -185,9 +188,6 @@ class InboxIndex:
         buckets *every* tag (untagged messages under ``None``)."""
         return self._bucket_map("_by_instance", lambda m: m.instance)
 
-    def instance_bucket(self, instance: Hashable) -> tuple[Message, ...]:
-        return self._instance_buckets().get(instance, ())
-
     # ------------------------------------------------------------------
     # Sender sets and payload tallies
     # ------------------------------------------------------------------
@@ -195,15 +195,14 @@ class InboxIndex:
     def all_senders(self) -> frozenset[NodeId]:
         senders = self._all_senders
         if senders is None:
-            base = self._base
-            if base is not None:
-                senders = base.all_senders | {
-                    m.sender for m in self._extra
-                }
-            else:
-                senders = frozenset(m.sender for m in self.messages)
-            self._all_senders = senders
+            senders = self._all_senders = self._distinct_senders()
         return senders
+
+    def _distinct_senders(self) -> frozenset[NodeId]:
+        base = self._base
+        if base is not None:
+            return base.all_senders | {m.sender for m in self._extra}
+        return frozenset(m.sender for m in self.messages)
 
     def sender_set(
         self, kind: str | None, payload: Any, instance: Any
@@ -214,26 +213,25 @@ class InboxIndex:
         key = (kind, payload, instance)
         cached = self._sender_sets.get(key)
         if cached is None:
-            base = self._base
-            if base is not None:
-                cached = base.sender_set(kind, payload, instance) | {
-                    m.sender
-                    for m in self._extra
-                    if m.matches(kind, payload, instance)
-                }
-            else:
-                pool = (
-                    self.kind_bucket(kind)
-                    if kind is not None
-                    else self.messages
-                )
-                cached = frozenset(
-                    m.sender
-                    for m in pool
-                    if m.matches(kind, payload, instance)
-                )
-            self._sender_sets[key] = cached
+            cached = self._sender_sets[key] = self._senders_matching(
+                kind, payload, instance
+            )
         return cached
+
+    def _senders_matching(
+        self, kind: str | None, payload: Any, instance: Any
+    ) -> frozenset[NodeId]:
+        base = self._base
+        if base is not None:
+            return base.sender_set(kind, payload, instance) | {
+                m.sender
+                for m in self._extra
+                if m.matches(kind, payload, instance)
+            }
+        pool = self.kind_bucket(kind) if kind is not None else self.messages
+        return frozenset(
+            m.sender for m in pool if m.matches(kind, payload, instance)
+        )
 
     def payload_senders(
         self, kind: str, instance: Any
@@ -250,28 +248,31 @@ class InboxIndex:
         key = (kind, instance)
         cached = self._payload_senders.get(key)
         if cached is None:
-            base = self._base
-            if base is not None:
-                built = dict(base.payload_senders(kind, instance))
-                for m in self._extra:
-                    if not m.matches(kind, instance=instance):
-                        continue
-                    existing = built.get(m.payload)
-                    if existing is None:
-                        built[m.payload] = frozenset((m.sender,))
-                    elif m.sender not in existing:
-                        built[m.payload] = existing | {m.sender}
-            else:
-                grouped: dict[Hashable, set[NodeId]] = {}
-                for m in self.kind_bucket(kind):
-                    if m.matches(kind, instance=instance):
-                        grouped.setdefault(m.payload, set()).add(m.sender)
-                built = {
-                    payload: frozenset(senders)
-                    for payload, senders in grouped.items()
-                }
-            cached = self._payload_senders[key] = MappingProxyType(built)
+            cached = self._payload_senders[key] = MappingProxyType(
+                self._tally(kind, instance)
+            )
         return cached
+
+    def _tally(
+        self, kind: str, instance: Any
+    ) -> dict[Hashable, frozenset[NodeId]]:
+        base = self._base
+        if base is not None:
+            built = dict(base.payload_senders(kind, instance))
+            for m in self._extra:
+                if not m.matches(kind, instance=instance):
+                    continue
+                existing = built.get(m.payload)
+                if existing is None:
+                    built[m.payload] = frozenset((m.sender,))
+                elif m.sender not in existing:
+                    built[m.payload] = existing | {m.sender}
+            return built
+        grouped: dict[Hashable, set[NodeId]] = {}
+        for m in self.kind_bucket(kind):
+            if m.matches(kind, instance=instance):
+                grouped.setdefault(m.payload, set()).add(m.sender)
+        return {payload: frozenset(group) for payload, group in grouped.items()}
 
     def best_payload(
         self, kind: str, instance: Any
@@ -298,51 +299,34 @@ class InboxIndex:
     def all_kinds(self) -> frozenset[str]:
         kinds = self._kinds
         if kinds is None:
-            base = self._base
-            if base is not None:
-                kinds = base.all_kinds | {m.kind for m in self._extra}
-            else:
-                kinds = frozenset(m.kind for m in self.messages)
-            self._kinds = kinds
+            kinds = self._kinds = self._kind_set()
         return kinds
 
-    @property
-    def all_instances(self) -> frozenset[Hashable]:
-        instances = self._instances
-        if instances is None:
-            base = self._base
-            if base is not None:
-                instances = base.all_instances | {
-                    m.instance
-                    for m in self._extra
-                    if m.instance is not None
-                }
-            else:
-                instances = frozenset(
-                    m.instance
-                    for m in self.messages
-                    if m.instance is not None
-                )
-            self._instances = instances
-        return instances
+    def _kind_set(self) -> frozenset[str]:
+        base = self._base
+        if base is not None:
+            return base.all_kinds | {m.kind for m in self._extra}
+        return frozenset(m.kind for m in self.messages)
 
     def instance_tags(self) -> tuple[Hashable, ...]:
         """Instance tags in first-occurrence order (untagged excluded).
 
-        The deterministic counterpart of :attr:`all_instances`: callers
-        that *iterate* instances (parallel consensus walking per-instance
-        buckets for join decisions) need an order independent of set
-        hashing.
+        Callers that *iterate* instances (parallel consensus walking
+        per-instance buckets for join decisions) need an order
+        independent of set hashing.
         """
         tags = self._instance_tags
         if tags is None:
             tags = self._instance_tags = tuple(
-                tag for tag in self._instance_buckets() if tag is not None
+                tag for tag in self._instance_keys() if tag is not None
             )
         return tags
 
+    def _instance_keys(self) -> Iterable[Hashable]:
+        return self._instance_buckets()
+
     def message_count(self) -> int:
-        """Number of messages (overridable without materializing them)."""
+        """Number of messages (a row view counts its rows instead)."""
         return len(self.messages)
 
     def covered_by(self, members: frozenset[NodeId]) -> bool:
@@ -411,9 +395,11 @@ class InboxIndex:
             if not self.all_senders:
                 # Nothing to restrict, and nothing to key by membership.
                 return self._sub(_EMPTY_SUB, ())
-            sub = Inbox(m for m in self.messages if m.sender in members)
-            self._restrictions[members] = sub
+            sub = self._restrictions[members] = self._restriction(members)
         return sub
+
+    def _restriction(self, members: frozenset[NodeId]) -> "Inbox":
+        return Inbox(m for m in self.messages if m.sender in members)
 
     # ------------------------------------------------------------------
     # Shared sub-views
@@ -442,11 +428,11 @@ class InboxIndex:
         """``instance tag -> shared sub-inbox`` for every tag present.
 
         The per-round instance partition as inboxes: built whole, once
-        per index, from the one-pass bucket map, in first-occurrence
-        order (untagged messages under ``None``).  These are the very
-        objects :meth:`sub_by_instance` hands out, so a protocol that
-        runs many instances fetches the mapping once per round and pays
-        one dict probe per instance.
+        per index, from one bucketing pass, in first-occurrence order
+        (untagged messages under ``None``).  These are the very objects
+        :meth:`sub_by_instance` hands out, so a protocol that runs many
+        instances fetches the mapping once per round and pays one dict
+        probe per instance.  On the columnar plane they are row views.
         """
         subs = self._instance_subs
         if subs is None:
@@ -469,8 +455,9 @@ class Inbox:
     ``tests/properties/test_index_coherence.py``).
 
     When built over an index the message tuple is fetched lazily: a
-    columnar index answers counts and tallies straight from its columns,
-    and materializes message objects only if somebody iterates.
+    columnar index (the whole round or a row view of it) answers counts
+    and tallies straight from its columns, and builds message objects
+    only for the rows somebody iterates.
     """
 
     __slots__ = ("_messages", "_index")
@@ -520,26 +507,20 @@ class Inbox:
     ) -> "Inbox":
         """Return a sub-inbox of the messages matching the filters.
 
-        The common single-axis filters (by kind, by instance) return a
-        view over the index's cached bucket, so every recipient of a
-        shared round index gets the *same* sub-inbox object — and one
-        shared sub-index with it.
+        The single-axis filters (by kind, by instance) return the
+        index's cached sub-inbox, so every recipient of a shared round
+        index gets the *same* object — and one shared sub-index with
+        it; a kind within an instance is the instance's kind bucket.
+        Only a payload filter scans messages.
         """
+        sub = self
+        if instance is not _ANY:
+            sub = self.index.sub_by_instance(instance)
+        if kind is not None:
+            sub = sub.index.sub_by_kind(kind)
         if payload is _ANY:
-            if kind is not None and instance is _ANY:
-                return self.index.sub_by_kind(kind)
-            if kind is None and instance is not _ANY:
-                return self.index.sub_by_instance(instance)
-            if kind is None and instance is _ANY:
-                return self
-        pool = (
-            self.index.kind_bucket(kind)
-            if kind is not None
-            else self._seq()
-        )
-        return Inbox(
-            m for m in pool if m.matches(kind, payload, instance)
-        )
+            return sub
+        return Inbox(m for m in sub if m.matches(payload=payload))
 
     def senders(
         self,
@@ -643,13 +624,11 @@ class Inbox:
 
     def kinds(self, instance: Any = ...) -> set[str]:
         """The set of message kinds present (optionally within an instance)."""
-        if instance is _ANY:
-            return set(self.index.all_kinds)
-        return {m.kind for m in self.index.instance_bucket(instance)}
+        return set(self.filter(instance=instance).index.all_kinds)
 
     def instances(self) -> set[Hashable]:
         """The set of instance tags present (excluding untagged messages)."""
-        return set(self.index.all_instances)
+        return set(self.index.instance_tags())
 
     def instance_tags(self) -> tuple[Hashable, ...]:
         """Instance tags in first-occurrence order (untagged excluded)."""

@@ -588,14 +588,14 @@ class SyncNetwork:
         broadcast_senders: frozenset[NodeId] = frozenset()
         shared_index = shared_inbox = shared_view = None
         if has_broadcasts:
-            broadcast_senders = cols.distinct_senders()
-            if not broadcast_senders <= self._contact_pool:
-                self._contact_pool = self._contact_pool | broadcast_senders
             # The one index, inbox and lazy delivered-messages view of
             # every recipient that gets exactly the round's broadcasts.
             shared_index = ColumnarIndex(cols)
             shared_inbox = Inbox(index=shared_index)
             shared_view = shared_index.message_view()
+            broadcast_senders = shared_index.all_senders
+            if not broadcast_senders <= self._contact_pool:
+                self._contact_pool = self._contact_pool | broadcast_senders
 
         #: Recipient groups: every recipient whose direct queue holds
         #: the same messages in the same order shares one ``(queue,
@@ -673,7 +673,7 @@ class SyncNetwork:
                     )
                 delivered = tuple(
                     compress(
-                        delivered if extras else cols.materialize(),
+                        delivered if extras else shared_index.messages,
                         verdict,
                     )
                 )

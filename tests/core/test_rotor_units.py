@@ -1,6 +1,11 @@
 """Unit tests for the rotor's building blocks (CandidateSet/RotorCursor)."""
 
+import pytest
+
+from repro.analysis.campaign import evaluate_spec
+from repro.core.quorum import sorted_tags
 from repro.core.rotor import CandidateSet, RotorCore, RotorCursor
+from repro.scenario import RunSpec
 from repro.sim.inbox import Inbox
 from repro.sim.message import Message, Outbox
 from repro.sim.node import NodeApi
@@ -61,6 +66,47 @@ class TestCandidateSet:
         )
         candidates.evaluate(api, n_v=6)
         assert candidates.candidates == []
+
+    def test_forged_tags_accepted_alongside_ids_do_not_crash(self):
+        # Outside n > 3f a forged echo tag can reach the accept
+        # threshold next to real ids; they do not compare, and the
+        # candidate list falls back to one total order whatever order
+        # the tags were accepted in.
+        forged = ("x", 1)
+        for first, second in ((4, forged), (forged, 4)):
+            candidates = CandidateSet()
+            for round_no, tag in enumerate((first, second, "y", 2.5), 3):
+                candidates.absorb(
+                    Inbox([Message(s, "echo", tag) for s in range(6)])
+                )
+                candidates.evaluate(api_for(round_no=round_no), n_v=6)
+            assert candidates.candidates == [2.5, 4, "y", forged]
+
+    def test_id_lists_keep_their_natural_order(self):
+        ids = [30, 7, 1000, -2, 7.5]
+        assert sorted_tags(ids) == sorted(ids)
+        assert sorted_tags({"b": 0, "a": 1}) == ["a", "b"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_echo_forger_outside_the_resiliency_bound_is_no_crash(seed):
+    # The reproducer the one-judge campaign found: n = 9, f = 3 (so
+    # n > 3f fails) with rushing echo forgers used to end in
+    # "crash: TypeError at repro/core/rotor.py:135" on every seed.
+    spec = RunSpec(
+        protocol="consensus",
+        n=9,
+        f=3,
+        adversary="echo-forger",
+        rushing=True,
+        enforce_resiliency=False,
+        seed=seed,
+    )
+    verdicts = evaluate_spec(spec)["verdicts"]
+    assert not any(
+        verdict and verdict.startswith("crash:")
+        for verdict in verdicts.values()
+    ), verdicts
 
 
 class TestRotorCursor:

@@ -13,7 +13,10 @@ rounds, ``Metrics.summary()``, the ordered semantic event stream and
 the full ``--events``-style JSONL rendering (per-recipient ``send``
 lines with their ``staged`` flags, every ``deliver`` batch), once on
 the bulk-event path and once with byte accounting (the per-send
-fallback).
+fallback).  The summary is hashed without ``materialized_messages``,
+the engine's work counter, which is pinned as a ceiling instead; the
+summary hashes and ceilings were re-recorded on cdac4f9 under that
+definition.
 
 Print fresh digests with::
 
@@ -41,16 +44,18 @@ JOINER = 40
 GHOST = 77
 ROUNDS = 24
 
-#: rushing -> digest recorded on the parent commit.
+#: rushing -> digest recorded on the parent commit (summary hash and
+#: ``materialized`` ceiling re-recorded on cdac4f9).
 PARENT_DIGESTS = {
     False: {
         "sends_total": 2271,
         "staged_total": 2194,
         "deliveries_total": 11904,
+        "materialized": 556,
         "decided": 12,
         "nodes_sha256": "94c1486c079fcd676b23cad1723c252b02428b7a2f97f5bf3995bd4c74a5cb31",
         "decide_rounds_sha256": "121afb299ef141ff88a7cc2e0c66439993c8042766c96a28c12674652d7f678a",
-        "summary_sha256": "a16e167046372881fc654780a24414a1334e6f8d0e22be4aab78d5753d6abc98",
+        "summary_sha256": "0a11da42e4219e90b66fdd1662d1eb8d8bb0c3e6f6c54befd79285fc0d29d820",
         "semantic_sha256": "8d29a4a86015ceb580b40743ebcce0b6db6c9dca0d041739518d7995ed41dc0a",
         "events_sha256": "eaab05b8a5330d4979f437b46e1c603671330503ccc7bd7e40f518079e2351af",
         "events_bytes_sha256": "d2a64b741a13f646f35bcbcedf8d70123484320e0539b7deea50b4217b554f83",
@@ -59,10 +64,11 @@ PARENT_DIGESTS = {
         "sends_total": 2397,
         "staged_total": 2286,
         "deliveries_total": 11935,
+        "materialized": 555,
         "decided": 12,
         "nodes_sha256": "94c1486c079fcd676b23cad1723c252b02428b7a2f97f5bf3995bd4c74a5cb31",
         "decide_rounds_sha256": "121afb299ef141ff88a7cc2e0c66439993c8042766c96a28c12674652d7f678a",
-        "summary_sha256": "10c34db88b0832db4cbc812c7f0b7ffc714f4176cb689ce930c935b75f5f5651",
+        "summary_sha256": "212972bbb582677286f6478ed690eeea9a539ee9feb33696a83286b909352453",
         "semantic_sha256": "8d29a4a86015ceb580b40743ebcce0b6db6c9dca0d041739518d7995ed41dc0a",
         "events_sha256": "2ca69730fe275d96e7d608877a4164886c01f4be1d4077694bd8746b94189db4",
         "events_bytes_sha256": "2157a493dc1e10d21c55d133be66ca221018a64d697f44af66f53706925f1f69",
@@ -157,13 +163,17 @@ def events_sha(rushing: bool, **network_options) -> str:
 
 
 def digest(rushing: bool) -> dict:
+    """The run's digest; the engine's work counter is not behaviour, so
+    it leaves the hashed summary as the plain ``materialized`` count."""
     net = build(rushing)
     net.run(ROUNDS, until_all_halted=False)
     summary = net.metrics.summary()
+    materialized = summary.pop("materialized_messages")
     return {
         "sends_total": summary["sends_total"],
         "staged_total": summary["staged_total"],
         "deliveries_total": summary["deliveries_total"],
+        "materialized": materialized,
         "decided": len(net.outputs()),
         "nodes_sha256": sha(node_rows(net)),
         "decide_rounds_sha256": sha(
@@ -183,7 +193,10 @@ def test_run_matches_parent_recording(rushing):
     # that were refused staging (dead / unknown destinations).
     assert expect["decided"] > 0
     assert expect["staged_total"] < expect["sends_total"]
-    assert digest(rushing) == expect
+    got = digest(rushing)
+    # Building fewer Message objects is allowed; more is a regression.
+    assert got.pop("materialized") <= expect["materialized"]
+    assert got == {k: v for k, v in expect.items() if k != "materialized"}
 
 
 @pytest.mark.parametrize("rushing", [False, True])

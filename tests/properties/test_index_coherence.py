@@ -12,6 +12,7 @@ failure here replays byte-for-byte from its seed.
 """
 
 from repro.core.parallel_consensus import namespace_view
+from repro.scenario import RunSpec, run_spec
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane, RoundColumns
 from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.message import (
@@ -198,14 +199,12 @@ def assert_partition_coherent(box, messages):
     )
     for tag, expect in naive.items():
         assert list(partition[tag]) == expect
-        assert list(box.index.instance_bucket(tag)) == expect
         assert box.filter(instance=tag) is partition[tag]
         assert box.kinds(instance=tag) == {m.kind for m in expect}
     absent = box.filter(instance="no-such-instance")
     assert len(absent) == 0 and list(absent) == []
     assert box.filter(instance=("also", "absent")) is absent
     assert "no-such-instance" not in partition
-    assert box.index.instance_bucket("no-such-instance") == ()
 
 
 class TestIndexCoherence:
@@ -424,6 +423,38 @@ def stage_stream(stream, plane=None):
     return cols
 
 
+def assert_counts_match(box, messages):
+    """Every counting query of *box* (no iteration) against the naive
+    scan of *messages*."""
+    assert len(box) == len(messages) and bool(box) == bool(messages)
+    assert box.senders() == naive_senders(messages)
+    assert box.kinds() == {m.kind for m in messages}
+    assert box.instance_tags() == tuple(
+        dict.fromkeys(m.instance for m in messages if m.instance is not None)
+    )
+    assert list(box.by_instance()) == list(
+        dict.fromkeys(m.instance for m in messages)
+    )
+    namespace_view(box)
+    for kind in KINDS:
+        assert box.has_kind(kind) == any(m.kind == kind for m in messages)
+        for instance in QUERY_INSTANCES:
+            assert box.senders(kind, ..., instance) == naive_senders(
+                messages, kind, instance=instance
+            )
+            assert dict(box.payload_counts(kind, instance)) == {
+                p: len(s)
+                for p, s in naive_tallies(messages, kind, instance).items()
+            }
+            assert box.best_payload(kind, instance) == naive_best(
+                messages, kind, instance
+            )
+        for payload in PAYLOADS:
+            assert box.count(kind, payload) == len(
+                naive_senders(messages, kind, payload)
+            )
+
+
 def expected_messages(stream):
     """The model's staging outcome: per-round Message-set dedup over
     the expanded stream, in staging order."""
@@ -451,7 +482,7 @@ class TestColumnarCoherence:
             stream = random_stream(rng, rng.randrange(0, 40))
             cols = stage_stream(stream)
             messages = expected_messages(stream)
-            assert list(cols.materialize()) == messages
+            assert list(ColumnarIndex(cols).messages) == messages
             assert_coherent(Inbox(index=ColumnarIndex(cols)), messages)
             # The plain object index over the same messages agrees too
             # (both sides reduce to one oracle).
@@ -491,6 +522,26 @@ class TestColumnarCoherence:
                     if m.instance is not None
                 )
             )
+            # ... and so is every row view: each instance of the
+            # partition, each kind bucket, each kind inside an instance,
+            # and a membership restriction of each.
+            members = frozenset(SENDERS[:3])
+            for tag, view in box.by_instance().items():
+                bucket = [m for m in messages if m.instance == tag]
+                assert_counts_match(view, bucket)
+                for kind in KINDS:
+                    assert_counts_match(
+                        view.filter(kind),
+                        [m for m in bucket if m.kind == kind],
+                    )
+                assert_counts_match(
+                    view.restricted_to(members),
+                    [m for m in bucket if m.sender in members],
+                )
+            for kind in KINDS:
+                assert_counts_match(
+                    box.filter(kind), [m for m in messages if m.kind == kind]
+                )
             assert cols._materialized is None
             # Full coherence afterwards: materializing later must agree
             # with everything the counting passes already answered.
@@ -525,7 +576,7 @@ class TestColumnarCoherence:
         for stream in streams:
             cols = stage_stream(stream)
             messages = expected_messages(stream)
-            assert list(cols.materialize()) == messages
+            assert list(ColumnarIndex(cols).messages) == messages
             assert_coherent(Inbox(index=ColumnarIndex(cols)), messages)
 
     def test_shared_payload_tuple_interns_one_batch(self):
@@ -540,7 +591,7 @@ class TestColumnarCoherence:
         cols = plane.new_round()
         for sender in range(6):
             cols.stage_batch(sender, first)
-        tally = cols.payload_tally("echo", ...)
+        tally = ColumnarIndex(cols).payload_senders("echo", ...)
         assert tally == {
             1: frozenset(range(6)),
             2: frozenset(range(6)),
@@ -565,7 +616,7 @@ class TestColumnarCoherence:
             ("batch", 1, "echo", shared, "a"),
             ("batch", 1, "echo", shared, "b"),
         ]
-        assert list(stage_stream(stream).materialize()) == (
+        assert list(ColumnarIndex(stage_stream(stream)).messages) == (
             expected_messages(stream)
         )
 
@@ -596,18 +647,25 @@ class TestColumnarCoherence:
     def test_partition_passes_do_not_grow_with_instances(self, monkeypatch):
         # Count-based complexity: however many instances a round
         # carries and however many recipients read each of them, the
-        # columns are walked a fixed number of times (the tag survey
-        # and the one materialization) and every staged entry is visited
-        # once per walk — not once per instance.
-        walks = []
-        original = RoundColumns._walk
+        # columns are walked once (the round's row numbering), and every
+        # later pass reads one view's row entries: the whole round once
+        # for the partition that is also the tag survey, then each
+        # instance's own rows a bounded number of times — not once per
+        # instance per recipient, and no message is built.
+        walks, reads = [], []
+        original_walk, original_keys = RoundColumns._walk, RoundColumns.keys
 
         def counting_walk(cols):
-            entries = list(original(cols))
+            entries = list(original_walk(cols))
             walks.append(len(entries))
             return iter(entries)
 
+        def counting_keys(cols, rows, axis):
+            reads.append(len(rows))
+            return original_keys(cols, rows, axis)
+
         monkeypatch.setattr(RoundColumns, "_walk", counting_walk)
+        monkeypatch.setattr(RoundColumns, "keys", counting_keys)
 
         def read_round(instances, senders=6, recipients=5):
             plane = ColumnarPlane()
@@ -623,6 +681,7 @@ class TestColumnarCoherence:
                     )
             shared = ColumnarIndex(cols)
             walks.clear()
+            reads.clear()
             for _ in range(recipients):
                 box = Inbox(index=shared)
                 assert len(box.instance_tags()) == instances
@@ -631,11 +690,13 @@ class TestColumnarCoherence:
                     assert tagged.count("input") == senders
                     assert len(tagged) == 3 * senders
             staged_entries = instances * senders * 2
-            assert all(visited == staged_entries for visited in walks)
+            assert walks == [staged_entries]
+            assert sum(reads) <= 3 * staged_entries
+            assert cols._materialized is None
             return len(walks)
 
         few, many = read_round(instances=3), read_round(instances=48)
-        assert few == many == 2
+        assert few == many == 1
 
     def test_join_round_backfill_layering(self):
         # A joiner's direct extras layer over the shared columnar index
@@ -648,10 +709,78 @@ class TestColumnarCoherence:
             messages = expected_messages(stream)
             extras = tuple(random_messages(rng, rng.randrange(1, 8)))
             shared = ColumnarIndex(cols)
+            # A recipient of the shared index read one sender's bucket
+            # first; the overlay's sender buckets must still be whole.
+            Inbox(index=shared).from_sender(SENDERS[seed % len(SENDERS)])
             merged = Inbox(index=InboxIndex.layered(shared, extras))
             assert_coherent(merged, messages + list(extras))
             # The shared view is untouched by the overlay.
             assert_coherent(Inbox(index=shared), messages)
+
+
+class TestRowViews:
+    """Sub-inboxes of a columnar index are row views of its columns."""
+
+    def test_every_view_answers_like_an_index_over_its_bucket(self):
+        # Random streams mixing scalars, batches and cross-form
+        # duplicates: each instance view, each kind view, and each kind
+        # inside an instance answers the whole query matrix exactly as
+        # the naive scan of its bucket — the oracle a plain InboxIndex
+        # over that bucket is pinned to above.
+        for seed in range(20):
+            rng = make_rng(seed, salt=40)
+            stream = random_stream(rng, rng.randrange(0, 40))
+            messages = expected_messages(stream)
+            box = Inbox(index=ColumnarIndex(stage_stream(stream)))
+            for tag, view in box.by_instance().items():
+                bucket = [m for m in messages if m.instance == tag]
+                assert_coherent(view, bucket)
+                for kind in KINDS:
+                    assert_coherent(
+                        view.filter(kind), [m for m in bucket if m.kind == kind]
+                    )
+                    assert box.filter(kind, instance=tag) is view.filter(kind)
+            for kind in KINDS:
+                assert_coherent(
+                    box.filter(kind), [m for m in messages if m.kind == kind]
+                )
+
+    def test_iterating_a_view_builds_exactly_its_rows(self):
+        for seed in range(15):
+            rng = make_rng(seed, salt=41)
+            stream = random_stream(rng, rng.randrange(1, 40))
+            cols = stage_stream(stream)
+            plane = cols.plane
+            box = Inbox(index=ColumnarIndex(cols))
+            views = list(box.by_instance().values())
+            view = views[rng.randrange(len(views))]
+            assert plane.messages_materialized == 0
+            assert len(list(view)) == len(view)
+            assert plane.messages_materialized == len(view)
+            # A kind view inside it, and the view again, reuse the rows.
+            for kind in KINDS:
+                list(view.filter(kind))
+            list(view)
+            assert plane.messages_materialized == len(view)
+            # The whole round afterwards builds only the rows left.
+            assert list(box) == expected_messages(stream)
+            assert plane.messages_materialized == len(box)
+            for other in views:
+                list(other)
+            assert plane.messages_materialized == len(box)
+
+    def test_interactive_consistency_builds_only_iterated_rows(self):
+        # One parallel-consensus instance per node.  The engine used to
+        # build every staged row (18 180 Message objects for this spec)
+        # to bucket the instance partition; now it builds the rows a
+        # protocol iterates: each node's report row (the ``report`` kind
+        # bucket) and each instance's coordinator opinion
+        # (``opinion_from``'s sender bucket), 60 apiece.
+        result = run_spec(
+            RunSpec(protocol="interactive-consistency", n=60, f=0, seed=3)
+        )
+        assert result.metrics.sends_total == 18180
+        assert result.metrics.materialized_messages == 120 <= 180
 
 
 # ----------------------------------------------------------------------
