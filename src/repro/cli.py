@@ -35,6 +35,7 @@ from dataclasses import replace
 from repro.adversary import STRATEGY_BUILDERS
 from repro.analysis.campaign import evaluate_spec, judge
 from repro.analysis.report import format_table
+from repro.errors import ReproError
 from repro.obs.bus import EventBus
 from repro.scenario import (
     CHURN_KINDS,
@@ -95,6 +96,16 @@ def _ok_percent(rows: list[dict]) -> float:
     return round(100 * held / len(rows), 1)
 
 
+def _load_scenario(path: str) -> RunSpec | None:
+    """The spec saved at *path*, or None once ``error: PATH: why`` is on
+    stderr (the caller exits 2, apart from a violated verdict's 1)."""
+    try:
+        return RunSpec.load(path)
+    except (ReproError, OSError) as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _mean(values: list, digits: int) -> float:
     return round(statistics.fmean(values), digits) if values else 0.0
 
@@ -104,7 +115,9 @@ def _mean(values: list, digits: int) -> float:
 @collector_paused
 def cmd_run(args) -> int:
     if args.scenario:
-        spec = RunSpec.load(args.scenario)
+        spec = _load_scenario(args.scenario)
+        if spec is None:
+            return 2
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
     elif args.protocol is None:
@@ -214,7 +227,9 @@ def cmd_campaign(args) -> int:
     )
 
     if args.scenario:
-        base = RunSpec.load(args.scenario)
+        base = _load_scenario(args.scenario)
+        if base is None:
+            return 2
     else:
         base = _spec_from_args(args)
     # Timings ride beside a saved report, in their own file: the report

@@ -58,7 +58,7 @@ COLUMNAR_PRIVATE_ATTRS = frozenset(
         "_batch_aliases",
         "_sender_batches",
         "_sender_scalar_keys",
-        "_materialized",
+        "_built",
     }
 )
 
@@ -206,7 +206,7 @@ class InboxInternalsAccess(Rule):
                     f"'.{node.attr}' is private Inbox/InboxIndex state, "
                     "aliased across nodes by the shared per-round index",
                     hint="use filter/senders/count/best_payload/derive/"
-                    "restricted_to/merged_with",
+                    "restricted_to",
                 )
             elif (
                 node.attr.startswith("_")

@@ -40,7 +40,7 @@ The JSONL rendering of this taxonomy is versioned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Hashable, Sequence
+from typing import Any, ClassVar, Collection, Hashable, Sequence
 
 from repro.types import NodeId, Round
 
@@ -242,10 +242,12 @@ class PlaneStats:
     """Cumulative columnar-plane counters for one run.
 
     Emitted by the sync engine at each round end, carrying
-    run-cumulative values (last one wins).  ``materialized_messages``
-    counts Message objects the plane actually built (at most once per
-    round, only when somebody iterated); the gap to the logical
-    delivery count is the plane's saving.  Process-local
+    run-cumulative values (last one wins).  The interning counters see
+    every broadcast payload and every delivered direct payload.
+    ``materialized_messages`` counts Message objects the plane actually
+    built (at most once per round, only when somebody iterated a
+    broadcast row; a direct row hands out its stamped message); the gap
+    to the logical delivery count is the plane's saving.  Process-local
     observability — not part of the JSONL vocabulary (the sink skips
     it) and not in :data:`EVENT_TYPES`.
     """
@@ -287,14 +289,17 @@ class InboxDelivered:
     delivery, as a singleton batch).
 
     ``messages`` aliases the runtime's own delivery sequence — for the
-    sync engine's all-broadcast path that is the round's *shared*
-    message tuple, so emitting this event costs no copies.  Subscribers
-    must treat it as immutable.
+    sync engine that is the recipient's :class:`~repro.sim.inbox.Inbox`
+    itself, the one object every recipient of the round's broadcasts
+    (or of one direct-message group) shares, so emitting this event
+    costs no copies and builds no message until a subscriber iterates
+    it.  Subscribers take ``len()`` or iterate, and must treat it as
+    immutable.
     """
 
     round: Round
     recipient: NodeId
-    messages: Sequence[Any]
+    messages: Collection[Any]
     time: float | None = None
 
     topic: ClassVar[str] = "deliver"

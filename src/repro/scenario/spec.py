@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from types import UnionType
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigurationError
 
@@ -28,6 +29,40 @@ DEFAULT_ID_SPACE = 10**6
 
 def _frozen_params(value: Mapping[str, Any] | None) -> dict[str, Any]:
     return dict(value) if value else {}
+
+
+def _is_instance(value: Any, hint: Any) -> bool:
+    """Does *value* have the declared type *hint*?  An int is never a
+    bool, and a mapping needs keys of the declared key type."""
+    if type(hint) is UnionType:
+        return any(_is_instance(value, arg) for arg in get_args(hint))
+    origin = get_origin(hint)
+    if origin is not None:
+        key_type = get_args(hint)[0]
+        return isinstance(value, origin) and all(
+            isinstance(key, key_type) for key in value
+        )
+    if hint is int and isinstance(value, bool):
+        return False
+    return isinstance(value, hint)
+
+
+def _check_types(cls: type, doc: Mapping[str, Any]) -> None:
+    """Raise :class:`ConfigurationError` naming the first field of *doc*
+    whose value is not of the type *cls* declares for it."""
+    hints = _FIELD_TYPES[cls]
+    for name, value in doc.items():
+        hint = hints[name]
+        if not _is_instance(value, hint):
+            expected = (
+                hint.__name__
+                if isinstance(hint, type)
+                else str(hint).replace("typing.", "")
+            )
+            raise ConfigurationError(
+                f"{cls.__name__} field {name!r} must be {expected},"
+                f" got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -50,6 +85,10 @@ class ChurnSpec:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping[str, Any]) -> "ChurnSpec":
+        if not isinstance(doc, Mapping):
+            raise ConfigurationError(
+                f"RunSpec field 'churn' must be an object, got {doc!r}"
+            )
         unknown = set(doc) - {"kind", "params"}
         if unknown:
             raise ConfigurationError(
@@ -57,7 +96,9 @@ class ChurnSpec:
             )
         if "kind" not in doc:
             raise ConfigurationError("churn spec needs a 'kind'")
-        return cls(kind=doc["kind"], params=dict(doc.get("params", {})))
+        kwargs = {"kind": doc["kind"], "params": doc.get("params", {})}
+        _check_types(cls, kwargs)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -173,6 +214,7 @@ class RunSpec:
         churn = kwargs.get("churn")
         if churn is not None and not isinstance(churn, ChurnSpec):
             kwargs["churn"] = ChurnSpec.from_json_dict(churn)
+        _check_types(cls, kwargs)
         return cls(**kwargs)
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
@@ -186,9 +228,14 @@ class RunSpec:
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "RunSpec":
-        doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        """The spec saved at *path*; :class:`ConfigurationError` when the
+        file is not JSON or not a well-typed RunSpec object."""
+        try:
+            doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ConfigurationError(f"not JSON: {exc}") from None
         if not isinstance(doc, dict):
-            raise ConfigurationError(f"{path}: not a RunSpec object")
+            raise ConfigurationError("not a RunSpec object")
         return cls.from_json_dict(doc)
 
     # ------------------------------------------------------------------
@@ -204,3 +251,7 @@ class RunSpec:
             parts.append(f"churn={self.churn.kind}")
         parts.append(f"seed={self.seed}")
         return " ".join(parts)
+
+
+#: Each spec class's declared field types, resolved once.
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (ChurnSpec, RunSpec)}

@@ -1,4 +1,4 @@
-"""Columnar round plane: struct-of-arrays storage for broadcast rounds.
+"""Columnar round plane: struct-of-arrays storage for one round's messages.
 
 The all-broadcast hot path used to allocate one
 :class:`~repro.sim.message.Message` per logical send per round.  At
@@ -20,21 +20,25 @@ Three pieces:
 * :class:`RoundColumns` — one round's append-only store: scalar columns
   for individual broadcasts plus *batch segments* for
   ``broadcast_many`` fan-outs (one segment entry covers k logical
-  sends).  Columns are append-only within a round and frozen at
-  delivery; views never copy them (pinned in DESIGN.md §4).
+  sends), then one scalar *direct row* per fresh direct message,
+  appended past the broadcasts at delivery.  Views never copy the
+  columns (pinned in DESIGN.md §4).
 * :class:`ColumnarIndex` — an :class:`~repro.sim.inbox.InboxIndex` over
-  the columns and a *row selection*: the whole round, or a **row view**.
+  the columns and a *row selection*: the round's broadcasts, or a
+  **row view**.
 
-Row views.  A round's rows are named in staging order by *row entries*:
-``j >= 0`` is scalar row ``j`` and ``~s`` is batch segment ``s`` (all of
-one batch's payloads: one sender, one kind, one instance).  Every
-single-axis sub-inbox the engine hands out — the instance partition,
-the kind buckets, a membership restriction — is a ``ColumnarIndex``
-over the same columns and a list of entries, bucketed in one pass per
-axis over its parent's entries.  It answers sender sets, tallies and
-surveys from the columns; a ``Message`` is built only for a row that
-somebody iterates, at most once per round whichever view asks first
-(:meth:`RoundColumns.messages`).
+Row views.  A round's rows are named by *row entries*: ``j >= 0`` is
+scalar row ``j`` and ``~s`` is batch segment ``s`` (all of one batch's
+payloads: one sender, one kind, one instance).  Every inbox the engine
+hands out is a ``ColumnarIndex`` over the same columns: the round's
+broadcasts, a recipient group's broadcasts plus its direct rows, and
+every single-axis sub-inbox of those — the instance partition, the
+kind and sender buckets, a membership restriction — bucketed in one
+pass per axis over its parent's entries.  It answers sender sets,
+tallies and surveys from the columns; a ``Message`` is built only for
+a broadcast row that somebody iterates, at most once per round
+whichever view asks first (:meth:`RoundColumns.messages`), and a direct
+row hands out the message it was stamped as.
 
 Equivalence contract: every query answers exactly what a plain
 :class:`~repro.sim.inbox.InboxIndex` over the same messages answers,
@@ -45,11 +49,9 @@ by the naive reference engine in ``tests/reference_engine.py``.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Any, Collection, Hashable, Iterable, Iterator
-from typing import Mapping, Sequence
+from typing import Any, Collection, Hashable, Iterator, Sequence
 
-from repro.sim.inbox import _EMPTY_SUB, Inbox, InboxIndex
+from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.message import Message
 from repro.types import NodeId
 
@@ -238,15 +240,19 @@ class ColumnarPlane:
 
 
 class RoundColumns:
-    """One round's append-only struct-of-arrays broadcast store.
+    """One round's append-only struct-of-arrays message store.
 
     Scalar broadcasts append one entry to each of the four parallel
     columns; ``broadcast_many`` batches append one *segment* record
     ``(scalar_boundary, sender, batch)`` covering k logical sends.
-    Pinned invariant (DESIGN.md §4): columns are append-only within the
-    round and frozen once delivery starts; every view (indexes, row
-    views, lazy message sequences, tallies) reads them in place and
-    never copies.
+    Delivery then appends each fresh direct message as one more scalar
+    row past the broadcasts (:meth:`add_direct`).  Pinned invariant
+    (DESIGN.md §4): columns are append-only within the round, the
+    broadcast rows are frozen once delivery starts, and every view
+    (indexes, row views, tallies) reads them in place and never copies.
+    Whole-round reads (``len``, :meth:`rows`, :meth:`distinct_senders`)
+    stop at the broadcast boundary: a direct row belongs only to the row
+    views that name it.
 
     Duplicate suppression is the model's per-round Message-set rule
     exactly: a (sender, kind, payload, instance) already staged this
@@ -261,11 +267,12 @@ class RoundColumns:
         "instance_ids",
         "segments",
         "batch_rows",
+        "direct_rows",
         "_dedup",
         "_sender_batches",
         "_sender_scalar_keys",
         "_rows",
-        "_materialized",
+        "_built",
     )
 
     def __init__(self, plane: ColumnarPlane) -> None:
@@ -278,6 +285,8 @@ class RoundColumns:
         self.segments: list[tuple[int, NodeId, Batch]] = []
         #: Logical rows contributed by segments (sum of batch lengths).
         self.batch_rows: int = 0
+        #: Scalar rows appended by delivery, past the broadcasts.
+        self.direct_rows: int = 0
         #: (sender, kind_id, instance_id, payload) for every staged
         #: scalar row — the raw payload keeps Message value-equality
         #: dedup semantics.
@@ -288,14 +297,15 @@ class RoundColumns:
         #: scalar row: a later batch on the same triple must fall back
         #: to scalar staging so cross-form duplicates are suppressed.
         self._sender_scalar_keys: set[tuple] = set()
-        #: Every row entry in staging order (see :meth:`rows`).
+        #: Every broadcast row entry in staging order (see :meth:`rows`).
         self._rows: list[int] | None = None
-        #: Per-entry built messages (a Message per scalar row, a tuple
-        #: per segment), allocated by the first :meth:`messages` call.
-        self._materialized: list | None = None
+        #: Row entry -> its built messages (a Message per scalar row, a
+        #: tuple per segment); a direct row holds its stamped message.
+        self._built: dict[int, Any] = {}
 
     def __len__(self) -> int:
-        return len(self.senders) + self.batch_rows
+        """The round's broadcast rows (direct rows are not counted)."""
+        return len(self.senders) - self.direct_rows + self.batch_rows
 
     # ------------------------------------------------------------------
     # Staging
@@ -411,21 +421,40 @@ class RoundColumns:
             message.payload in b.staged_payloads for b in batches
         )
 
+    def add_direct(self, message: Message) -> int:
+        """Append one delivered direct message as a scalar row.
+
+        The row stays out of the dedup keys, so :meth:`contains_message`
+        still answers for broadcasts only, and it keeps the stamped
+        message: iterating the row hands out that very object and builds
+        nothing.  Returns the row number.
+        """
+        plane = self.plane
+        row = len(self.senders)
+        self.senders.append(message.sender)
+        self.kind_ids.append(plane.intern_kind(message.kind))
+        self.payload_ids.append(plane.intern_payload(message.payload))
+        self.instance_ids.append(plane.intern_instance(message.instance))
+        self.direct_rows += 1
+        self._built[row] = message
+        return row
+
     # ------------------------------------------------------------------
-    # Row passes (read-only; the columns are frozen once delivery starts)
+    # Row passes (read-only; broadcast rows are frozen once delivery
+    # starts, and a direct row never changes once appended)
     # ------------------------------------------------------------------
     def _walk(self) -> Iterator[int]:
-        """Row entries in exact staging order (segments interleave with
-        scalar runs by their recorded scalar boundary)."""
+        """Broadcast row entries in exact staging order (segments
+        interleave with scalar runs by their recorded scalar boundary)."""
         pos = 0
         for segment, (boundary, _, _) in enumerate(self.segments):
             yield from range(pos, boundary)
             yield ~segment
             pos = boundary
-        yield from range(pos, len(self.senders))
+        yield from range(pos, len(self.senders) - self.direct_rows)
 
     def rows(self) -> list[int]:
-        """Every row entry of the round: one walk, kept for the round."""
+        """Every broadcast row entry: one walk, kept for the round."""
         rows = self._rows
         if rows is None:
             rows = self._rows = list(self._walk())
@@ -476,7 +505,8 @@ class RoundColumns:
         return buckets
 
     def distinct_senders(self) -> frozenset[NodeId]:
-        senders = set(self.senders)
+        """Senders of the round's broadcasts."""
+        senders = set(self.senders[: len(self.senders) - self.direct_rows])
         senders.update(sender for _, sender, _ in self.segments)
         return frozenset(senders)
 
@@ -535,18 +565,13 @@ class RoundColumns:
 
     def messages(self, rows: Sequence[int]) -> tuple[Message, ...]:
         """The messages of *rows*, each row built at most once a round."""
-        built = self._materialized
-        if built is None:
-            built = self._materialized = [None] * (
-                len(self.senders) + len(self.segments)
-            )
+        built = self._built
         plane = self.plane
-        scalars = len(self.senders)
         out: list[Message] = []
         fresh = 0
         for entry in rows:
             if entry >= 0:
-                message = built[entry]
+                message = built.get(entry)
                 if message is None:
                     message = built[entry] = Message(
                         self.senders[entry],
@@ -557,12 +582,11 @@ class RoundColumns:
                     fresh += 1
                 out.append(message)
             else:
-                slot = scalars + ~entry
-                group = built[slot]
+                group = built.get(entry)
                 if group is None:
                     _, sender, batch = self.segments[~entry]
                     kind, instance = batch.kind, batch.instance
-                    group = built[slot] = tuple(
+                    group = built[entry] = tuple(
                         Message(sender, kind, payload, instance)
                         for payload in batch.staged_payloads
                     )
@@ -572,59 +596,23 @@ class RoundColumns:
         return tuple(out)
 
 
-class ColumnarMessages(Sequence):
-    """Lazy message sequence over one round's shared index.
-
-    ``len`` and truthiness read the size taken when the view was made
-    (one per round, however many recipients); iteration (a JSONL
-    sink rendering the delivery, a recorder) reads the index's message
-    tuple — the one every recipient of the index shares, so nothing is
-    built twice.  This is what :class:`~repro.obs.events.InboxDelivered`
-    carries for recipients of the shared broadcasts; its wire shape (a
-    sequence of messages) is that of any other delivery.
-    """
-
-    __slots__ = ("_index", "_size")
-
-    def __init__(self, index: "ColumnarIndex", size: int):
-        self._index = index
-        self._size = size
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._index.messages)
-
-    def __getitem__(self, item):
-        return self._index.messages[item]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ColumnarMessages):
-            other = other._index.messages
-        if isinstance(other, (tuple, list)):
-            return self._index.messages == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._index.messages)
-
-
 class ColumnarIndex(InboxIndex):
     """An inbox index over one round's columns and a row selection.
 
-    ``rows=None`` is the whole round (what every recipient of the
-    round's broadcasts shares); otherwise *rows* is a row view's entry
-    list.  Drop-in compatible with :class:`~repro.sim.inbox.InboxIndex`:
-    sender sets, payload tallies, surveys, sizes and the single-axis
-    sub-inboxes (instance partition, kind buckets, restrictions) are
-    passes over the columns, and the sub-inboxes are row views again.
-    ``messages`` — and a sender's bucket — build message objects only
-    for the rows asked for; layering and the ``kind=None`` filters with
-    a payload fall through to the base implementation over them.
+    ``rows=None`` is the round's broadcasts (what every recipient
+    without direct messages shares); otherwise *rows* is a row view's
+    entry list — a sub-inbox, or a recipient group's broadcasts plus
+    its direct rows.  Drop-in compatible with
+    :class:`~repro.sim.inbox.InboxIndex`: sender sets, payload tallies,
+    surveys, sizes and the single-axis sub-inboxes (instance partition,
+    kind and sender buckets, restrictions) are passes over the columns,
+    and the sub-inboxes are row views again.  ``messages`` builds
+    message objects only for the rows asked for; the ``kind=None``
+    filters with a payload fall through to the base implementation
+    over them.
     """
 
-    __slots__ = ("_cols", "_rows", "_parts", "_size", "_sender_buckets")
+    __slots__ = ("_cols", "_rows", "_parts", "_size")
 
     def __init__(self, cols: RoundColumns, rows: list[int] | None = None):
         super().__init__(())
@@ -636,19 +624,12 @@ class ColumnarIndex(InboxIndex):
         #: axis -> {key id: row entries}, one pass per axis on demand.
         self._parts: dict[int, dict[int, list[int]]] = {}
         self._size = len(cols) if rows is None else None
-        #: sender -> that sender's messages, built one sender at a time
-        #: (``_by_sender`` stays the base class's whole bucket map, which
-        #: an overlay layered on this index may still ask for).
-        self._sender_buckets: dict[NodeId, tuple[Message, ...]] = {}
 
     def __getattr__(self, name: str):
         if name == "messages":
             built = self.messages = self._cols.messages(self._entries())
             return built
         raise AttributeError(name)
-
-    def message_view(self) -> ColumnarMessages:
-        return ColumnarMessages(self, self.message_count())
 
     def _entries(self) -> list[int]:
         rows = self._rows
@@ -707,43 +688,30 @@ class ColumnarIndex(InboxIndex):
         names = self._cols.plane.kinds
         return frozenset(names[kid] for kid in self._partition(_KIND))
 
-    def _instance_keys(self) -> Iterable[Hashable]:
+    def _instance_buckets(self) -> dict[Hashable, list[int]]:
         names = self._cols.plane.instances
-        return map(names.__getitem__, self._partition(_INSTANCE))
+        return {
+            names[iid]: rows
+            for iid, rows in self._partition(_INSTANCE).items()
+        }
 
     # -- row views ------------------------------------------------------
-    def _view(self, rows: list[int]) -> Inbox:
+    def _view(self, rows: Sequence[int]) -> Inbox:
         return Inbox(index=ColumnarIndex(self._cols, rows))
-
-    def instance_subs(self) -> Mapping[Hashable, Inbox]:
-        subs = self._instance_subs
-        if subs is None:
-            names = self._cols.plane.instances
-            subs = self._instance_subs = MappingProxyType(
-                {
-                    names[iid]: self._view(rows)
-                    for iid, rows in self._partition(_INSTANCE).items()
-                }
-            )
-        return subs
 
     def sub_by_kind(self, kind: str) -> Inbox:
         kid = self._cols.plane.kind_id_of(kind)
-        rows = self._partition(_KIND).get(kid)
-        if rows is None:
-            return self._sub(_EMPTY_SUB, ())
-        sub = self._subs.get(("kind", kind))
+        return self._sub(("kind", kind), self._partition(_KIND).get(kid, ()))
+
+    def sub_by_sender(self, sender: NodeId) -> Inbox:
+        # One select per sender asked for, not a whole sender partition:
+        # a round's readers ask for one coordinator, not for everyone.
+        key = ("sender", sender)
+        sub = self._subs.get(key)
         if sub is None:
-            sub = self._subs[("kind", kind)] = self._view(rows)
+            rows = self._cols.select(self._entries(), _SENDER, (sender,))
+            sub = self._subs[key] = self._sub(key, rows)
         return sub
 
     def _restriction(self, members: frozenset[NodeId]) -> Inbox:
         return self._view(self._cols.select(self._entries(), _SENDER, members))
-
-    def sender_bucket(self, sender: NodeId) -> tuple[Message, ...]:
-        bucket = self._sender_buckets.get(sender)
-        if bucket is None:
-            cols = self._cols
-            rows = cols.select(self._entries(), _SENDER, (sender,))
-            bucket = self._sender_buckets[sender] = cols.messages(rows)
-        return bucket

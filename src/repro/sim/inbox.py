@@ -5,15 +5,16 @@ messages from the same sender within a round, and all threshold arguments
 ("received at least ``n_v/3`` echo messages") quantify over senders.
 
 Counting is backed by a lazily-built :class:`InboxIndex`.  The engine hands
-every recipient of the round's shared broadcast tuple an :class:`Inbox`
-view that *aliases one shared index*, so per-kind buckets, sender sets and
-payload tallies are computed once per round instead of once per node —
-the paper's protocols are all distinct-sender threshold counts over a
-common view, which is exactly the shape this amortizes.
+every recipient that got exactly the round's broadcasts one shared
+:class:`Inbox`, and every recipient group with direct messages one shared
+inbox of its own, so per-kind buckets, sender sets and payload tallies
+are computed once per round (or group) instead of once per node — the
+paper's protocols are all distinct-sender threshold counts over a common
+view, which is exactly the shape this amortizes.
 
 Shared-index invariant: an index (and every bucket, set and counter it
 caches) is a pure *view* over one immutable tuple of
-:class:`~repro.sim.message.Message` objects, or over one round's frozen
+:class:`~repro.sim.message.Message` objects, or over rows of one round's
 columns.  Nothing may mutate a message
 or a cached structure after it is handed out; the query methods therefore
 return fresh ``set``/``Counter`` copies wherever callers could mutate the
@@ -23,11 +24,13 @@ Buckets are partitions, not per-key scans: the first per-kind,
 per-sender or per-instance read of an index groups *every* key in one
 pass, and :meth:`InboxIndex.instance_subs` exposes the instance
 partition whole (``tag -> shared sub-inbox``) so a protocol running
-many instances pays one dict probe per instance per round.  On the
-engine's columnar plane (:mod:`repro.sim.columnar`) the pass buckets
-row numbers, not messages: every instance and kind sub-inbox is a *row
-view* of the round's columns, answering counts and tallies from them,
-and a ``Message`` exists only for a row that somebody iterates.
+many instances pays one dict probe per instance per round.  Every
+inbox the sync engine builds is a :class:`~repro.sim.columnar.ColumnarIndex`
+*row view* of the round's columns: its passes bucket row numbers, not
+messages, every sub-inbox is a row view again, counts and tallies come
+from the columns, and a ``Message`` exists only for a row that somebody
+iterates.  This base class over a message tuple serves hand-built
+inboxes, masked recipients and the net and async runtimes.
 
 The *quorum-tally plane* extends the sharing one layer up, into the
 protocols' counting: :meth:`InboxIndex.derive` memoizes arbitrary derived
@@ -65,18 +68,10 @@ class InboxIndex:
     One index may be shared by many :class:`Inbox` views (the engine's
     all-broadcast hot path); every cache therefore fills in at most once
     per round, on first demand, whichever recipient asks first.
-
-    A *layered* index (:meth:`layered`) stacks a small tuple of extra
-    messages on top of a base index without re-scanning the base: the
-    engine uses it for recipients whose delivery adds direct messages to
-    the shared broadcasts, and :meth:`Inbox.merged_with` uses it for the
-    paper's missing-message substitution rule.
     """
 
     __slots__ = (
         "messages",
-        "_base",
-        "_extra",
         "_by_kind",
         "_by_sender",
         "_by_instance",
@@ -93,16 +88,8 @@ class InboxIndex:
         "_covered",
     )
 
-    def __init__(
-        self,
-        messages: Iterable[Message] = (),
-        *,
-        _base: "InboxIndex | None" = None,
-        _extra: tuple[Message, ...] = (),
-    ):
+    def __init__(self, messages: Iterable[Message] = ()):
         self.messages: tuple[Message, ...] = tuple(messages)
-        self._base = _base
-        self._extra = _extra
         self._by_kind: dict[str, tuple[Message, ...]] | None = None
         self._by_sender: dict[NodeId, tuple[Message, ...]] | None = None
         self._by_instance: dict[Hashable, tuple[Message, ...]] | None = None
@@ -135,20 +122,6 @@ class InboxIndex:
         #: of once per recipient).
         self._covered: dict[frozenset, bool] = {}
 
-    @classmethod
-    def layered(
-        cls, base: "InboxIndex", extra: Iterable[Message]
-    ) -> "InboxIndex":
-        """An index over ``base.messages + extra`` reusing base caches.
-
-        Returns *base* itself when ``extra`` is empty (the overlay would
-        be indistinguishable from it).
-        """
-        extra = tuple(extra)
-        if not extra:
-            return base
-        return cls(base.messages + extra, _base=base, _extra=extra)
-
     # ------------------------------------------------------------------
     # Buckets
     # ------------------------------------------------------------------
@@ -158,30 +131,15 @@ class InboxIndex:
         """Build (once) a first-occurrence-ordered bucket dict."""
         buckets = getattr(self, field)
         if buckets is None:
-            base = self._base
-            if base is not None:
-                # Copy only the dict; base buckets are immutable tuples,
-                # so the overlay appends extras per affected key without
-                # re-scanning (or copying) the base messages.
-                buckets = dict(base._bucket_map(field, key_of))
-                for message in self._extra:
-                    key = key_of(message)
-                    buckets[key] = buckets.get(key, ()) + (message,)
-            else:
-                grouped: dict[Hashable, list[Message]] = {}
-                for message in self.messages:
-                    grouped.setdefault(key_of(message), []).append(message)
-                buckets = {key: tuple(ms) for key, ms in grouped.items()}
+            grouped: dict[Hashable, list[Message]] = {}
+            for message in self.messages:
+                grouped.setdefault(key_of(message), []).append(message)
+            buckets = {key: tuple(ms) for key, ms in grouped.items()}
             setattr(self, field, buckets)
         return buckets
 
     def kind_bucket(self, kind: str) -> tuple[Message, ...]:
         return self._bucket_map("_by_kind", lambda m: m.kind).get(kind, ())
-
-    def sender_bucket(self, sender: NodeId) -> tuple[Message, ...]:
-        return self._bucket_map("_by_sender", lambda m: m.sender).get(
-            sender, ()
-        )
 
     def _instance_buckets(self) -> dict[Hashable, tuple[Message, ...]]:
         """The round's instance partition: one staging-order pass that
@@ -199,9 +157,6 @@ class InboxIndex:
         return senders
 
     def _distinct_senders(self) -> frozenset[NodeId]:
-        base = self._base
-        if base is not None:
-            return base.all_senders | {m.sender for m in self._extra}
         return frozenset(m.sender for m in self.messages)
 
     def sender_set(
@@ -221,13 +176,6 @@ class InboxIndex:
     def _senders_matching(
         self, kind: str | None, payload: Any, instance: Any
     ) -> frozenset[NodeId]:
-        base = self._base
-        if base is not None:
-            return base.sender_set(kind, payload, instance) | {
-                m.sender
-                for m in self._extra
-                if m.matches(kind, payload, instance)
-            }
         pool = self.kind_bucket(kind) if kind is not None else self.messages
         return frozenset(
             m.sender for m in pool if m.matches(kind, payload, instance)
@@ -256,18 +204,6 @@ class InboxIndex:
     def _tally(
         self, kind: str, instance: Any
     ) -> dict[Hashable, frozenset[NodeId]]:
-        base = self._base
-        if base is not None:
-            built = dict(base.payload_senders(kind, instance))
-            for m in self._extra:
-                if not m.matches(kind, instance=instance):
-                    continue
-                existing = built.get(m.payload)
-                if existing is None:
-                    built[m.payload] = frozenset((m.sender,))
-                elif m.sender not in existing:
-                    built[m.payload] = existing | {m.sender}
-            return built
         grouped: dict[Hashable, set[NodeId]] = {}
         for m in self.kind_bucket(kind):
             if m.matches(kind, instance=instance):
@@ -303,9 +239,6 @@ class InboxIndex:
         return kinds
 
     def _kind_set(self) -> frozenset[str]:
-        base = self._base
-        if base is not None:
-            return base.all_kinds | {m.kind for m in self._extra}
         return frozenset(m.kind for m in self.messages)
 
     def instance_tags(self) -> tuple[Hashable, ...]:
@@ -318,12 +251,9 @@ class InboxIndex:
         tags = self._instance_tags
         if tags is None:
             tags = self._instance_tags = tuple(
-                tag for tag in self._instance_keys() if tag is not None
+                tag for tag in self._instance_buckets() if tag is not None
             )
         return tags
-
-    def _instance_keys(self) -> Iterable[Hashable]:
-        return self._instance_buckets()
 
     def message_count(self) -> int:
         """Number of messages (a row view counts its rows instead)."""
@@ -404,21 +334,25 @@ class InboxIndex:
     # ------------------------------------------------------------------
     # Shared sub-views
     # ------------------------------------------------------------------
+    def _view(self, bucket: tuple[Message, ...]) -> "Inbox":
+        """The sub-inbox over one bucket of this index."""
+        return Inbox(bucket)
+
     def _sub(self, key: tuple, bucket: tuple[Message, ...]) -> "Inbox":
         if not bucket:
             # Every empty bucket of one index is the same empty inbox.
             key = _EMPTY_SUB
         sub = self._subs.get(key)
         if sub is None:
-            sub = Inbox(bucket)
-            self._subs[key] = sub
+            sub = self._subs[key] = self._view(bucket)
         return sub
 
     def sub_by_kind(self, kind: str) -> "Inbox":
         return self._sub(("kind", kind), self.kind_bucket(kind))
 
     def sub_by_sender(self, sender: NodeId) -> "Inbox":
-        return self._sub(("sender", sender), self.sender_bucket(sender))
+        buckets = self._bucket_map("_by_sender", lambda m: m.sender)
+        return self._sub(("sender", sender), buckets.get(sender, ()))
 
     def sub_by_instance(self, instance: Hashable) -> "Inbox":
         sub = self.instance_subs().get(instance)
@@ -438,7 +372,7 @@ class InboxIndex:
         if subs is None:
             subs = self._instance_subs = MappingProxyType(
                 {
-                    tag: Inbox(bucket)
+                    tag: self._view(bucket)
                     for tag, bucket in self._instance_buckets().items()
                 }
             )
@@ -460,7 +394,7 @@ class Inbox:
     only for the rows somebody iterates.
     """
 
-    __slots__ = ("_messages", "_index")
+    __slots__ = ("_messages", "_index", "_size")
 
     def __init__(
         self,
@@ -469,9 +403,10 @@ class Inbox:
         index: InboxIndex | None = None,
     ):
         if index is not None:
-            self._messages = None
+            self._messages = self._size = None
         else:
             self._messages = tuple(messages)
+            self._size = len(self._messages)
         self._index = index
 
     def _seq(self) -> tuple[Message, ...]:
@@ -492,9 +427,12 @@ class Inbox:
         return iter(self._seq())
 
     def __len__(self) -> int:
-        if self._messages is None:
-            return self._index.message_count()
-        return len(self._messages)
+        # Kept on the inbox: the engine's ``deliver`` event asks it once
+        # per recipient, and most recipients share one inbox.
+        size = self._size
+        if size is None:
+            size = self._size = self._index.message_count()
+        return size
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -608,7 +546,7 @@ class Inbox:
         """True when *sender* sent a matching message this round."""
         return any(
             m.matches(kind, payload, instance)
-            for m in self.index.sender_bucket(sender)
+            for m in self.index.sub_by_sender(sender)
         )
 
     def has_kind(self, kind: str) -> bool:
@@ -666,15 +604,6 @@ class Inbox:
         if self.index.covered_by(members):
             return self
         return self.index.restricted(members)
-
-    def merged_with(self, extra: Iterable[Message]) -> "Inbox":
-        """A new inbox with *extra* messages appended (used for the paper's
-        missing-message substitution rule).
-
-        The result layers the extras over this inbox's index, so counting
-        the merged view never re-scans (or re-indexes) the base messages.
-        """
-        return Inbox(index=InboxIndex.layered(self.index, extra))
 
 
 def best_with_extra(

@@ -33,23 +33,24 @@ queues.  A direct-send fan-out
 (:class:`~repro.sim.message.MulticastSend`, what an equivocating strategy
 returns per story) is stamped once too: the one message object is appended
 to every alive recipient's queue and published as one ``send-multicast``
-event.  Duplicate suppression happens against the columns' dedup keys
-plus a small set over each distinct direct queue, so the all-broadcast
-hot path performs no per-recipient hashing at all.
+event.  At delivery each fresh direct message becomes one row of the same
+columns, past the broadcasts.  Duplicate suppression happens against the
+columns' dedup keys plus one lookup per distinct direct message, so the
+all-broadcast hot path performs no per-recipient hashing at all.
 
-Delivery is O(quorum work), not O(nodes x quorum work): every recipient
-of the round's broadcasts aliases one shared
-:class:`~repro.sim.columnar.ColumnarIndex`, so each per-kind
-distinct-sender count the protocols ask for is computed once per round,
-not once per node; recipients with surviving direct messages get an
-overlay index layered on the shared one — one overlay per *recipient
-group* (the recipients whose direct queues hold the same messages in the
-same order, i.e. the victims of one story), shared and read-only like the
-base: no recipient may mutate the inbox, index, extras or delivered tuple
-it is handed.  The protocols' *quorum-tally plane* rides the same sharing
-one layer up: per-instance decoded vote bases, membership back-fill sets
-and membership restrictions are memoized on the round's shared index
-(:meth:`~repro.sim.inbox.InboxIndex.derive` /
+Delivery is O(quorum work), not O(nodes x quorum work): every inbox is a
+:class:`~repro.sim.columnar.ColumnarIndex` row view of the round's
+columns.  Every recipient of just the round's broadcasts aliases one
+shared view, so each per-kind distinct-sender count the protocols ask
+for is computed once per round, not once per node; recipients with
+surviving direct messages share one view per *recipient group* (the
+recipients whose direct queues hold the same messages in the same
+order, i.e. the victims of one story): the broadcast rows plus the
+group's direct rows.  Every view is read-only: no recipient may mutate
+the inbox or index it is handed.  The protocols' *quorum-tally plane*
+rides the same sharing one layer up: per-instance decoded vote bases,
+membership back-fill sets and membership restrictions are memoized on
+the round's shared index (:meth:`~repro.sim.inbox.InboxIndex.derive` /
 :meth:`~repro.sim.inbox.InboxIndex.restricted`), so even full
 parallel-consensus tallies are built once per round and only per-node
 substitution deltas remain per recipient.  Per-node engine state that is
@@ -88,7 +89,7 @@ from repro.obs.events import (
     RunStarted,
 )
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane
-from repro.sim.inbox import Inbox, InboxIndex
+from repro.sim.inbox import Inbox
 from repro.sim.membership import MembershipSchedule
 from repro.sim.message import (
     BROADCAST,
@@ -545,70 +546,65 @@ class SyncNetwork:
             self.remove(spec.node_id)
 
     def _collect(self) -> dict[NodeId, Inbox]:
-        """Deliver the previous round's traffic: views over columns.
+        """Deliver the previous round's traffic: row views over columns.
 
         The broadcast recipient set is resolved *here* — after this
         round's membership changes — so a node joining at round ``r + 1``
         receives the round-``r`` broadcasts (the model's "reaches every
         node, including ones it has never heard of").  The round's
         broadcasts live in frozen struct-of-arrays columns: every
-        recipient shares one :class:`ColumnarIndex` view, contact
-        tracking is one cumulative pool update per round instead of a
-        per-node set union, and ``deliver`` events carry a lazy message
-        sequence that only materializes if somebody iterates it.  A
-        direct message repeating one of the round's broadcasts, or an
-        earlier direct to the same node, is dropped.
+        recipient without direct messages shares one
+        :class:`ColumnarIndex` view, and contact tracking is one
+        cumulative pool update per round instead of a per-node set
+        union.  A direct message repeating one of the round's
+        broadcasts, or an earlier direct to the same node, is dropped.
 
-        Direct queues are deduplicated and indexed once per *recipient
-        group* — the recipients whose queues hold the same message
-        objects in the same order, which is what a multicast produces —
-        so a group shares one ``extras`` tuple, one layered index, one
-        :class:`Inbox` and one ``delivered`` tuple.  All four are
-        read-only views (the shared-index invariant extends to the
-        overlay): no recipient may mutate what it is handed.
+        Each fresh direct message becomes one row of the same columns,
+        past the broadcasts, once however many queues hold it.  Direct
+        queues are deduplicated and indexed once per *recipient group*
+        — the recipients whose queues hold the same message objects in
+        the same order, which is what a multicast produces — and a
+        group shares one inbox: the row view of the broadcasts plus its
+        direct rows.  Every inbox is a read-only view (the shared-index
+        invariant): no recipient may mutate what it is handed.  The
+        ``deliver`` event carries the recipient's inbox; a subscriber
+        that iterates it builds each broadcast row once per round.
 
         The delivery mask, when one is installed, is asked once per
         alive recipient with at least one row, in ``_nodes`` iteration
         order, as ``mask(recipient, rows)``: the rows are the round's
         broadcasts in staging order followed by the recipient's
-        deduplicated direct extras.  ``None`` leaves the recipient
-        untouched, on the shared index or its group's overlay;
-        otherwise the answer is one keep/drop flag per row, and the
-        recipient leaves the shared structures for a private inbox of
-        the kept messages (selected from the round's one materialized
-        tuple, never from a copy of the columns), learns only the kept
-        senders as contacts, and — when nothing is kept — gets no inbox
-        and no ``deliver`` event.  The mask sees row counts, not rows,
-        and can therefore mutate nothing.
+        deduplicated direct messages.  ``None`` leaves the recipient
+        untouched, on the shared inbox or its group's; otherwise the
+        answer is one keep/drop flag per row, and the recipient leaves
+        the shared structures for a private inbox of the kept messages,
+        learns only the kept senders as contacts, and — when nothing is
+        kept — gets no inbox and no ``deliver`` event.  The mask sees
+        row counts, not rows, and can therefore mutate nothing.
         """
         cols = self._staging_cols
         self._staging_cols = self._plane.new_round()
-        broadcast_rows = len(cols)
-        has_broadcasts = broadcast_rows > 0
         broadcast_senders: frozenset[NodeId] = frozenset()
-        shared_index = shared_inbox = shared_view = None
-        if has_broadcasts:
-            # The one index, inbox and lazy delivered-messages view of
-            # every recipient that gets exactly the round's broadcasts.
-            shared_index = ColumnarIndex(cols)
-            shared_inbox = Inbox(index=shared_index)
-            shared_view = shared_index.message_view()
-            broadcast_senders = shared_index.all_senders
+        shared_inbox = None
+        if len(cols):
+            # The one inbox of every recipient that gets exactly the
+            # round's broadcasts.
+            shared_inbox = Inbox(index=ColumnarIndex(cols))
+            broadcast_senders = shared_inbox.index.all_senders
             if not broadcast_senders <= self._contact_pool:
                 self._contact_pool = self._contact_pool | broadcast_senders
 
         #: Recipient groups: every recipient whose direct queue holds
         #: the same messages in the same order shares one ``(queue,
-        #: extras, extra senders, inbox, delivered)`` entry.  A
-        #: multicast puts one Message object in many queues, so an
-        #: equivocator round has two or three groups, not one overlay
-        #: per node.  Bucketed by (length, first id, last id) and
-        #: confirmed by list equality, which short-circuits on identity
-        #: per element; the entry keeps its queue, so the ids in the
-        #: bucket key (and in ``repeats``) stay pinned.
+        #: inbox)`` entry.  A multicast puts one Message object in many
+        #: queues, so an equivocator round has two or three groups, not
+        #: one inbox per node.  Bucketed by (length, first id, last id)
+        #: and confirmed by list equality, which short-circuits on
+        #: identity per element; the entry keeps its queue, so the ids
+        #: in the bucket key stay pinned.
         groups: dict[tuple[int, int, int], list[tuple]] = {}
-        #: id(message) -> "repeats one of this round's broadcasts".
-        repeats: dict[int, bool] = {}
+        #: message -> its direct row, or -1 when it repeats a broadcast.
+        rows_of: dict[Message, int] = {}
         inboxes: dict[NodeId, Inbox] = {}
         round_no = self.round
         emit_deliver = self._emit_deliver
@@ -620,7 +616,7 @@ class SyncNetwork:
                 state.direct = []
             if not state.alive:
                 continue
-            extras: tuple[Message, ...] = ()
+            inbox = shared_inbox
             if direct:
                 key = (len(direct), id(direct[0]), id(direct[-1]))
                 bucket = groups.setdefault(key, [])
@@ -628,77 +624,47 @@ class SyncNetwork:
                     if group[0] == direct:
                         break
                 else:
-                    seen: set[Message] = set()
-                    fresh: list[Message] = []
+                    rows = []
                     for message in direct:
-                        repeat = repeats.get(id(message))
-                        if repeat is None:
-                            repeat = repeats[id(message)] = (
-                                cols.contains_message(message)
+                        row = rows_of.get(message)
+                        if row is None:
+                            row = rows_of[message] = (
+                                -1
+                                if cols.contains_message(message)
+                                else cols.add_direct(message)
                             )
-                        if repeat or message in seen:
-                            continue
-                        seen.add(message)
-                        fresh.append(message)
-                    extras = tuple(fresh)
-                    inbox = delivered = None
-                    if extras and has_broadcasts:
-                        # Direct deliveries need message objects
-                        # (materializing the shared columns once).
-                        inbox = Inbox(
-                            index=InboxIndex.layered(shared_index, extras)
-                        )
-                        delivered = shared_index.messages + extras
-                    elif extras:
-                        inbox = Inbox(extras)
-                        delivered = extras
-                    group = (
-                        direct,
-                        extras,
-                        frozenset(m.sender for m in extras),
-                        inbox,
-                        delivered,
-                    )
+                        if row >= 0:
+                            rows.append(row)
+                    if rows:
+                        # A value queued twice is one row.
+                        rows = cols.rows() + list(dict.fromkeys(rows))
+                        inbox = Inbox(index=ColumnarIndex(cols, rows))
+                    group = (direct, inbox)
                     bucket.append(group)
-                _, extras, extra_senders, inbox, delivered = group
-            verdict = None
-            if mask is not None and (extras or has_broadcasts):
-                rows = broadcast_rows + len(extras)
-                verdict = mask(state.node_id, rows)
+                inbox = group[1]
+            if inbox is None:
+                continue
+            verdict = None if mask is None else mask(state.node_id, len(inbox))
             if verdict is not None:
-                if len(verdict) != rows:
+                if len(verdict) != len(inbox):
                     raise ConfigurationError(
                         f"delivery mask answered {len(verdict)} flags"
-                        f" for the {rows} rows of node {state.node_id}"
+                        f" for the {len(inbox)} rows of node {state.node_id}"
                     )
-                delivered = tuple(
-                    compress(
-                        delivered if extras else shared_index.messages,
-                        verdict,
-                    )
-                )
-                if not delivered:
+                kept = tuple(compress(inbox, verdict))
+                if not kept:
                     continue
-                inbox = Inbox(delivered)
-                state.contacts.update(m.sender for m in delivered)
-            elif extras:
+                inbox = Inbox(kept)
+                state.contacts.update(m.sender for m in kept)
+            elif inbox is not shared_inbox:
                 if state.contacts_shared:
                     state.contacts_shared = False
                     state.contacts = set(pool)
-                if has_broadcasts:
-                    state.contacts.update(broadcast_senders)
-                state.contacts.update(extra_senders)
-            elif has_broadcasts:
-                inbox = shared_inbox
-                delivered = shared_view
-                if not state.contacts_shared:
-                    state.contacts.update(broadcast_senders)
-            else:
-                continue
+                state.contacts.update(inbox.index.all_senders)
+            elif not state.contacts_shared:
+                state.contacts.update(broadcast_senders)
             if emit_deliver is not None:
-                emit_deliver(
-                    InboxDelivered(round_no, state.node_id, delivered)
-                )
+                emit_deliver(InboxDelivered(round_no, state.node_id, inbox))
             inboxes[state.node_id] = inbox
         return inboxes
 

@@ -141,13 +141,6 @@ class TestSubstitutionCounting:
         # and the base inbox is untouched by the overlay
         assert inbox.best_payload(KIND_PREFER) == (0, 2)
 
-    def test_merged_with_layers_instead_of_reindexing(self):
-        inbox = Inbox([Message(2, KIND_PREFER, 0)])
-        base_index = inbox.index
-        merged = inbox.merged_with([Message(3, KIND_PREFER, 0)])
-        assert merged.index._base is base_index
-        assert merged.best_payload(KIND_PREFER) == (0, 2)
-
 
 class TestFrozenMembership:
     def test_strangers_discarded(self):

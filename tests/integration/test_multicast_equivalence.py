@@ -3,7 +3,7 @@
 ``ProtocolWrappingStrategy.explode_broadcast`` used to return one scalar
 ``Send`` per recipient; it now returns one ``MulticastSend`` that the
 columnar engine stamps once, emits as one ``send-multicast`` event and
-delivers through one shared overlay per recipient group.  The change
+delivers through one shared inbox per recipient group.  The change
 must be invisible: the digests below were taken on the commit *before*
 it, from the same hand-built consensus runs — equivocators, a targeted
 splitter, a half-crash and a strategy that keeps addressing a departed
@@ -13,10 +13,11 @@ rounds, ``Metrics.summary()``, the ordered semantic event stream and
 the full ``--events``-style JSONL rendering (per-recipient ``send``
 lines with their ``staged`` flags, every ``deliver`` batch), once on
 the bulk-event path and once with byte accounting (the per-send
-fallback).  The summary is hashed without ``materialized_messages``,
-the engine's work counter, which is pinned as a ceiling instead; the
-summary hashes and ceilings were re-recorded on cdac4f9 under that
-definition.
+fallback).  The summary is hashed without the columnar plane's work
+counters (``payload_intern_hits``, ``unique_payloads`` and
+``materialized_messages``); the last is pinned as a ceiling instead.
+The summary hashes and ceilings were re-recorded on ce3f1ae under
+that definition.
 
 Print fresh digests with::
 
@@ -45,17 +46,17 @@ GHOST = 77
 ROUNDS = 24
 
 #: rushing -> digest recorded on the parent commit (summary hash and
-#: ``materialized`` ceiling re-recorded on cdac4f9).
+#: ``materialized`` ceiling re-recorded on ce3f1ae).
 PARENT_DIGESTS = {
     False: {
         "sends_total": 2271,
         "staged_total": 2194,
         "deliveries_total": 11904,
-        "materialized": 556,
+        "materialized": 552,
         "decided": 12,
         "nodes_sha256": "94c1486c079fcd676b23cad1723c252b02428b7a2f97f5bf3995bd4c74a5cb31",
         "decide_rounds_sha256": "121afb299ef141ff88a7cc2e0c66439993c8042766c96a28c12674652d7f678a",
-        "summary_sha256": "0a11da42e4219e90b66fdd1662d1eb8d8bb0c3e6f6c54befd79285fc0d29d820",
+        "summary_sha256": "9f72908f155a0cae80a98efaedf95b3db9d2a60e1e4e3bd73250309b3247d7fa",
         "semantic_sha256": "8d29a4a86015ceb580b40743ebcce0b6db6c9dca0d041739518d7995ed41dc0a",
         "events_sha256": "eaab05b8a5330d4979f437b46e1c603671330503ccc7bd7e40f518079e2351af",
         "events_bytes_sha256": "d2a64b741a13f646f35bcbcedf8d70123484320e0539b7deea50b4217b554f83",
@@ -68,7 +69,7 @@ PARENT_DIGESTS = {
         "decided": 12,
         "nodes_sha256": "94c1486c079fcd676b23cad1723c252b02428b7a2f97f5bf3995bd4c74a5cb31",
         "decide_rounds_sha256": "121afb299ef141ff88a7cc2e0c66439993c8042766c96a28c12674652d7f678a",
-        "summary_sha256": "212972bbb582677286f6478ed690eeea9a539ee9feb33696a83286b909352453",
+        "summary_sha256": "4289dd296d45081f8a513a5b47f253435a54eb7c02218da54b3f3f31bd804cd8",
         "semantic_sha256": "8d29a4a86015ceb580b40743ebcce0b6db6c9dca0d041739518d7995ed41dc0a",
         "events_sha256": "2ca69730fe275d96e7d608877a4164886c01f4be1d4077694bd8746b94189db4",
         "events_bytes_sha256": "2157a493dc1e10d21c55d133be66ca221018a64d697f44af66f53706925f1f69",
@@ -163,11 +164,13 @@ def events_sha(rushing: bool, **network_options) -> str:
 
 
 def digest(rushing: bool) -> dict:
-    """The run's digest; the engine's work counter is not behaviour, so
-    it leaves the hashed summary as the plain ``materialized`` count."""
+    """The run's digest.  The plane's work counters are not behaviour:
+    the interning counters leave the hashed summary, and the build
+    counter leaves it as the plain ``materialized`` count."""
     net = build(rushing)
     net.run(ROUNDS, until_all_halted=False)
     summary = net.metrics.summary()
+    del summary["payload_intern_hits"], summary["unique_payloads"]
     materialized = summary.pop("materialized_messages")
     return {
         "sends_total": summary["sends_total"],

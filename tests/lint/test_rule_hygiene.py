@@ -310,7 +310,7 @@ class TestInboxInternalsAccess:
                 "repro/sim/ok.py": """\
                 def stage(net, cols):
                     net._cols = cols
-                    return cols._materialized
+                    return cols._built
                 """
             }
         )

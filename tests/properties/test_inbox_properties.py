@@ -45,16 +45,6 @@ class TestInboxLaws:
         )
 
     @given(msgs=messages)
-    def test_merged_with_is_additive_on_fresh_senders(self, msgs):
-        box = Inbox(msgs)
-        phantom = Message(sender=999, kind="a", payload=0)
-        merged = box.merged_with([phantom])
-        assert merged.count("a", payload=0) == box.count("a", payload=0) + 1
-        assert box.count("a", payload=0) == len(
-            box.senders("a", payload=0)
-        )  # original untouched
-
-    @given(msgs=messages)
     def test_best_payload_is_stable_under_reordering(self, msgs):
         forward = Inbox(msgs).best_payload("a")
         backward = Inbox(reversed(msgs)).best_payload("a")

@@ -1,11 +1,12 @@
 """Randomized coherence check: indexed Inbox queries vs naive scans.
 
 Every :class:`~repro.sim.inbox.Inbox` query routes through a lazily
-built — possibly shared, possibly layered — ``InboxIndex``.  The
-contract is that indexing is invisible: for any message multiset
-(duplicate senders, exact duplicate messages, instance tags, overlay
-stacks, any cache-priming order) every query returns exactly what a
-naive linear scan over the message tuple returns.
+built — possibly shared, possibly a row view of a round's columns —
+``InboxIndex``.  The contract is that indexing is invisible: for any
+message multiset (duplicate senders, exact duplicate messages, instance
+tags, direct rows past the broadcasts, any cache-priming order) every
+query returns exactly what a naive linear scan over the message tuple
+returns.
 
 Randomization is seeded through :func:`repro.sim.rng.make_rng`, so every
 failure here replays byte-for-byte from its seed.
@@ -246,34 +247,6 @@ class TestIndexCoherence:
             assert first.from_sender(3) is second.from_sender(3)
             assert_coherent(second, messages)
 
-    def test_layered_overlay_matches_flat_rebuild(self):
-        # merged_with() layers extras over the base index; the result
-        # must be indistinguishable from indexing base+extras from
-        # scratch, and the base view must stay untouched.
-        for seed in range(15):
-            rng = make_rng(seed, salt=3)
-            base_messages = random_messages(rng, rng.randrange(0, 25))
-            extras = random_messages(rng, rng.randrange(1, 10))
-            base = Inbox(base_messages)
-            base.best_payload("echo")  # prime caches before layering
-            merged = base.merged_with(extras)
-            combined = list(base_messages) + list(extras)
-            assert_coherent(merged, combined)
-            assert_coherent(base, base_messages)
-
-    def test_nested_overlays(self):
-        rng = make_rng(7, salt=4)
-        first = random_messages(rng, 12)
-        second = random_messages(rng, 5)
-        third = random_messages(rng, 5)
-        box = Inbox(first).merged_with(second).merged_with(third)
-        assert_coherent(box, first + second + third)
-
-    def test_layering_nothing_returns_the_base_index(self):
-        messages = [Message(1, "echo", "m")]
-        base = Inbox(messages)
-        assert InboxIndex.layered(base.index, ()) is base.index
-
     def test_instance_partition_is_shared_and_read_only(self):
         # One mapping (and one sub-inbox per tag) per index, whichever
         # view asks first; recipients cannot write to it.
@@ -333,7 +306,9 @@ class TestNamespaceView:
             extras = random_messages(rng, rng.randrange(1, 8), NAMESPACED)
             box = Inbox(messages)
             assert_coherent(box, messages)
-            assert_coherent(box.merged_with(extras), messages + extras)
+            # A recipient group's inbox: broadcast rows, then direct rows.
+            stream = random_stream(rng, rng.randrange(0, 40), NAMESPACED)
+            assert_coherent(*group_inbox(stream, extras))
             members = frozenset(rng.sample(SENDERS, 3))
             assert_coherent(
                 box.restricted_to(members),
@@ -349,7 +324,7 @@ class TestNamespaceView:
             box = Inbox(index=ColumnarIndex(cols))
             # The view is a pass over the tag survey: no message objects.
             namespace_view(box)
-            assert cols._materialized is None
+            assert not cols._built
             assert_coherent(box, messages)
             members = frozenset(rng.sample(SENDERS, 3))
             assert_coherent(
@@ -421,6 +396,18 @@ def stage_stream(stream, plane=None):
                 sender, plane.intern_batch(kind, payloads, instance)
             )
     return cols
+
+
+def group_inbox(stream, extras, cols=None):
+    """The engine's inbox for a recipient group whose fresh direct
+    messages are *extras*: the row view of *stream*'s broadcasts plus
+    one direct row per extra.  Returns ``(inbox, its messages)``."""
+    cols = cols or stage_stream(stream)
+    rows = cols.rows() + [cols.add_direct(m) for m in extras]
+    return (
+        Inbox(index=ColumnarIndex(cols, rows)),
+        expected_messages(stream) + list(extras),
+    )
 
 
 def assert_counts_match(box, messages):
@@ -542,7 +529,7 @@ class TestColumnarCoherence:
                 assert_counts_match(
                     box.filter(kind), [m for m in messages if m.kind == kind]
                 )
-            assert cols._materialized is None
+            assert not cols._built
             # Full coherence afterwards: materializing later must agree
             # with everything the counting passes already answered.
             assert_coherent(box, messages)
@@ -621,28 +608,33 @@ class TestColumnarCoherence:
         )
 
     def test_partition_survives_after_the_fact_overlays(self):
-        # The engine layers a joiner's direct extras over the shared
-        # columnar index *after* other recipients already built (or did
-        # not build) the round's partition; either way the overlay's
-        # partition must match a flat rebuild and the base stay intact.
+        # The engine appends a group's direct rows to the round's
+        # columns *after* other recipients already built (or did not
+        # build) the broadcasts' partition; either way each group's
+        # partition must match a flat rebuild, and the shared index must
+        # keep seeing the broadcasts only.  Two groups share the direct
+        # rows of the messages both were sent.
         for seed in range(10):
             for primed in (False, True):
                 rng = make_rng(seed, salt=23)
                 stream = random_stream(rng, 30)
                 messages = expected_messages(stream)
                 extras = tuple(random_messages(rng, rng.randrange(1, 8)))
-                shared = ColumnarIndex(stage_stream(stream))
+                cols = stage_stream(stream)
+                shared = ColumnarIndex(cols)
                 if primed:
                     Inbox(index=shared).by_instance()
-                first = Inbox(index=InboxIndex.layered(shared, extras))
-                second = Inbox(
-                    index=InboxIndex.layered(first.index, extras[:2])
+                direct = [cols.add_direct(m) for m in extras]
+                first, second = (
+                    Inbox(index=ColumnarIndex(cols, cols.rows() + rows))
+                    for rows in (direct, direct[:2])
                 )
                 assert_partition_coherent(
-                    second, messages + list(extras) + list(extras[:2])
+                    second, messages + list(extras[:2])
                 )
                 assert_partition_coherent(first, messages + list(extras))
                 assert_partition_coherent(Inbox(index=shared), messages)
+                assert shared.message_count() == len(messages)
 
     def test_partition_passes_do_not_grow_with_instances(self, monkeypatch):
         # Count-based complexity: however many instances a round
@@ -692,15 +684,15 @@ class TestColumnarCoherence:
             staged_entries = instances * senders * 2
             assert walks == [staged_entries]
             assert sum(reads) <= 3 * staged_entries
-            assert cols._materialized is None
+            assert not cols._built
             return len(walks)
 
         few, many = read_round(instances=3), read_round(instances=48)
         assert few == many == 1
 
     def test_join_round_backfill_layering(self):
-        # A joiner's direct extras layer over the shared columnar index
-        # (the engine's join-round back-fill path): the overlay must be
+        # A joiner's direct messages become rows past the broadcasts
+        # (the engine's join-round back-fill path): its row view must be
         # indistinguishable from indexing broadcasts+extras flat.
         for seed in range(10):
             rng = make_rng(seed, salt=22)
@@ -710,11 +702,16 @@ class TestColumnarCoherence:
             extras = tuple(random_messages(rng, rng.randrange(1, 8)))
             shared = ColumnarIndex(cols)
             # A recipient of the shared index read one sender's bucket
-            # first; the overlay's sender buckets must still be whole.
+            # first; the group's sender buckets must still be whole.
             Inbox(index=shared).from_sender(SENDERS[seed % len(SENDERS)])
-            merged = Inbox(index=InboxIndex.layered(shared, extras))
-            assert_coherent(merged, messages + list(extras))
-            # The shared view is untouched by the overlay.
+            merged, expect = group_inbox(stream, extras, cols)
+            assert_coherent(merged, expect)
+            # Iterating a direct row hands out the stamped message.
+            assert all(
+                built is sent
+                for built, sent in zip(list(merged)[len(messages):], extras)
+            )
+            # The shared view never sees the direct rows.
             assert_coherent(Inbox(index=shared), messages)
 
 
@@ -984,25 +981,29 @@ class TestDirectFanOutCoherence:
         self, monkeypatch
     ):
         # Count-based complexity: a fan-out is stamped once however many
-        # recipients it names, and delivery builds one overlay per
-        # distinct recipient group, not one per recipient.
-        stamps = []
-        overlays = []
+        # recipients it names, becomes one direct row, and delivery
+        # builds one row view per distinct recipient group (next to the
+        # broadcasts' own view), not one per recipient.
+        stamps, rows, views = [], [], []
         stamp = MulticastSend.stamped
-        layered = InboxIndex.layered.__func__
+        add_direct = RoundColumns.add_direct
+        init = ColumnarIndex.__init__
 
         def counting_stamp(send, sender):
             stamps.append(send)
             return stamp(send, sender)
 
-        def counting_layered(cls, base, extra):
-            overlays.append(extra)
-            return layered(cls, base, extra)
+        def counting_add_direct(cols, message):
+            rows.append(message)
+            return add_direct(cols, message)
+
+        def counting_init(index, cols, entries=None):
+            views.append(entries)
+            init(index, cols, entries)
 
         monkeypatch.setattr(MulticastSend, "stamped", counting_stamp)
-        monkeypatch.setattr(
-            InboxIndex, "layered", classmethod(counting_layered)
-        )
+        monkeypatch.setattr(RoundColumns, "add_direct", counting_add_direct)
+        monkeypatch.setattr(ColumnarIndex, "__init__", counting_init)
 
         def equivocate(recipients):
             nodes = tuple(range(100, 100 + recipients))
@@ -1024,11 +1025,128 @@ class TestDirectFanOutCoherence:
                     ),
                 )
             stamps.clear()
-            overlays.clear()
+            rows.clear()
+            views.clear()
             net.step()
             net.step()
             assert net.metrics.sends_total == 3 * (1 + 2 * recipients)
-            return len(stamps), len(overlays)
+            # The broadcasts' view, then one row view per group.
+            assert views[0] is None
+            return len(stamps), len(rows), len(views) - 1
 
-        assert equivocate(recipients=6) == (12, 2)
-        assert equivocate(recipients=40) == (12, 2)
+        assert equivocate(recipients=6) == (12, 12, 2)
+        assert equivocate(recipients=40) == (12, 12, 2)
+
+    def test_one_sender_counts_once_across_a_broadcast_and_a_direct(self):
+        # The direct row and the broadcast rows of one sender land in
+        # one row view, so the sender is one distinct voice per query.
+        scripts = {
+            0: [
+                Send(BROADCAST, "input", 0),
+                Send(10, "input", 1),
+                Send(10, "input", 0, "x"),
+            ],
+        }
+        inboxes, _sent, _net = run_scripts(scripts)
+        box = inboxes[10]
+        assert box.count("input") == 1 and box.senders() == {0}
+        assert box.payload_counts("input") == {0: 1, 1: 1}
+        assert box.count("input", payload=0) == 1
+        assert box.best_payload("input") == (1, 1)
+        assert list(box.from_sender(0)) == [
+            Message(0, "input", 0),
+            Message(0, "input", 1),
+            Message(0, "input", 0, "x"),
+        ]
+        assert inboxes[11].payload_counts("input") == {0: 1}
+
+    def test_a_multicast_shared_by_two_groups_is_one_row(self):
+        shared = MulticastSend((10, 11, 12, 13), "echo", "both")
+        scripts = {
+            0: [
+                Send(BROADCAST, "init"),
+                shared,
+                MulticastSend((10, 11), "input", 0),
+                MulticastSend((12, 13), "input", 1),
+            ],
+        }
+        # Stage round 1, then deliver it by hand to keep its columns.
+        net = populate(SyncNetwork(), scripts)
+        net.step()
+        cols = net._staging_cols
+        inboxes = net._collect()
+        lower, upper = inboxes[10], inboxes[12]
+        assert inboxes[11] is lower and inboxes[13] is upper
+        assert lower is not upper
+        # Three distinct direct messages, three rows: the shared one
+        # once, in both groups' views.
+        assert cols.direct_rows == 3
+        broadcasts = set(cols.rows())
+        (row,) = (set(lower.index._rows) - broadcasts) & set(upper.index._rows)
+        plane = cols.plane
+        before = plane.messages_materialized
+        lower_echo = [m for m in lower if m.kind == "echo" and m.sender == 0]
+        upper_echo = [m for m in upper if m.kind == "echo" and m.sender == 0]
+        # Its stamped object is what both groups iterate: never rebuilt.
+        assert lower_echo[0] is upper_echo[0] is cols._built[row]
+        assert plane.messages_materialized == before + len(cols)
+
+    def test_every_group_member_is_delivered_the_group_inbox(self):
+        lower, upper = (10, 11, 12), (13, 14, 15)
+        scripts = {
+            0: [
+                Send(BROADCAST, "init"),
+                MulticastSend(lower, "input", 0),
+                MulticastSend(upper, "input", 1),
+            ],
+        }
+        net = populate(SyncNetwork(), scripts)
+        delivered = {}
+        net.bus.subscribe(
+            lambda e: delivered.update({(e.round, e.recipient): e.messages}),
+            "deliver",
+        )
+        net.step()
+        net.step()
+        for group in (lower, upper):
+            for node in group:
+                inbox = net.protocol_of(node).inboxes[2]
+                assert delivered[(2, node)] is inbox
+                assert inbox is net.protocol_of(group[0]).inboxes[2]
+        # A Byzantine sender with no direct messages gets the shared
+        # inbox of the broadcasts, and its event carries that object.
+        assert delivered[(2, 0)] is not delivered[(2, 10)]
+        assert list(delivered[(2, 0)]) == [Message(0, "init")]
+
+    def test_unmasked_equivocator_run_builds_no_object_index(
+        self, monkeypatch
+    ):
+        # Every inbox the engine hands out is a row view of the round's
+        # columns: an equivocating run builds no index over a message
+        # tuple.  The module's empty inbox builds its one index once per
+        # process, so that one is built before counting starts.
+        from repro.sim.network import _EMPTY_INBOX
+
+        assert not _EMPTY_INBOX.index.all_senders
+        built = []
+        init = InboxIndex.__init__
+
+        def recording_init(index, messages=()):
+            built.append(type(index))
+            init(index, messages)
+
+        monkeypatch.setattr(InboxIndex, "__init__", recording_init)
+        result = run_spec(
+            RunSpec(
+                protocol="consensus",
+                n=10,
+                f=3,
+                adversary="equivocator",
+                rushing=True,
+                seed=2,
+            )
+        )
+        assert result.agreed
+        assert result.metrics.sends_total > 0
+        assert InboxIndex not in built
+        assert ColumnarIndex in built

@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.scenario import (
@@ -107,6 +108,122 @@ class TestJsonRoundTrip:
     def test_missing_required_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="'protocol' and 'n'"):
             RunSpec.from_json_dict({"n": 4})
+
+
+#: What a well-typed spec holds in each field, by exact type (a bool is
+#: not an int here): the oracle for the malformed-document tests.
+WELL_TYPED = {
+    "protocol": (str,),
+    "n": (int,),
+    "f": (int,),
+    "variant": (str,),
+    "inputs": (str, type(None)),
+    "protocol_params": (dict,),
+    "adversary": (str,),
+    "adversary_params": (dict,),
+    "churn": (ChurnSpec, type(None)),
+    "seed": (int,),
+    "rushing": (bool,),
+    "max_rounds": (int,),
+    "until_all_halted": (bool, type(None)),
+    "enforce_resiliency": (bool,),
+    "id_space": (int,),
+    "runtime": (str,),
+}
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: Churn documents: arbitrary values, and objects shaped like a churn
+#: spec whose ``kind`` and ``params`` are arbitrary.
+churn_values = json_values | st.fixed_dictionaries(
+    {"kind": json_values}, optional={"params": json_values}
+)
+
+
+def assert_well_typed(spec):
+    for name, types in WELL_TYPED.items():
+        assert type(getattr(spec, name)) in types, name
+    if spec.churn is not None:
+        assert type(spec.churn.kind) is str
+        assert type(spec.churn.params) is dict
+
+
+class TestMalformedJson:
+    BASE = {"protocol": "consensus", "n": 4}
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("rushing", "false"),
+            ("n", True),
+            ("seed", "x"),
+            ("max_rounds", 2.5),
+            ("churn", "rate"),
+            ("protocol_params", [1]),
+            ("until_all_halted", 0),
+            ("inputs", 3),
+        ],
+    )
+    def test_mistyped_field_is_named(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"field '{name}'"):
+            RunSpec.from_json_dict({**self.BASE, name: value})
+
+    @pytest.mark.parametrize(
+        "churn,field",
+        [({"kind": 1}, "kind"), ({"kind": "rate", "params": None}, "params")],
+    )
+    def test_mistyped_churn_field_is_named(self, churn, field):
+        with pytest.raises(
+            ConfigurationError, match=f"ChurnSpec field '{field}'"
+        ):
+            RunSpec.from_json_dict({**self.BASE, "churn": churn})
+
+    def test_well_typed_values_still_load(self):
+        spec = RunSpec.from_json_dict(
+            {
+                **self.BASE,
+                "inputs": None,
+                "until_all_halted": None,
+                "protocol_params": {"payload": [1, {"a": None}]},
+                "churn": {"kind": "rate"},
+            }
+        )
+        assert_well_typed(spec)
+
+    def test_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"protocol": "consensus", "n": ', encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="not JSON"):
+            RunSpec.load(path)
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="not a RunSpec object"):
+            RunSpec.load(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(WELL_TYPED)),
+        value=json_values,
+        churn=churn_values,
+    )
+    def test_any_json_value_loads_typed_or_fails_precisely(
+        self, name, value, churn
+    ):
+        doc = {**self.BASE, name: churn if name == "churn" else value}
+        try:
+            spec = RunSpec.from_json_dict(doc)
+        except ConfigurationError as error:
+            assert name in str(error).lower()
+        else:
+            assert_well_typed(spec)
 
 
 class TestMaterialize:

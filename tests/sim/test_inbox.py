@@ -95,13 +95,6 @@ class TestFiltering:
         assert box.kinds() == {"a", "b"}
         assert box.instances() == {"i"}
 
-    def test_merged_with(self):
-        box = inbox_of((1, "input", 0))
-        merged = box.merged_with([Message(2, "input", 0)])
-        assert merged.count("input", payload=0) == 2
-        # the original is untouched
-        assert box.count("input", payload=0) == 1
-
     def test_bool_and_len(self):
         assert not Inbox()
         assert len(Inbox()) == 0
@@ -139,19 +132,6 @@ class TestIndexViews:
         grabbed = box.senders()
         grabbed.add(42)
         assert box.senders() == {1}
-
-    def test_merged_with_stacks_repeatedly(self):
-        box = inbox_of((1, "input", 0))
-        merged = box.merged_with([Message(2, "input", 0)]).merged_with(
-            [Message(3, "input", 1)]
-        )
-        assert merged.best_payload("input") == (0, 2)
-        assert len(merged) == 3
-
-    def test_merged_duplicate_sender_not_double_counted(self):
-        box = inbox_of((1, "input", 0))
-        merged = box.merged_with([Message(1, "input", 0)])
-        assert merged.count("input", payload=0) == 1
 
     def test_query_after_priming_other_view_of_same_index(self):
         from repro.sim.inbox import InboxIndex

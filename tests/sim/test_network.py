@@ -7,6 +7,7 @@ from repro.errors import (
     ProtocolViolation,
     RoundLimitExceeded,
 )
+from repro.sim.columnar import ColumnarIndex
 from repro.sim.inbox import Inbox
 from repro.sim.message import Send
 from repro.sim.network import SyncNetwork
@@ -238,15 +239,20 @@ class TestSharedIndex:
         for _ in range(3):
             net.step()
         shared = bystander.inboxes[2]
-        layered = target.inboxes[2]
-        # the overlay stacks on the very index the others share...
-        assert layered.index._base is shared.index
+        overlay = target.inboxes[2]
         assert mixed.inboxes[2].index is shared.index
-        # ...with broadcasts first, direct extras appended
-        assert list(layered) == list(shared) + [
-            m for m in layered if m.kind == "y"
+        # the direct recipient's inbox is a row view over the very
+        # columns the others share...
+        assert type(overlay.index) is ColumnarIndex
+        assert overlay.index is not shared.index
+        assert overlay.index._cols is shared.index._cols
+        # ...with the broadcast rows first and its direct row after them
+        assert len(overlay) == len(shared) + 1
+        assert list(overlay) == list(shared) + [
+            m for m in overlay if m.kind == "y"
         ]
-        assert layered.senders("y") == {1}
+        assert overlay.senders("y") == {1}
+        assert shared.senders("y") == set()
 
     def test_direct_duplicating_broadcast_still_shares(self):
         # A direct send that duplicates the sender's own broadcast

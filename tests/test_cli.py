@@ -246,6 +246,34 @@ class TestScenarioFile:
         with pytest.raises(SystemExit):
             main(["run"])
 
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                '{"protocol": "consensus", "n": 4, "rushing": "false"}',
+                "RunSpec field 'rushing' must be bool, got 'false'",
+            ),
+            (
+                '{"protocol": "consensus", "n": ',
+                "not JSON: Expecting value: line 1 column 32 (char 31)",
+            ),
+            ('["consensus", 4]', "not a RunSpec object"),
+        ],
+        ids=["mistyped", "not-json", "not-an-object"],
+    )
+    def test_bad_spec_file_is_an_error_line_and_exit_2(
+        self, tmp_path, capsys, command, text, message
+    ):
+        # Exit 2 is a file that is not a spec; 1 stays a violated verdict.
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code = main([command, "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
 
 class TestCampaign:
     def test_small_total_order_campaign(self, tmp_path, capsys):
