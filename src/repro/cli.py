@@ -44,6 +44,7 @@ from repro.scenario import (
     RunSpec,
     SAMPLED_PROTOCOLS,
     collector_paused,
+    resolve,
 )
 
 
@@ -106,6 +107,18 @@ def _load_scenario(path: str) -> RunSpec | None:
         return None
 
 
+def _runnable(spec: RunSpec, path: str | None) -> bool:
+    """False once ``error: [PATH: ]why`` is on stderr for a spec that can
+    never run (the caller exits 2; a later failure is a crash verdict)."""
+    try:
+        resolve(spec)
+    except ReproError as exc:
+        where = f"{path}: " if path else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _mean(values: list, digits: int) -> float:
     return round(statistics.fmean(values), digits) if values else 0.0
 
@@ -124,6 +137,8 @@ def cmd_run(args) -> int:
         raise SystemExit("run: need a protocol or --scenario FILE")
     else:
         spec = _spec_from_args(args, seed=args.seed or 0)
+    if not _runnable(spec, args.scenario):
+        return 2
     bus = EventBus()
     sink = bus.to_jsonl(args.events) if args.events else None
     try:
@@ -232,6 +247,8 @@ def cmd_campaign(args) -> int:
             return 2
     else:
         base = _spec_from_args(args)
+    if not _runnable(base, args.scenario):
+        return 2
     # Timings ride beside a saved report, in their own file: the report
     # stays byte-identical across machines and worker counts.
     timing = CampaignTiming(clock=time.perf_counter) if args.out else None

@@ -19,13 +19,13 @@ The sampler must satisfy three constraints at once:
 * **Adversary-oblivious** — ids are assigned before the seed is drawn,
   so the rank of each id is an independent uniform draw as far as the
   adversary is concerned; the committee is a uniform ``c``-subset.
-* **Safe under n > 3f** — with Byzantine nodes a < n/3 fraction of the
-  population, the expected Byzantine fraction of a uniform committee is
-  < 1/3.  A Chernoff bound puts the probability that a committee of
-  size ``c`` exceeds a (1/3 + δ) Byzantine fraction at ``exp(-2δ²c)``;
-  sizing ``c = Θ(log² n)`` drives that probability below any inverse
-  polynomial in ``n``.  :func:`committee_size` applies a ×2 safety
-  factor and a floor of 16 on top.
+* **Safe only with slack below n/3** — a Chernoff bound puts the
+  chance that a committee of size ``c`` reaches a 1/3 Byzantine
+  fraction at ``exp(-2δ²c)`` for the slack ``δ = 1/3 − f/n``.
+  ``n > 3f`` lets δ go to 0, and :func:`committee_size` is not sized
+  from δ: at ``f = ⌊(n−1)/3⌋`` the exact tail ``P(3·f_C ≥ c)`` is ≈ 0.5
+  from n=200 to 10 000, and a captured committee breaks agreement or
+  termination (``tests/data/violations/sampled-capture-*.json``).
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ def committee_size(
 ) -> int:
     """Committee size for an observed view of ``n_v``: ``factor·⌈log₂n_v⌉²``.
 
-    Θ(log² n) keeps the committee polylogarithmic while the Chernoff
-    tail ``exp(-2δ²c)`` stays below any inverse polynomial of ``n_v``
-    (with δ the slack between the < 1/3 expected Byzantine fraction and
-    the 1/3 quorum bound the committee's own consensus run needs).
+    Θ(log² n) keeps the committee polylogarithmic, but it is not sized
+    from the slack δ the Chernoff tail ``exp(-2δ²c)`` needs (see the
+    module docstring: near ``f = ⌊(n−1)/3⌋`` half the committees are
+    captured).
     Capped at ``n_v`` — tiny views degenerate to a full committee,
     which is exactly the classical protocol.
     """

@@ -59,6 +59,18 @@ class EventStreamError(ReproError, ValueError):
         super().__init__(f"events line {line}: {problem}")
 
 
+class WireError(ReproError, ValueError):
+    """A :mod:`repro.net.wire` frame does not decode to one message.
+
+    A ``ValueError``, so a peer's reader drops the connection as for any
+    other malformed input.
+    """
+
+    def __init__(self, problem: str):
+        self.problem = problem
+        super().__init__(f"wire frame: {problem}")
+
+
 class PropertyViolation(ReproError):
     """A checked correctness property (agreement, validity, ...) failed.
 

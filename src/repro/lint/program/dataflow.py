@@ -629,7 +629,6 @@ class FactsExtractor:
                 "values",
                 "most_common",
                 "filter",
-                "kind_bucket",
                 "instance_tags",
             ):
                 # Dict views are insertion-ordered in Python; inbox

@@ -11,6 +11,10 @@ codec tags non-JSON-native values::
 
 Frames are ``<4-byte big-endian length><utf-8 json>``; the JSON object
 carries ``round``, ``sender``, ``kind``, ``payload``, ``instance``.
+Decoding is exact: anything but an int ``round`` and ``sender``, a str
+``kind`` and a payload and instance that decode to hashable values is a
+:class:`~repro.errors.WireError`, never a coerced value or a
+``TypeError`` further down.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import struct
 from typing import Any
 
-from repro.errors import ProtocolViolation
+from repro.errors import ProtocolViolation, WireError
 from repro.types import BOTTOM, is_bottom
 
 _LENGTH = struct.Struct(">I")
@@ -53,16 +57,21 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
+    """Inverse of :func:`encode_value`; raises :class:`WireError` for
+    anything :func:`encode_value` cannot have produced (a list, a plain
+    object, a malformed tag), so every decoded value is hashable."""
     if isinstance(value, dict):
-        if value.get("__bottom__"):
+        if value.get("__bottom__") is True:
             return BOTTOM
-        if "__tuple__" in value:
-            return tuple(decode_value(v) for v in value["__tuple__"])
-        if "__frozenset__" in value:
-            return frozenset(
-                decode_value(v) for v in value["__frozenset__"]
-            )
+        for tag, build in (("__tuple__", tuple), ("__frozenset__", frozenset)):
+            if tag in value:
+                items = value[tag]
+                if not isinstance(items, list):
+                    raise WireError(f"{tag} holds {items!r}, not a list")
+                return build(decode_value(v) for v in items)
+        raise WireError(f"untagged object {value!r} is not hashable")
+    if isinstance(value, list):
+        raise WireError(f"list {value!r} is not hashable")
     return value
 
 
@@ -90,23 +99,30 @@ def encode_frame(
 
 
 def decode_frame(body: bytes) -> dict:
-    """Parse a frame body (without the length prefix).
-
-    Returns a dict with ``round``, ``sender``, ``kind``, ``payload``,
-    ``instance``; raises ``ValueError`` on malformed input.
-    """
-    data = json.loads(body.decode("utf-8"))
+    """Parse a frame body (without the length prefix) into its fields
+    (see the module docstring); raises :class:`WireError` otherwise."""
+    try:
+        data = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise WireError(f"body is not UTF-8 JSON ({exc})") from None
     if not isinstance(data, dict):
-        raise ValueError("frame body is not an object")
-    for key in ("round", "sender", "kind"):
+        raise WireError("body is not an object")
+    for key, want in (("round", int), ("sender", int), ("kind", str)):
         if key not in data:
-            raise ValueError(f"frame missing {key!r}")
+            raise WireError(f"missing {key!r}")
+        if type(data[key]) is not want:  # bool is not an int here
+            raise WireError(f"{key} {data[key]!r} is not {want.__name__}")
+    try:
+        payload = decode_value(data.get("payload"))
+        instance = decode_value(data.get("instance"))
+    except RecursionError:
+        raise WireError("payload nested too deeply") from None
     return {
-        "round": int(data["round"]),
-        "sender": int(data["sender"]),
-        "kind": str(data["kind"]),
-        "payload": decode_value(data.get("payload")),
-        "instance": decode_value(data.get("instance")),
+        "round": data["round"],
+        "sender": data["sender"],
+        "kind": data["kind"],
+        "payload": payload,
+        "instance": instance,
     }
 
 
@@ -130,7 +146,7 @@ def read_frame(sock) -> dict | None:
         return None
     (length,) = _LENGTH.unpack(header)
     if length > MAX_FRAME_BYTES:
-        raise ValueError(f"frame length {length} exceeds limit")
+        raise WireError(f"length {length} exceeds the frame limit")
     body = read_exactly(sock, length)
     if body is None:
         return None

@@ -13,7 +13,12 @@ names a seeded generator (:mod:`repro.scenario.churn`) that expands
 into the engine's :class:`~repro.sim.membership.MembershipSchedule`.
 """
 
-from repro.scenario.build import materialize, predict_population, run_spec
+from repro.scenario.build import (
+    materialize,
+    predict_population,
+    resolve,
+    run_spec,
+)
 from repro.scenario.churn import CHURN_KINDS, build_membership, validate_schedule
 from repro.scenario.registry import (
     PROTOCOLS,
@@ -45,6 +50,7 @@ __all__ = [
     "index_inputs",
     "materialize",
     "predict_population",
+    "resolve",
     "resolve_inputs",
     "run_spec",
     "supermajority_inputs",

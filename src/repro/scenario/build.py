@@ -10,16 +10,21 @@ makes a campaign's violating spec a complete, replayable artifact
 
 from __future__ import annotations
 
-from repro.adversary import build_strategy
+from repro.adversary import STRATEGY_BUILDERS, build_strategy
 from repro.errors import ConfigurationError
 from repro.scenario.churn import build_membership
-from repro.scenario.registry import ProtocolEntry, get_protocol, resolve_inputs
+from repro.scenario.registry import (
+    InputFn,
+    ProtocolEntry,
+    get_protocol,
+    resolve_inputs,
+)
 from repro.scenario.spec import RunSpec
 from repro.sim.rng import make_rng, sparse_ids
 from repro.sim.runner import Scenario, ScenarioResult, run_scenario
 from repro.types import NodeId
 
-__all__ = ["materialize", "predict_population", "run_spec"]
+__all__ = ["materialize", "predict_population", "resolve", "run_spec"]
 
 
 def predict_population(
@@ -52,8 +57,11 @@ def _wrapped_factory(spec: RunSpec, entry: ProtocolEntry, input_fn):
     return lambda: inner(0, wrapped_index)
 
 
-def materialize(spec: RunSpec) -> Scenario:
-    """Resolve every name in *spec* and build the runnable Scenario."""
+def resolve(spec: RunSpec) -> tuple[ProtocolEntry, InputFn]:
+    """*spec*'s protocol entry and input function, building nothing;
+    :class:`~repro.errors.ConfigurationError` when the spec can never
+    run whatever its seed (``validate()`` or an unknown protocol,
+    variant, inputs or, with ``f > 0``, adversary name)."""
     spec.validate()
     entry = get_protocol(spec.protocol)
     if spec.variant not in entry.variants:
@@ -62,6 +70,17 @@ def materialize(spec: RunSpec) -> Scenario:
             f"variant; choose from {entry.variants}"
         )
     input_fn = resolve_inputs(spec.inputs or entry.default_inputs)
+    if spec.f and spec.adversary not in STRATEGY_BUILDERS:
+        raise ConfigurationError(
+            f"unknown adversary {spec.adversary!r}; known: "
+            f"{', '.join(STRATEGY_BUILDERS)}"
+        )
+    return entry, input_fn
+
+
+def materialize(spec: RunSpec) -> Scenario:
+    """Resolve every name in *spec* and build the runnable Scenario."""
+    entry, input_fn = resolve(spec)
     protocol_factory = entry.build(spec, input_fn)
 
     strategy_factory = None

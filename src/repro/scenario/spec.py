@@ -164,7 +164,8 @@ class RunSpec:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Arithmetic sanity; name resolution happens at materialization."""
+        """Arithmetic sanity; :func:`repro.scenario.build.resolve` adds
+        the name lookups."""
         if self.n <= 0:
             raise ConfigurationError("n must be positive")
         if self.f < 0:
@@ -180,6 +181,11 @@ class RunSpec:
             )
         if self.max_rounds <= 0:
             raise ConfigurationError("max_rounds must be positive")
+        if self.id_space < self.n:
+            raise ConfigurationError(
+                f"id_space={self.id_space} cannot hold n={self.n} "
+                "distinct ids"
+            )
         if self.runtime != "sim":
             raise ConfigurationError(
                 f"unknown runtime {self.runtime!r}; only 'sim' exists"

@@ -23,33 +23,37 @@ Three pieces:
   sends), then one scalar *direct row* per fresh direct message,
   appended past the broadcasts at delivery.  Views never copy the
   columns (pinned in DESIGN.md §4).
-* :class:`ColumnarIndex` — an :class:`~repro.sim.inbox.InboxIndex` over
-  the columns and a *row selection*: the round's broadcasts, or a
-  **row view**.
+* :class:`ColumnarIndex` — the one inbox index: the query caches of
+  :class:`~repro.sim.inbox.InboxIndex` over the columns and a row
+  selection, the round's broadcasts or a **row view**.
 
 Row views.  A round's rows are named by *row entries*: ``j >= 0`` is
 scalar row ``j`` and ``~s`` is batch segment ``s`` (all of one batch's
-payloads: one sender, one kind, one instance).  Every inbox the engine
-hands out is a ``ColumnarIndex`` over the same columns: the round's
-broadcasts, a recipient group's broadcasts plus its direct rows, and
-every single-axis sub-inbox of those — the instance partition, the
-kind and sender buckets, a membership restriction — bucketed in one
-pass per axis over its parent's entries.  It answers sender sets,
-tallies and surveys from the columns; a ``Message`` is built only for
-a broadcast row that somebody iterates, at most once per round
-whichever view asks first (:meth:`RoundColumns.messages`), and a direct
-row hands out the message it was stamped as.
+payloads: one sender, one kind, one instance).  Every inbox is a
+``ColumnarIndex``: the round's broadcasts, a recipient group's
+broadcasts plus its direct rows, every single-axis sub-inbox of those —
+the instance partition, the kind and sender buckets, a membership
+restriction — bucketed in one pass per axis over its parent's entries,
+and ``Inbox(messages)`` (a masked recipient's kept messages, the net
+runtime's frames, a hand-built inbox), which appends each message as
+one scalar row of private columns.  It answers sender sets, tallies
+and surveys from the columns; a ``Message`` is built only for a
+broadcast row that somebody iterates, at most once per round whichever
+view asks first (:meth:`RoundColumns.messages`), and a scalar row
+appended by :meth:`RoundColumns.add_direct` hands out the message it
+was appended as.
 
-Equivalence contract: every query answers exactly what a plain
-:class:`~repro.sim.inbox.InboxIndex` over the same messages answers,
-including the historical (count, repr, first-occurrence-order)
-tie-break — pinned by the coherence suites in ``tests/properties/`` and
-by the naive reference engine in ``tests/reference_engine.py``.
+Equivalence contract: every query answers exactly what a naive linear
+scan over the view's messages answers, including the historical (count,
+repr, first-occurrence-order) tie-break — pinned by the coherence
+suites in ``tests/properties/`` and by the naive reference engine in
+``tests/reference_engine.py``, which shares no index code with this
+module.
 """
 
 from __future__ import annotations
 
-from typing import Any, Collection, Hashable, Iterator, Sequence
+from typing import Any, Collection, Hashable, Iterable, Iterator, Sequence
 
 from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.message import Message
@@ -601,37 +605,41 @@ class ColumnarIndex(InboxIndex):
 
     ``rows=None`` is the round's broadcasts (what every recipient
     without direct messages shares); otherwise *rows* is a row view's
-    entry list — a sub-inbox, or a recipient group's broadcasts plus
-    its direct rows.  Drop-in compatible with
-    :class:`~repro.sim.inbox.InboxIndex`: sender sets, payload tallies,
-    surveys, sizes and the single-axis sub-inboxes (instance partition,
-    kind and sender buckets, restrictions) are passes over the columns,
-    and the sub-inboxes are row views again.  ``messages`` builds
-    message objects only for the rows asked for; the ``kind=None``
-    filters with a payload fall through to the base implementation
-    over them.
+    entry list — a sub-inbox, a recipient group's broadcasts plus its
+    direct rows, or every row of private columns (:meth:`of`).  Sender
+    sets, payload tallies, surveys, sizes and the single-axis
+    sub-inboxes (instance partition, kind and sender buckets,
+    restrictions) are passes over the columns, and the sub-inboxes are
+    row views again.  :attr:`messages` builds message objects only for
+    the rows asked for.
     """
 
-    __slots__ = ("_cols", "_rows", "_parts", "_size")
+    __slots__ = ("_cols", "_rows", "_parts", "_messages")
 
-    def __init__(self, cols: RoundColumns, rows: list[int] | None = None):
-        super().__init__(())
-        # Unset the messages slot: reads fall into __getattr__, which
-        # builds this view's messages on first genuine demand.
-        del self.messages
+    def __init__(self, cols: RoundColumns, rows: Sequence[int] | None = None):
+        super().__init__()
         self._cols = cols
         self._rows = rows
         #: axis -> {key id: row entries}, one pass per axis on demand.
         self._parts: dict[int, dict[int, list[int]]] = {}
-        self._size = len(cols) if rows is None else None
+        self._messages: tuple[Message, ...] | None = None
 
-    def __getattr__(self, name: str):
-        if name == "messages":
-            built = self.messages = self._cols.messages(self._entries())
-            return built
-        raise AttributeError(name)
+    @classmethod
+    def of(cls, messages: Iterable[Message]) -> "ColumnarIndex":
+        """A row view of private columns: one scalar row per message, in
+        order, duplicates kept, each row holding its message object."""
+        cols = ColumnarPlane().new_round()
+        return cls(cols, [cols.add_direct(message) for message in messages])
 
-    def _entries(self) -> list[int]:
+    @property
+    def messages(self) -> tuple[Message, ...]:
+        """This view's messages, built on first demand."""
+        built = self._messages
+        if built is None:
+            built = self._messages = self._cols.messages(self._entries())
+        return built
+
+    def _entries(self) -> Sequence[int]:
         rows = self._rows
         return self._cols.rows() if rows is None else rows
 
@@ -643,9 +651,15 @@ class ColumnarIndex(InboxIndex):
             )
         return part
 
-    def _rows_of(self, kind: str, instance: Any) -> Sequence[int]:
-        """The entries of *kind* (and of *instance*, unless ``...``)."""
+    def _rows_of(self, kind: str | None, instance: Any) -> Sequence[int]:
+        """The entries of *kind* (any, for None) and of *instance*
+        (any, for ``...``)."""
         plane = self._cols.plane
+        if kind is None:
+            if instance is _ANY:
+                return self._entries()
+            iid = plane.instance_id_of(instance)
+            return self._partition(_INSTANCE).get(iid, ())
         rows = self._partition(_KIND).get(plane.kind_id_of(kind), ())
         if instance is _ANY or not rows:
             return rows
@@ -653,14 +667,12 @@ class ColumnarIndex(InboxIndex):
         return self._cols.select(rows, _INSTANCE, (iid,))
 
     def message_count(self) -> int:
-        size = self._size
-        if size is None:
-            segments = self._cols.segments
-            size = self._size = sum(
-                1 if entry >= 0 else len(segments[~entry][2])
-                for entry in self._rows
-            )
-        return size
+        """Rows (a segment counts its payloads); :class:`Inbox` caches it."""
+        rows = self._rows
+        if rows is None:
+            return len(self._cols)
+        segments = self._cols.segments
+        return sum(1 if e >= 0 else len(segments[~e][2]) for e in rows)
 
     # -- counting passes (the InboxIndex caches call these once) --------
     def _distinct_senders(self) -> frozenset[NodeId]:
@@ -672,12 +684,14 @@ class ColumnarIndex(InboxIndex):
     def _senders_matching(
         self, kind: str | None, payload: Any, instance: Any
     ) -> frozenset[NodeId]:
-        if kind is None:
-            return super()._senders_matching(kind, payload, instance)
         if payload is _ANY:
             rows = self._rows_of(kind, instance)
             return frozenset(self._cols.keys(rows, _SENDER))
-        return self.payload_senders(kind, instance).get(payload, frozenset())
+        if kind is None:
+            tally = self._cols.tally(self._rows_of(None, instance))
+        else:
+            tally = self.payload_senders(kind, instance)
+        return tally.get(payload, frozenset())
 
     def _tally(
         self, kind: str, instance: Any

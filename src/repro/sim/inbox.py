@@ -4,33 +4,30 @@ Every count is a count of *distinct senders*: the model discards duplicate
 messages from the same sender within a round, and all threshold arguments
 ("received at least ``n_v/3`` echo messages") quantify over senders.
 
-Counting is backed by a lazily-built :class:`InboxIndex`.  The engine hands
-every recipient that got exactly the round's broadcasts one shared
-:class:`Inbox`, and every recipient group with direct messages one shared
-inbox of its own, so per-kind buckets, sender sets and payload tallies
-are computed once per round (or group) instead of once per node — the
-paper's protocols are all distinct-sender threshold counts over a common
-view, which is exactly the shape this amortizes.
+Every inbox is a view over a :class:`~repro.sim.columnar.ColumnarIndex`,
+a *row view* of a round's columns.  The engine hands every recipient
+that got exactly the round's broadcasts one shared inbox, and every
+recipient group with direct messages one of its own, so buckets, sender
+sets and payload tallies are computed once per round (or group) instead
+of once per node.  ``Inbox(messages)`` — a masked recipient, the net
+runtime, a hand-built inbox — is a row view of private columns: one row
+per message in order, duplicates included.
 
 Shared-index invariant: an index (and every bucket, set and counter it
-caches) is a pure *view* over one immutable tuple of
-:class:`~repro.sim.message.Message` objects, or over rows of one round's
-columns.  Nothing may mutate a message
-or a cached structure after it is handed out; the query methods therefore
-return fresh ``set``/``Counter`` copies wherever callers could mutate the
-result.  Mutating an index internal is a bug, not a feature request.
+caches) is a pure *view* over rows of one round's columns.  Nothing may
+mutate a message or a cached structure after it is handed out; the
+query methods therefore return fresh ``set``/``Counter`` copies wherever
+callers could mutate the result.  Mutating an index internal is a bug,
+not a feature request.
 
-Buckets are partitions, not per-key scans: the first per-kind,
-per-sender or per-instance read of an index groups *every* key in one
-pass, and :meth:`InboxIndex.instance_subs` exposes the instance
-partition whole (``tag -> shared sub-inbox``) so a protocol running
-many instances pays one dict probe per instance per round.  Every
-inbox the sync engine builds is a :class:`~repro.sim.columnar.ColumnarIndex`
-*row view* of the round's columns: its passes bucket row numbers, not
-messages, every sub-inbox is a row view again, counts and tallies come
-from the columns, and a ``Message`` exists only for a row that somebody
-iterates.  This base class over a message tuple serves hand-built
-inboxes, masked recipients and the net and async runtimes.
+:class:`InboxIndex` holds what every index caches; its subclass
+:class:`~repro.sim.columnar.ColumnarIndex` holds the counting passes.
+Buckets are partitions, not per-key scans: the first per-kind or
+per-instance read of an index groups *every* key in one pass, and
+:meth:`InboxIndex.instance_subs` exposes the instance partition whole
+(``tag -> shared sub-inbox``) so a protocol running many instances pays
+one dict probe per instance per round.  A ``Message`` exists only for a
+row that somebody iterates.
 
 The *quorum-tally plane* extends the sharing one layer up, into the
 protocols' counting: :meth:`InboxIndex.derive` memoizes arbitrary derived
@@ -47,6 +44,7 @@ contents, shared by every aliasing recipient, and must never be mutated.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -63,18 +61,18 @@ _EMPTY_SUB = ("empty",)
 
 
 class InboxIndex:
-    """Lazily-built, cached query structures over one message tuple.
+    """The cached query structures of one index, filled on first demand.
 
     One index may be shared by many :class:`Inbox` views (the engine's
     all-broadcast hot path); every cache therefore fills in at most once
-    per round, on first demand, whichever recipient asks first.
+    per round, whichever recipient asks first.  The passes that fill
+    them — ``_distinct_senders``, ``_senders_matching``, ``_tally``,
+    ``_kind_set``, ``_instance_buckets``, ``_view`` and the bucket
+    sub-inboxes — are the subclass's
+    (:class:`~repro.sim.columnar.ColumnarIndex`, the one implementation).
     """
 
     __slots__ = (
-        "messages",
-        "_by_kind",
-        "_by_sender",
-        "_by_instance",
         "_all_senders",
         "_sender_sets",
         "_payload_senders",
@@ -88,11 +86,7 @@ class InboxIndex:
         "_covered",
     )
 
-    def __init__(self, messages: Iterable[Message] = ()):
-        self.messages: tuple[Message, ...] = tuple(messages)
-        self._by_kind: dict[str, tuple[Message, ...]] | None = None
-        self._by_sender: dict[NodeId, tuple[Message, ...]] | None = None
-        self._by_instance: dict[Hashable, tuple[Message, ...]] | None = None
+    def __init__(self) -> None:
         self._all_senders: frozenset[NodeId] | None = None
         #: (kind, payload, instance) -> frozenset of matching senders.
         self._sender_sets: dict[tuple, frozenset[NodeId]] = {}
@@ -105,9 +99,9 @@ class InboxIndex:
         self._best: dict[tuple, tuple[Hashable, int]] = {}
         self._kinds: frozenset[str] | None = None
         self._instance_tags: tuple[Hashable, ...] | None = None
-        #: Cached sub-Inbox views for kind/sender/instance buckets, so
-        #: repeated ``filter(kind)`` calls across recipients share one
-        #: sub-index too.
+        #: Cached sub-Inbox views for kind/sender buckets, so repeated
+        #: ``filter(kind)`` calls across recipients share one sub-index
+        #: too.
         self._subs: dict[tuple, "Inbox"] = {}
         #: instance tag -> shared sub-inbox: the round's instance
         #: partition, built whole on first demand (see instance_subs).
@@ -123,30 +117,6 @@ class InboxIndex:
         self._covered: dict[frozenset, bool] = {}
 
     # ------------------------------------------------------------------
-    # Buckets
-    # ------------------------------------------------------------------
-    def _bucket_map(
-        self, field: str, key_of
-    ) -> dict[Hashable, tuple[Message, ...]]:
-        """Build (once) a first-occurrence-ordered bucket dict."""
-        buckets = getattr(self, field)
-        if buckets is None:
-            grouped: dict[Hashable, list[Message]] = {}
-            for message in self.messages:
-                grouped.setdefault(key_of(message), []).append(message)
-            buckets = {key: tuple(ms) for key, ms in grouped.items()}
-            setattr(self, field, buckets)
-        return buckets
-
-    def kind_bucket(self, kind: str) -> tuple[Message, ...]:
-        return self._bucket_map("_by_kind", lambda m: m.kind).get(kind, ())
-
-    def _instance_buckets(self) -> dict[Hashable, tuple[Message, ...]]:
-        """The round's instance partition: one staging-order pass that
-        buckets *every* tag (untagged messages under ``None``)."""
-        return self._bucket_map("_by_instance", lambda m: m.instance)
-
-    # ------------------------------------------------------------------
     # Sender sets and payload tallies
     # ------------------------------------------------------------------
     @property
@@ -155,9 +125,6 @@ class InboxIndex:
         if senders is None:
             senders = self._all_senders = self._distinct_senders()
         return senders
-
-    def _distinct_senders(self) -> frozenset[NodeId]:
-        return frozenset(m.sender for m in self.messages)
 
     def sender_set(
         self, kind: str | None, payload: Any, instance: Any
@@ -172,14 +139,6 @@ class InboxIndex:
                 kind, payload, instance
             )
         return cached
-
-    def _senders_matching(
-        self, kind: str | None, payload: Any, instance: Any
-    ) -> frozenset[NodeId]:
-        pool = self.kind_bucket(kind) if kind is not None else self.messages
-        return frozenset(
-            m.sender for m in pool if m.matches(kind, payload, instance)
-        )
 
     def payload_senders(
         self, kind: str, instance: Any
@@ -200,15 +159,6 @@ class InboxIndex:
                 self._tally(kind, instance)
             )
         return cached
-
-    def _tally(
-        self, kind: str, instance: Any
-    ) -> dict[Hashable, frozenset[NodeId]]:
-        grouped: dict[Hashable, set[NodeId]] = {}
-        for m in self.kind_bucket(kind):
-            if m.matches(kind, instance=instance):
-                grouped.setdefault(m.payload, set()).add(m.sender)
-        return {payload: frozenset(group) for payload, group in grouped.items()}
 
     def best_payload(
         self, kind: str, instance: Any
@@ -238,9 +188,6 @@ class InboxIndex:
             kinds = self._kinds = self._kind_set()
         return kinds
 
-    def _kind_set(self) -> frozenset[str]:
-        return frozenset(m.kind for m in self.messages)
-
     def instance_tags(self) -> tuple[Hashable, ...]:
         """Instance tags in first-occurrence order (untagged excluded).
 
@@ -254,10 +201,6 @@ class InboxIndex:
                 tag for tag in self._instance_buckets() if tag is not None
             )
         return tags
-
-    def message_count(self) -> int:
-        """Number of messages (a row view counts its rows instead)."""
-        return len(self.messages)
 
     def covered_by(self, members: frozenset[NodeId]) -> bool:
         """True when every sender is in *members* (cached per membership).
@@ -328,17 +271,10 @@ class InboxIndex:
             sub = self._restrictions[members] = self._restriction(members)
         return sub
 
-    def _restriction(self, members: frozenset[NodeId]) -> "Inbox":
-        return Inbox(m for m in self.messages if m.sender in members)
-
     # ------------------------------------------------------------------
     # Shared sub-views
     # ------------------------------------------------------------------
-    def _view(self, bucket: tuple[Message, ...]) -> "Inbox":
-        """The sub-inbox over one bucket of this index."""
-        return Inbox(bucket)
-
-    def _sub(self, key: tuple, bucket: tuple[Message, ...]) -> "Inbox":
+    def _sub(self, key: tuple, bucket: Sequence[int]) -> "Inbox":
         if not bucket:
             # Every empty bucket of one index is the same empty inbox.
             key = _EMPTY_SUB
@@ -346,13 +282,6 @@ class InboxIndex:
         if sub is None:
             sub = self._subs[key] = self._view(bucket)
         return sub
-
-    def sub_by_kind(self, kind: str) -> "Inbox":
-        return self._sub(("kind", kind), self.kind_bucket(kind))
-
-    def sub_by_sender(self, sender: NodeId) -> "Inbox":
-        buckets = self._bucket_map("_by_sender", lambda m: m.sender)
-        return self._sub(("sender", sender), buckets.get(sender, ()))
 
     def sub_by_instance(self, instance: Hashable) -> "Inbox":
         sub = self.instance_subs().get(instance)
@@ -366,7 +295,7 @@ class InboxIndex:
         (untagged messages under ``None``).  These are the very objects
         :meth:`sub_by_instance` hands out, so a protocol that runs many
         instances fetches the mapping once per round and pays one dict
-        probe per instance.  On the columnar plane they are row views.
+        probe per instance.  They are row views, like every sub-inbox.
         """
         subs = self._instance_subs
         if subs is None:
@@ -382,19 +311,18 @@ class InboxIndex:
 class Inbox:
     """The set of messages a node received at the start of a round.
 
-    An inbox is an immutable view: either over its own message tuple, or
-    (``index=``) over a prebuilt — possibly shared — :class:`InboxIndex`.
+    An inbox is an immutable view over an index: a prebuilt — possibly
+    shared — row view of a round's columns (``index=``), or, for
+    ``Inbox(messages)``, a private row view holding one row per message
+    in order, duplicates and the message objects themselves included.
     All query methods route through the index and return results
     identical to a naive linear scan (pinned by
-    ``tests/properties/test_index_coherence.py``).
-
-    When built over an index the message tuple is fetched lazily: a
-    columnar index (the whole round or a row view of it) answers counts
-    and tallies straight from its columns, and builds message objects
-    only for the rows somebody iterates.
+    ``tests/properties/test_index_coherence.py``).  Counts and tallies
+    come straight from the columns; message objects are built only for
+    the rows somebody iterates.
     """
 
-    __slots__ = ("_messages", "_index", "_size")
+    __slots__ = ("_index", "_size")
 
     def __init__(
         self,
@@ -402,29 +330,21 @@ class Inbox:
         *,
         index: InboxIndex | None = None,
     ):
-        if index is not None:
-            self._messages = self._size = None
-        else:
-            self._messages = tuple(messages)
-            self._size = len(self._messages)
-        self._index = index
+        if index is None:
+            # Imported here: repro.sim.columnar builds on this module.
+            from repro.sim.columnar import ColumnarIndex
 
-    def _seq(self) -> tuple[Message, ...]:
-        seq = self._messages
-        if seq is None:
-            seq = self._messages = self._index.messages
-        return seq
+            index = ColumnarIndex.of(messages)
+        self._index = index
+        self._size: int | None = None
 
     @property
     def index(self) -> InboxIndex:
-        """The (lazily created) query index backing this inbox."""
-        idx = self._index
-        if idx is None:
-            idx = self._index = InboxIndex(self._messages)
-        return idx
+        """The query index backing this inbox."""
+        return self._index
 
     def __iter__(self) -> Iterator[Message]:
-        return iter(self._seq())
+        return iter(self._index.messages)
 
     def __len__(self) -> int:
         # Kept on the inbox: the engine's ``deliver`` event asks it once
@@ -433,9 +353,6 @@ class Inbox:
         if size is None:
             size = self._size = self._index.message_count()
         return size
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
     def filter(
         self,
@@ -449,7 +366,7 @@ class Inbox:
         index's cached sub-inbox, so every recipient of a shared round
         index gets the *same* object — and one shared sub-index with
         it; a kind within an instance is the instance's kind bucket.
-        Only a payload filter scans messages.
+        Only a payload filter scans messages, into a private inbox.
         """
         sub = self
         if instance is not _ANY:
@@ -500,14 +417,8 @@ class Inbox:
         This is the primitive behind "if received at least ``2n_v/3``
         ``input(x)`` for some value ``x``": take the max of the counter.
         """
-        return Counter(
-            {
-                payload: len(senders)
-                for payload, senders in self.index.payload_senders(
-                    kind, instance
-                ).items()
-            }
-        )
+        tallies = self.index.payload_senders(kind, instance)
+        return Counter({p: len(senders) for p, senders in tallies.items()})
 
     def payload_sender_sets(
         self, kind: str, instance: Any = ...
@@ -544,17 +455,13 @@ class Inbox:
         instance: Any = ...,
     ) -> bool:
         """True when *sender* sent a matching message this round."""
-        return any(
-            m.matches(kind, payload, instance)
-            for m in self.index.sub_by_sender(sender)
-        )
+        return sender in self.index.sender_set(kind, payload, instance)
 
     def has_kind(self, kind: str) -> bool:
         """True when any message of *kind* is present.
 
-        Unlike ``kinds()`` this returns no copy, and on the columnar
-        plane it answers straight off the kind column without
-        materializing a single message — the sampled-consensus
+        Unlike ``kinds()`` this returns no copy, and it answers straight
+        off the kind column without materializing a single message — the sampled-consensus
         non-members poll for decision announcements with this, keeping
         their per-round work O(1).
         """

@@ -12,10 +12,12 @@ Randomization is seeded through :func:`repro.sim.rng.make_rng`, so every
 failure here replays byte-for-byte from its seed.
 """
 
+from repro.core.consensus import EarlyConsensus
 from repro.core.parallel_consensus import namespace_view
 from repro.scenario import RunSpec, run_spec
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane, RoundColumns
 from repro.sim.inbox import Inbox, InboxIndex
+from repro.sim.lossy import LossyNetwork
 from repro.sim.message import (
     BROADCAST,
     BatchSend,
@@ -27,6 +29,7 @@ from repro.sim.network import SyncNetwork
 from repro.sim.node import Protocol
 from repro.sim.rng import make_rng
 
+from tests.naive_inbox import naive_best, naive_senders, naive_tallies
 from tests.reference_engine import assert_matches_reference, per_send_events
 
 KINDS = ("echo", "input", "prefer")
@@ -55,33 +58,6 @@ def random_messages(rng, size, instances=INSTANCES):
         if rng.random() < 0.2:
             out.append(rng.choice(out))
     return out[:size]
-
-
-# ----------------------------------------------------------------------
-# The naive reference: plain linear scans, no caching anywhere.
-# ----------------------------------------------------------------------
-def naive_senders(messages, kind=None, payload=..., instance=...):
-    return {
-        m.sender for m in messages if m.matches(kind, payload, instance)
-    }
-
-
-def naive_tallies(messages, kind, instance=...):
-    per_payload = {}
-    for m in messages:
-        if m.matches(kind, instance=instance):
-            per_payload.setdefault(m.payload, set()).add(m.sender)
-    return per_payload
-
-
-def naive_best(messages, kind, instance=...):
-    tallies = naive_tallies(messages, kind, instance)
-    if not tallies:
-        return (None, 0)
-    payload, senders = max(
-        tallies.items(), key=lambda item: (len(item[1]), repr(item[0]))
-    )
-    return payload, len(senders)
 
 
 def assert_coherent(box, messages):
@@ -238,7 +214,7 @@ class TestIndexCoherence:
         for seed in range(10):
             rng = make_rng(seed, salt=2)
             messages = random_messages(rng, 30)
-            index = InboxIndex(messages)
+            index = Inbox(messages).index
             first = Inbox(index=index)
             second = Inbox(index=index)
             first.best_payload("echo")
@@ -255,7 +231,7 @@ class TestIndexCoherence:
             Message(2, "echo", "m"),
             Message(3, "input", 0, "x"),
         ]
-        index = InboxIndex(messages)
+        index = Inbox(messages).index
         first, second = Inbox(index=index), Inbox(index=index)
         partition = first.by_instance()
         assert second.by_instance() is partition
@@ -1122,18 +1098,13 @@ class TestDirectFanOutCoherence:
         self, monkeypatch
     ):
         # Every inbox the engine hands out is a row view of the round's
-        # columns: an equivocating run builds no index over a message
-        # tuple.  The module's empty inbox builds its one index once per
-        # process, so that one is built before counting starts.
-        from repro.sim.network import _EMPTY_INBOX
-
-        assert not _EMPTY_INBOX.index.all_senders
+        # columns: an equivocating run builds no other kind of index.
         built = []
         init = InboxIndex.__init__
 
-        def recording_init(index, messages=()):
+        def recording_init(index):
             built.append(type(index))
-            init(index, messages)
+            init(index)
 
         monkeypatch.setattr(InboxIndex, "__init__", recording_init)
         result = run_spec(
@@ -1148,5 +1119,22 @@ class TestDirectFanOutCoherence:
         )
         assert result.agreed
         assert result.metrics.sends_total > 0
-        assert InboxIndex not in built
-        assert ColumnarIndex in built
+        assert set(built) == {ColumnarIndex}
+
+    def test_every_inbox_is_a_row_view(self):
+        # One index implementation: a hand-built inbox, the empty one,
+        # and every inbox of a lossy run — masked recipients' private
+        # inboxes (drop rate > 0) and the shared ones (drop rate 0).
+        assert type(Inbox([Message(1, "echo", 0)]).index) is ColumnarIndex
+        assert type(Inbox().index) is ColumnarIndex
+        for drop_rate in (0.0, 0.3):
+            net = LossyNetwork(drop_rate, seed=5)
+            for node in range(1, 8):
+                net.add_correct(node * 11, EarlyConsensus(node % 2))
+            kinds = set()
+            net.bus.subscribe(
+                lambda e: kinds.add(type(e.messages.index)), "deliver"
+            )
+            net.run(12, until_all_halted=False)
+            assert kinds == {ColumnarIndex}
+            assert (net.dropped > 0) == (drop_rate > 0)

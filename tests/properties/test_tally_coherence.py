@@ -32,7 +32,7 @@ from repro.core.parallel_consensus import (
     ParallelConsensus,
 )
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane
-from repro.sim.inbox import Inbox, InboxIndex
+from repro.sim.inbox import Inbox
 from repro.sim.membership import MembershipSchedule
 from repro.sim.message import Message
 from repro.sim.network import SyncNetwork
@@ -200,7 +200,7 @@ class TestTallyCoherence:
         for seed in range(20):
             rng = make_rng(seed, salt=12)
             messages = random_messages(rng, 40)
-            index = InboxIndex(messages)
+            index = Inbox(messages).index
             memberships = [random_membership(rng) for _ in range(3)]
             for node in range(6):
                 tagged = Inbox(index=index)
@@ -224,7 +224,7 @@ class TestTallyCoherence:
             rng = make_rng(seed, salt=13)
             messages = random_messages(rng, 30)
             membership = random_membership(rng)
-            index = InboxIndex(messages)
+            index = Inbox(messages).index
             heavy = random_instance(rng)
             heavy.join_phase_fill = True
             assert_counts_coherent(

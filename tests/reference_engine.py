@@ -4,20 +4,22 @@ The oracle of the engine-equivalence suites.  It shares no staging,
 dedup or collection code with :mod:`repro.sim.network` — no columns, no
 shared tuples or indexes, no recipient groups, no bus: one list of
 value-deduplicated broadcasts per round, one list of directs per node,
-every fan-out form expanded to scalar sends, one private ``Inbox(list)``
-per recipient.  It does share the model (``Message``, ``Inbox``,
-``NodeApi``, the adversary's view) and the ``make_rng(seed)`` stream
+every fan-out form expanded to scalar sends, one private
+:class:`~tests.naive_inbox.NaiveInbox` per recipient — no index code
+either.  It does share the model (``Message``, ``NodeApi``, the
+adversary's view) and the ``make_rng(seed)`` stream
 handed to Byzantine strategies, so the same population must behave the
 same here and on ``SyncNetwork``, node for node, message for message.
 """
 
 from repro.obs.events import ProtocolEvent
-from repro.sim.inbox import Inbox
 from repro.sim.membership import MembershipSchedule
 from repro.sim.message import BROADCAST, Outbox, expand_sends
 from repro.sim.network import AdversaryView, SyncNetwork
 from repro.sim.node import NodeApi
 from repro.sim.rng import make_rng
+
+from tests.naive_inbox import NaiveInbox
 
 
 class ReferenceNetwork:
@@ -78,7 +80,7 @@ class ReferenceNetwork:
             self._contacts[node].update(m.sender for m in mine)
             if mine:
                 self.delivered[self.round, node] = tuple(mine)
-            inboxes[node] = Inbox(mine)
+            inboxes[node] = NaiveInbox(mine)
         self._broadcasts, self._direct = [], {}
 
         def sink(round_no, node, event, detail):

@@ -12,6 +12,7 @@ from repro.scenario import (
     RunSpec,
     materialize,
     predict_population,
+    resolve,
     resolve_inputs,
     run_spec,
 )
@@ -35,6 +36,7 @@ class TestValidation:
             {"n": 4, "f": 4, "enforce_resiliency": False},
             {"n": 4, "max_rounds": 0},
             {"n": 4, "runtime": "teleport"},
+            {"n": 10, "id_space": 5},
         ],
     )
     def test_bad_arithmetic_rejected(self, kwargs):
@@ -48,6 +50,25 @@ class TestValidation:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError, match="variant"):
             materialize(RunSpec(protocol="rotor", n=4, variant="sampled"))
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"protocol": "teleportation"}, "unknown protocol"),
+            ({"variant": "nope"}, "variant"),
+            ({"inputs": "telepathy"}, "input assignment"),
+            ({"f": 1, "adversary": "nope"}, "unknown adversary"),
+            ({"id_space": 3}, "id_space"),
+        ],
+    )
+    def test_resolve_refuses_what_can_never_run(self, kwargs, match):
+        spec = RunSpec(**{"protocol": "consensus", "n": 4, **kwargs})
+        with pytest.raises(ConfigurationError, match=match):
+            resolve(spec)
+
+    def test_resolve_ignores_the_adversary_of_a_byzantine_free_run(self):
+        entry, _ = resolve(RunSpec(protocol="consensus", n=4, adversary="x"))
+        assert entry.name == "consensus"
 
     def test_unknown_inputs_rejected(self):
         with pytest.raises(ConfigurationError, match="input assignment"):

@@ -134,11 +134,7 @@ class TestIndexViews:
         assert box.senders() == {1}
 
     def test_query_after_priming_other_view_of_same_index(self):
-        from repro.sim.inbox import InboxIndex
-
-        index = InboxIndex(
-            [Message(1, "input", 0), Message(2, "input", 1)]
-        )
+        index = Inbox([Message(1, "input", 0), Message(2, "input", 1)]).index
         primer, reader = Inbox(index=index), Inbox(index=index)
         assert primer.best_payload("input") == reader.best_payload("input")
         assert reader.senders("input") == {1, 2}

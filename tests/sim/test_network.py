@@ -220,7 +220,9 @@ class TestSharedIndex:
         net.step()
         net.step()
         boxes = [keeper.inboxes[1] for keeper in keepers]
-        assert all(b._messages is boxes[0]._messages for b in boxes[1:])
+        # the message tuple lives on the shared index: built once
+        first = boxes[0].index.messages
+        assert all(b.index.messages is first for b in boxes[1:])
         assert all(b.index is boxes[0].index for b in boxes[1:])
         # and the shared index serves shared sub-views
         assert boxes[0].filter("hello") is boxes[1].filter("hello")

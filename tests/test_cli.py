@@ -275,6 +275,45 @@ class TestScenarioFile:
         assert captured.err == f"error: {path}: {message}\n"
 
 
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n": 0}, "n must be positive"),
+            ({"n": 4, "f": 2}, "n=4, f=2 violates n > 3f"),
+            ({"protocol": "nope"}, "unknown protocol 'nope'"),
+            ({"variant": "nope"}, "protocol 'consensus' has no 'nope'"),
+            ({"n": 10, "id_space": 5}, "id_space=5 cannot hold n=10"),
+            ({"f": 1, "adversary": "nope"}, "unknown adversary 'nope'"),
+        ],
+        ids=["n0", "n4f2", "protocol", "variant", "id-space", "adversary"],
+    )
+    def test_spec_that_can_never_run_is_an_input_error(
+        self, tmp_path, capsys, command, doc, message
+    ):
+        # Not a crash verdict and not a campaign violation: exit 2
+        # before anything is judged.
+        path = RunSpec.from_json_dict(
+            {"protocol": "consensus", "n": 4, **doc}
+        ).save(tmp_path / "never.json")
+        runs = ["--runs", "2"] if command == "campaign" else []
+        code = main([command, "--scenario", str(path), *runs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    def test_flags_that_can_never_run_are_an_input_error(
+        self, capsys, command
+    ):
+        code = main([command, "consensus", "--n", "4", "--f", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: n=4, f=2 violates n > 3f")
+
+
 class TestCampaign:
     def test_small_total_order_campaign(self, tmp_path, capsys):
         import json

@@ -10,6 +10,7 @@ from repro.errors import (
     ReproError,
     RoundLimitExceeded,
     SimulationError,
+    WireError,
 )
 
 
@@ -22,6 +23,7 @@ class TestHierarchy:
             PropertyViolation,
             ProtocolViolation,
             SimulationError,
+            WireError,
         ],
     )
     def test_all_derive_from_repro_error(self, exc):
@@ -29,6 +31,12 @@ class TestHierarchy:
 
     def test_event_stream_error_is_a_value_error(self):
         assert issubclass(EventStreamError, ValueError)
+
+    def test_wire_error_is_a_value_error_naming_the_problem(self):
+        assert issubclass(WireError, ValueError)
+        err = WireError("missing 'kind'")
+        assert err.problem == "missing 'kind'"
+        assert str(err) == "wire frame: missing 'kind'"
 
     def test_round_limit_is_simulation_error(self):
         assert issubclass(RoundLimitExceeded, SimulationError)
