@@ -177,7 +177,7 @@ def test_ablation_frozen_membership(benchmark):
     initialization is ignored entirely (its messages are discarded), so
     its late vote-stuffing cannot move any quorum."""
     from repro.adversary.base import ByzantineStrategy
-    from repro.sim.message import BROADCAST, Send
+    from repro.sim.message import Send
 
     class LateJoiner(ByzantineStrategy):
         """Silent during init, then stuffs every quorum kind."""
@@ -186,7 +186,7 @@ def test_ablation_frozen_membership(benchmark):
             if view.round <= 2:
                 return ()
             return [
-                Send(BROADCAST, kind, 0)
+                Send(kind, (0,))
                 for kind in ("input", "prefer", "strongprefer", "echo")
             ]
 

@@ -13,7 +13,7 @@ cliff between f = 3 (3f = 9 < 10) and f = 4 (3f = 12 >= 10).
 from repro.adversary.base import ByzantineStrategy
 from repro.core.consensus import EarlyConsensus
 from repro.errors import SimulationError
-from repro.sim.message import BROADCAST, Send
+from repro.sim.message import Send
 from repro.sim.runner import Scenario, run_scenario
 
 from benchmarks._harness import emit_figure, emit_table
@@ -27,13 +27,13 @@ class FullSplitAdversary(ByzantineStrategy):
 
     def on_round(self, view):
         if view.round == 1:
-            return [Send(BROADCAST, "init")]
+            return [Send("init", (None,))]
         ordered = sorted(view.correct_nodes)
         half = len(ordered) // 2
         sends = []
         for kind in ("input", "prefer", "strongprefer"):
-            sends.extend(Send(d, kind, 0) for d in ordered[:half])
-            sends.extend(Send(d, kind, 1) for d in ordered[half:])
+            sends.extend(Send(kind, (0,), None, (d,)) for d in ordered[:half])
+            sends.extend(Send(kind, (1,), None, (d,)) for d in ordered[half:])
         return sends
 
 

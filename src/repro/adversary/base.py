@@ -11,13 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Hashable, Iterable
 
-from repro.sim.message import (
-    BROADCAST,
-    MulticastSend,
-    Outbox,
-    Send,
-    expand_sends,
-)
+from repro.sim.message import Outbox, Send, expand_sends
 from repro.sim.network import AdversaryView
 from repro.sim.node import NodeApi, Protocol
 from repro.types import NodeId
@@ -28,14 +22,14 @@ class ByzantineStrategy(ABC):
 
     @abstractmethod
     def on_round(self, view: AdversaryView) -> Iterable[Send]:
-        """Return this round's sends (possibly per-recipient, possibly none)."""
+        """Return this round's send rows (possibly direct, possibly none)."""
 
     # -- send-building helpers -----------------------------------------
     @staticmethod
     def broadcast(
         kind: str, payload: Hashable = None, instance: Hashable = None
     ) -> Send:
-        return Send(BROADCAST, kind, payload, instance)
+        return Send(kind, (payload,), instance)
 
     @staticmethod
     def to(
@@ -44,7 +38,7 @@ class ByzantineStrategy(ABC):
         payload: Hashable = None,
         instance: Hashable = None,
     ) -> Send:
-        return Send(dest, kind, payload, instance)
+        return Send(kind, (payload,), instance, (dest,))
 
 
 class ProtocolWrappingStrategy(ByzantineStrategy):
@@ -73,25 +67,24 @@ class ProtocolWrappingStrategy(ByzantineStrategy):
                 trace_sink=None,
             )
             self._protocol.on_round(api, view.inbox)
-        # Expand batched fan-outs before handing the traffic to
-        # subclasses: transform() contracts on scalar Send objects.
+        # Hand subclasses the per-send view: transform() contracts on
+        # single-send rows.
         return self.transform(list(expand_sends(outbox.sends)), view)
 
     def transform(
         self, sends: list[Send], view: AdversaryView
-    ) -> Iterable[Send | MulticastSend]:
+    ) -> Iterable[Send]:
         """Corrupt the honest sends.  Default: pass through unchanged."""
         return sends
 
     @staticmethod
     def explode_broadcast(
         send: Send, recipients: Iterable[NodeId]
-    ) -> list[MulticastSend]:
+    ) -> list[Send]:
         """Turn one broadcast into direct sends to *recipients* (for
-        equivocation): one multicast entry, or nothing when there is
-        nobody to tell.  ``expand_sends`` yields the per-recipient
-        :class:`Send` objects."""
+        equivocation): one direct row, or nothing when there is nobody
+        to tell.  ``expand_sends`` yields its per-recipient sends."""
         dests = tuple(recipients)
         if not dests:
             return []
-        return [MulticastSend(dests, send.kind, send.payload, send.instance)]
+        return [Send(send.kind, send.payloads, send.instance, dests)]

@@ -87,7 +87,7 @@ class EquivocatorStrategy(ProtocolWrappingStrategy):
                 result.append(send)
                 continue
             twisted = Send(
-                send.dest, send.kind, self._mutate(send.payload), send.instance
+                send.kind, (self._mutate(send.payload),), send.instance
             )
             result.extend(self.explode_broadcast(send, lower))
             result.extend(self.explode_broadcast(twisted, upper))

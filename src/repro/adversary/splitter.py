@@ -64,8 +64,8 @@ class QuorumSplitterStrategy(ProtocolWrappingStrategy):
             if send.kind not in self._kinds:
                 result.append(send)
                 continue
-            side_a = Send(send.dest, send.kind, self._value_a, send.instance)
-            side_b = Send(send.dest, send.kind, self._value_b, send.instance)
+            side_a = Send(send.kind, (self._value_a,), send.instance)
+            side_b = Send(send.kind, (self._value_b,), send.instance)
             result.extend(self.explode_broadcast(side_a, lower))
             result.extend(self.explode_broadcast(side_b, upper))
             if bystanders:
@@ -102,8 +102,8 @@ class CoordinatorUsurperStrategy(ProtocolWrappingStrategy):
             if send.kind != "opinion":
                 result.append(send)
                 continue
-            side_a = Send(send.dest, send.kind, self._value_a, send.instance)
-            side_b = Send(send.dest, send.kind, self._value_b, send.instance)
+            side_a = Send(send.kind, (self._value_a,), send.instance)
+            side_b = Send(send.kind, (self._value_b,), send.instance)
             result.extend(self.explode_broadcast(side_a, lower))
             result.extend(self.explode_broadcast(side_b, upper))
         return result

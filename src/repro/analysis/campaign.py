@@ -4,7 +4,7 @@ The campaign driver turns a *base* :class:`~repro.scenario.RunSpec`
 into ``runs`` seed-derived specs (splitmix-style mixing of the campaign
 seed with the run index — workers never share generator state, so the
 scenario list is a pure function of ``(campaign_seed, runs)``), runs
-them in a :mod:`multiprocessing` pool, and aggregates monitor verdicts
+them in a process pool, and aggregates monitor verdicts
 from each run's event stream into per-monitor violation rates:
 
 * **chain-prefix** / **chain-growth** / **finality-lag** — Theorem 11.1
@@ -44,7 +44,7 @@ from typing import Any, Callable
 from repro.analysis.checkers import check_approx_agreement
 from repro.analysis.monitor import AgreementMonitor, ChainConsistencyMonitor
 from repro.analysis.report import format_table
-from repro.errors import PropertyViolation, SimulationError
+from repro.errors import PropertyViolation, ReproError, SimulationError
 from repro.obs.bus import EventBus
 from repro.obs.events import ProtocolEvent
 from repro.scenario import (
@@ -326,6 +326,17 @@ def _worker(
 # ---------------------------------------------------------------------------
 # The campaign
 # ---------------------------------------------------------------------------
+def _spans(indexes: list[int]) -> str:
+    """Ascending *indexes* as ``0-3, 7, 9-10``."""
+    spans: list[list[int]] = []
+    for index in indexes:
+        if spans and spans[-1][1] == index - 1:
+            spans[-1][1] = index
+        else:
+            spans.append([index, index])
+    return ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in spans)
+
+
 def _save_json(doc: dict, path: str | pathlib.Path) -> pathlib.Path:
     path = pathlib.Path(path)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -438,7 +449,9 @@ def run_campaign(
     """Run *runs* seed-derived copies of *base* and aggregate verdicts.
 
     ``workers > 1`` fans the scenario list over a process pool; the
-    report bytes are identical for any worker count, timed or not.
+    report bytes are identical for any worker count, timed or not.  A
+    worker process that dies mid-spec raises :class:`ReproError` naming
+    the campaign seed and the specs that did not return.
     When ``artifacts_dir`` is set, every violating spec is saved there
     as a replayable ``violation-<index>.json`` RunSpec file.  When
     *timing* is given, its clock times every spec and the pool.
@@ -451,11 +464,24 @@ def run_campaign(
     ]
     started = clock() if clock is not None else 0.0
     if workers > 1:
-        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        chunksize = max(1, runs // (workers * 8))
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(_worker, payloads, chunksize=chunksize)
+        chunk = max(1, runs // (workers * 8))
+        outcomes = []
+        with ProcessPoolExecutor(workers) as pool:
+            try:
+                for outcome in pool.map(_worker, payloads, chunksize=chunk):
+                    outcomes.append(outcome)
+            except BrokenProcessPool:
+                # A worker died mid-spec (OOM kill, os._exit): the pool
+                # cannot finish, so say which specs it lost.
+                returned = {outcome[0] for outcome in outcomes}
+                lost = [i for i in range(runs) if i not in returned]
+                raise ReproError(
+                    f"campaign seed {campaign_seed}: a worker process died;"
+                    f" specs {_spans(lost)} did not return"
+                ) from None
     else:
         outcomes = []
         for payload in payloads:

@@ -170,7 +170,7 @@ class AsyncEngine:
         if self.bus.wants(MessageSent.topic):
             self.bus.publish(
                 MessageSent(
-                    0, sender, kind, payload, dest=recipient,
+                    0, sender, kind, (payload,), dests=(recipient,),
                     time=self.time,
                 )
             )

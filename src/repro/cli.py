@@ -252,14 +252,18 @@ def cmd_campaign(args) -> int:
     # Timings ride beside a saved report, in their own file: the report
     # stays byte-identical across machines and worker counts.
     timing = CampaignTiming(clock=time.perf_counter) if args.out else None
-    report = run_campaign(
-        base,
-        runs=args.runs,
-        campaign_seed=args.campaign_seed,
-        workers=args.workers,
-        artifacts_dir=args.artifacts,
-        timing=timing,
-    )
+    try:
+        report = run_campaign(
+            base,
+            runs=args.runs,
+            campaign_seed=args.campaign_seed,
+            workers=args.workers,
+            artifacts_dir=args.artifacts,
+            timing=timing,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(format_campaign_report(report))
     if args.out:
         report.save(args.out)

@@ -36,7 +36,7 @@ from repro.obs.events import (
     RunStarted,
 )
 from repro.sim.inbox import Inbox
-from repro.sim.message import BROADCAST, Message, Outbox, expand_sends
+from repro.sim.message import Message, Outbox
 from repro.sim.node import NodeApi, Protocol
 from repro.types import NodeId
 
@@ -171,30 +171,31 @@ class LockstepRunner:
         )
         self.protocol.on_round(api, inbox)
         emit_send = self._emit_send
-        # The net runtime has per-message frames, no staging plane:
-        # batched fan-outs expand back to scalar sends at the wire.
-        for send in expand_sends(outbox):
-            if send.dest is BROADCAST:
-                self.peer.broadcast(
-                    round_no, send.kind, send.payload, send.instance
-                )
-            else:
-                self.peer.send_to(
-                    send.dest,
-                    round_no,
-                    send.kind,
-                    send.payload,
-                    send.instance,
-                )
+        # The net runtime has per-message frames, no staging plane: a
+        # row is one event, and its per-send view goes on the wire.
+        for row in outbox.sends:
+            for send in row.expanded():
+                if send.dests is None:
+                    self.peer.broadcast(
+                        round_no, send.kind, send.payload, send.instance
+                    )
+                else:
+                    self.peer.send_to(
+                        send.dest,
+                        round_no,
+                        send.kind,
+                        send.payload,
+                        send.instance,
+                    )
             if emit_send is not None:
                 emit_send(
                     MessageSent(
                         round_no,
                         node_id,
-                        send.kind,
-                        send.payload,
-                        send.instance,
-                        None if send.dest is BROADCAST else send.dest,
+                        row.kind,
+                        row.payloads,
+                        row.instance,
+                        row.dests,
                     )
                 )
         if self._emit_round_end is not None:

@@ -4,7 +4,7 @@ Every observable thing a runtime does is an event object with a stable
 ``topic`` string.  Events are plain slotted dataclasses, *not* frozen:
 ``frozen=True`` routes every field assignment through
 ``object.__setattr__`` and makes construction ~5x slower, which matters
-on the hot path (one :class:`MessageSent` per logical send).  Treat
+on the hot path (one :class:`MessageSent` per send row).  Treat
 events as immutable by convention — publishers recycle nothing, but
 subscribers must never mutate what they receive.  The sync simulator (:mod:`repro.sim.network`),
 the TCP lock-step runner (:mod:`repro.net.runner`) and the discrete-event
@@ -22,7 +22,7 @@ topic       event class                    emitted by
 run-start   :class:`RunStarted`            all runtimes, once per run
 round-start :class:`RoundStarted`          sim + net, each round
 round-end   :class:`RoundEnded`            sim + net, each round
-send        :class:`MessageSent`           all runtimes, per logical send
+send        :class:`MessageSent`           all runtimes, per send row
 deliver     :class:`InboxDelivered`        all runtimes, per recipient
 drop        :class:`FramesDropped`         net, per purged frame batch
 engine-phase :class:`EnginePhase`          sim, when a clock is injected
@@ -115,42 +115,19 @@ class EnginePhase:
 
 @dataclass(slots=True)
 class MessageSent:
-    """One logical send (a ``broadcast`` or ``send`` call).
+    """One send row: a :class:`~repro.sim.message.Send` as staged.
 
-    ``dest is None`` means broadcast.  ``staged`` is True when the sync
-    engine accepted the send into a staging queue (False for per-round
-    duplicates, dead destinations, and for runtimes without staging).
-    """
-
-    round: Round
-    sender: NodeId
-    kind: str
-    payload: Hashable = None
-    instance: Hashable = None
-    dest: NodeId | None = None
-    wire_bytes: int = 0
-    staged: bool = False
-    time: float | None = None
-
-    topic: ClassVar[str] = "send"
-
-
-@dataclass(slots=True)
-class MessageBatchSent:
-    """One batched broadcast fan-out (a ``broadcast_many`` call).
-
-    Semantically equivalent to ``len(payloads)`` :class:`MessageSent`
-    events (all broadcasts, one kind/instance); the sync engine emits
-    one of these instead so an n-payload echo storm costs one event.
-    ``staged`` is the number of payloads accepted into staging;
-    ``staged_flags`` is a per-payload bool tuple, or ``None`` when every
-    payload staged (the hot path).  ``wire_bytes`` totals the batch.
-
-    Process-local convenience topic: the JSONL sink renders it as the
-    equivalent per-payload ``send`` lines, so the on-disk vocabulary
-    (and :data:`SCHEMA_VERSION`) is unchanged, and it is deliberately
-    not in :data:`EVENT_TYPES`.  Subscribers that want per-send events
-    and batches must subscribe to both ``send`` and ``send-batch``.
+    ``dests is None`` means broadcast: one logical send per payload.
+    Otherwise the one payload goes to each of ``dests``.  A runtime
+    emits one event per row — a ``broadcast_many`` call or a strategy's
+    fan-out is one event, not one per send — and :meth:`expanded` gives
+    the per-send view, payload-major.  ``wire_bytes`` is one frame size
+    per payload (a frame names no recipient, so every recipient's copy
+    costs the same), or empty when the run does not cost frames.
+    ``staged`` counts the sends the sync engine accepted into staging
+    (a per-round duplicate or a dead recipient is not staged, and
+    runtimes without staging stage nothing); ``staged_flags`` gives one
+    flag per send, or is ``None`` when every send shares one verdict.
     """
 
     round: Round
@@ -158,82 +135,57 @@ class MessageBatchSent:
     kind: str
     payloads: Sequence[Hashable]
     instance: Hashable = None
-    wire_bytes: int = 0
+    dests: Sequence[NodeId] | None = None
+    wire_bytes: Sequence[int] = ()
     staged: int = 0
     staged_flags: Sequence[bool] | None = None
     time: float | None = None
 
-    topic: ClassVar[str] = "send-batch"
+    topic: ClassVar[str] = "send"
+
+    @property
+    def payload(self) -> Hashable:
+        """The payload of a one-payload row (every per-send view)."""
+        (payload,) = self.payloads
+        return payload
+
+    @property
+    def dest(self) -> NodeId | None:
+        """``None`` for a broadcast, else the one recipient of a
+        one-recipient row (every direct per-send view)."""
+        dests = self.dests
+        if dests is None:
+            return None
+        (dest,) = dests
+        return dest
 
     def expanded(self) -> "tuple[MessageSent, ...]":
-        """The equivalent per-payload ``send`` events."""
-        flags = self.staged_flags
-        per_payload = (
-            self.wire_bytes // len(self.payloads) if self.payloads else 0
+        """One single-send event per logical send, payload-major, each
+        with its own staged flag and frame size."""
+        payloads, dests = self.payloads, self.dests
+        if len(payloads) == 1 and (dests is None or len(dests) == 1):
+            return (self,)
+        targets = (None,) if dests is None else [(dest,) for dest in dests]
+        flags = iter(
+            self.staged_flags
+            or (self.staged > 0,) * (len(payloads) * len(targets))
         )
+        wire = self.wire_bytes
         return tuple(
             MessageSent(
-                round=self.round,
-                sender=self.sender,
-                kind=self.kind,
-                payload=payload,
-                instance=self.instance,
-                dest=None,
-                wire_bytes=per_payload,
-                staged=bool(flags[i]) if flags is not None else True,
-                time=self.time,
+                self.round,
+                self.sender,
+                self.kind,
+                (payload,),
+                self.instance,
+                target,
+                wire[i : i + 1],
+                next(flags),
+                None,
+                self.time,
             )
-            for i, payload in enumerate(self.payloads)
-        )
-
-
-@dataclass(slots=True)
-class MessageMulticastSent:
-    """One direct-send fan-out (a :class:`~repro.sim.message.MulticastSend`).
-
-    Semantically equivalent to ``len(dests)`` :class:`MessageSent`
-    events (one kind/payload/instance, one per recipient in ``dests``
-    order); the sync engine emits one of these instead so a Byzantine
-    node telling n recipients one story costs one event.  ``staged`` is
-    the number of recipients whose copy was queued; ``staged_flags`` is
-    a per-recipient bool tuple, or ``None`` when every recipient was
-    alive (the hot path).  ``wire_bytes`` totals the fan-out.
-
-    Process-local like :class:`MessageBatchSent`: the JSONL sink renders
-    it as the per-recipient ``send`` lines, and it is not in
-    :data:`EVENT_TYPES`.
-    """
-
-    round: Round
-    sender: NodeId
-    kind: str
-    payload: Hashable
-    instance: Hashable
-    dests: Sequence[NodeId]
-    wire_bytes: int = 0
-    staged: int = 0
-    staged_flags: Sequence[bool] | None = None
-    time: float | None = None
-
-    topic: ClassVar[str] = "send-multicast"
-
-    def expanded(self) -> "tuple[MessageSent, ...]":
-        """The equivalent per-recipient ``send`` events."""
-        flags = self.staged_flags
-        per_dest = self.wire_bytes // len(self.dests) if self.dests else 0
-        return tuple(
-            MessageSent(
-                round=self.round,
-                sender=self.sender,
-                kind=self.kind,
-                payload=self.payload,
-                instance=self.instance,
-                dest=dest,
-                wire_bytes=per_dest,
-                staged=bool(flags[i]) if flags is not None else True,
-                time=self.time,
-            )
-            for i, dest in enumerate(self.dests)
+            for i, payload in enumerate(payloads)
+            for target in targets
         )
 
 

@@ -62,8 +62,36 @@ def _message_to_json(message: Any) -> dict:
     }
 
 
+def _send_to_json(send: Any) -> dict:
+    """One logical send (a single-send ``send`` row) as its line: one
+    ``payload``, a ``dest`` only when direct, its frame size and its
+    staged flag."""
+    doc: dict[str, Any] = {
+        "topic": send.topic,
+        "round": _jsonable(send.round),
+        "sender": _jsonable(send.sender),
+        "kind": _jsonable(send.kind),
+        "payload": _jsonable(send.payload),
+        "instance": _jsonable(send.instance),
+    }
+    if send.dests is not None:
+        doc["dest"] = _jsonable(send.dest)
+    doc["wire_bytes"] = sum(send.wire_bytes)
+    doc["staged"] = bool(send.staged)
+    if send.time is not None:
+        doc["time"] = _jsonable(send.time)
+    return doc
+
+
 def event_to_json(event: Any) -> dict:
-    """One event -> one JSON-ready dict (``topic`` first)."""
+    """One event -> one JSON-ready dict (``topic`` first).
+
+    A ``send`` event must be a single send: the stream has one line per
+    logical send, so a row of several renders as its ``expanded()``
+    sends, one dict each (what :class:`JsonlSink` writes).
+    """
+    if event.topic == "send":
+        return _send_to_json(event)
     doc: dict[str, Any] = {"topic": event.topic}
     for field in fields(event):
         value = getattr(event, field.name)
@@ -103,13 +131,12 @@ class JsonlSink:
 
     def __call__(self, event: Any) -> None:
         topic = event.topic
-        if topic == "send-batch" or topic == "send-multicast":
-            # Render a fan-out (one sender's payload batch, or one
-            # payload to many recipients) as the per-send ``send`` lines
-            # the scalar path would have written: the on-disk vocabulary
-            # (and schema version) is independent of batching.
+        if topic == "send":
+            # One line per logical send, however the runtime grouped its
+            # sends into rows: the on-disk vocabulary (and schema
+            # version) is independent of batching.
             for send in event.expanded():
-                self._fh.write(json.dumps(event_to_json(send)) + "\n")
+                self._fh.write(json.dumps(_send_to_json(send)) + "\n")
                 self.count += 1
             return
         if topic in ("plane-stats", "decision-economy"):

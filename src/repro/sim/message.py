@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
+from repro.errors import ConfigurationError
 from repro.types import NodeId
 
 #: Sentinel destination meaning "broadcast to every participant".
@@ -57,100 +58,75 @@ class Message:
 
 @dataclass(frozen=True, slots=True)
 class Send:
-    """An outgoing message before the network stamps the sender.
+    """One send row: an outgoing kind/instance before the network stamps
+    the sender.
 
-    ``dest`` is either a concrete :data:`~repro.types.NodeId` or the
-    :data:`BROADCAST` sentinel.
-    """
-
-    dest: Any
-    kind: str
-    payload: Hashable = None
-    instance: Hashable = None
-
-    def stamped(self, sender: NodeId) -> Message:
-        """Produce the wire message with the network-stamped sender id."""
-        return Message(
-            sender=sender, kind=self.kind, payload=self.payload, instance=self.instance
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class BatchSend:
-    """A broadcast fan-out: one kind/instance, many payloads, one entry.
-
-    The all-broadcast protocols regularly re-echo every known tag in one
-    round; staging that as k separate :class:`Send` objects is what the
-    columnar plane exists to avoid.  A batch stays a single object from
-    the outbox through staging — the network registers the payload tuple
-    once and records one segment per sender.  ``payloads`` must be a
-    tuple of hashables; an empty batch is never created
-    (:meth:`Outbox.broadcast_many` drops it).
+    The id-only model has two send primitives, and a row is either: a
+    *broadcast* row (``dests is None``) carries one broadcast per payload
+    — ``broadcast`` appends a one-payload row, ``broadcast_many`` one row
+    for its whole tuple — and a *direct* row carries its one payload to
+    each node of ``dests`` in order — ``send`` appends a one-recipient
+    row, and an equivocating strategy tells one story to a chosen subset
+    in one row.  A row stays one object from the outbox through staging;
+    :meth:`expanded` is its per-send view, payload-major.  ``payloads``
+    is a tuple of hashables; the engine refuses a direct row of any
+    other length than one (:meth:`stamped`).
     """
 
     kind: str
     payloads: tuple[Hashable, ...]
     instance: Hashable = None
-
-    def expanded(self) -> "tuple[Send, ...]":
-        """The equivalent scalar broadcasts, in payload order."""
-        return tuple(
-            Send(BROADCAST, self.kind, payload, self.instance)
-            for payload in self.payloads
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class MulticastSend:
-    """A direct-send fan-out: one kind/payload/instance, many recipients.
-
-    The mirror image of :class:`BatchSend` (one recipient set, many
-    payloads): a Byzantine node telling one story to a chosen subset is
-    one logical message addressed ``len(dests)`` times, and staging it
-    as that many :class:`Send` objects is what makes equivocation the
-    engine's most expensive traffic shape.  A multicast stays a single
-    object from the strategy through staging — the network stamps its
-    :class:`Message` once and queues that same object for every alive
-    recipient.  ``dests`` is a tuple of concrete node ids, never
-    :data:`BROADCAST`; equivalent in every observable way to its
-    :meth:`expanded` scalar sends, in ``dests`` order.
-    """
-
-    dests: tuple[NodeId, ...]
-    kind: str
-    payload: Hashable = None
-    instance: Hashable = None
+    #: ``None`` for a broadcast, else the recipients' node ids.
+    dests: tuple[NodeId, ...] | None = None
 
     @property
-    def dest(self) -> tuple[NodeId, ...]:
-        """The recipients (so every send form answers ``.dest``)."""
-        return self.dests
+    def dest(self) -> Any:
+        """:data:`BROADCAST`, the one recipient of a one-recipient row,
+        or the recipient tuple of a fan-out."""
+        dests = self.dests
+        if dests is None:
+            return BROADCAST
+        return dests[0] if len(dests) == 1 else dests
+
+    @property
+    def payload(self) -> Hashable:
+        """The payload of a one-payload row (every per-send view)."""
+        (payload,) = self.payloads
+        return payload
 
     def stamped(self, sender: NodeId) -> Message:
-        """The one wire message every recipient gets."""
-        return Message(sender, self.kind, self.payload, self.instance)
+        """The one wire message of a one-payload row, with the
+        network-stamped sender id (every recipient gets this object)."""
+        payloads = self.payloads
+        if len(payloads) != 1:
+            raise ConfigurationError(
+                f"a direct {self.kind!r} row carries {len(payloads)}"
+                " payloads; a direct row carries exactly one"
+            )
+        return Message(sender, self.kind, payloads[0], self.instance)
 
     def expanded(self) -> "tuple[Send, ...]":
-        """The equivalent scalar direct sends, in recipient order."""
+        """One single-send row per logical send, payload-major."""
+        payloads, dests = self.payloads, self.dests
+        if len(payloads) == 1 and (dests is None or len(dests) == 1):
+            return (self,)
+        targets = (None,) if dests is None else [(dest,) for dest in dests]
         return tuple(
-            Send(dest, self.kind, self.payload, self.instance)
-            for dest in self.dests
+            Send(self.kind, (payload,), self.instance, target)
+            for payload in payloads
+            for target in targets
         )
 
 
 def expand_sends(sends):
-    """Iterate *sends* with every fan-out form expanded in place.
+    """Iterate the per-send view of a sequence of send rows.
 
     Consumers that genuinely need per-send granularity (adversary
     strategies transforming traffic, the net runtime's per-recipient
-    frames, the tests' reference engine) use this to stay agnostic of
-    :class:`BatchSend` and :class:`MulticastSend`.
+    frames, the tests' reference engine) read rows through this.
     """
     for send in sends:
-        if type(send) is BatchSend or type(send) is MulticastSend:
-            yield from send.expanded()
-        else:
-            yield send
+        yield from send.expanded()
 
 
 @dataclass(slots=True)
@@ -162,7 +138,7 @@ class Outbox:
     def broadcast(
         self, kind: str, payload: Hashable = None, instance: Hashable = None
     ) -> None:
-        self.sends.append(Send(BROADCAST, kind, payload, instance))
+        self.sends.append(Send(kind, (payload,), instance))
 
     def broadcast_many(
         self,
@@ -170,16 +146,16 @@ class Outbox:
         payloads: tuple[Hashable, ...],
         instance: Hashable = None,
     ) -> None:
-        """Broadcast one message per payload as a single batched entry.
+        """Broadcast one message per payload as a single row.
 
         Exactly equivalent to ``for p in payloads: broadcast(kind, p,
         instance)`` — same delivery, same duplicate suppression, same
-        observable send events — but staged as one batch.
+        per-send view — but staged as one row.
         """
         if not isinstance(payloads, tuple):
             payloads = tuple(payloads)
         if payloads:
-            self.sends.append(BatchSend(kind, payloads, instance))
+            self.sends.append(Send(kind, payloads, instance))
 
     def send(
         self,
@@ -188,17 +164,17 @@ class Outbox:
         payload: Hashable = None,
         instance: Hashable = None,
     ) -> None:
-        self.sends.append(Send(dest, kind, payload, instance))
+        self.sends.append(Send(kind, (payload,), instance, (dest,)))
 
     def __len__(self) -> int:
-        """Number of staged entries (a batch counts once; see ``sends``)."""
+        """Number of rows (a ``broadcast_many`` row counts once)."""
         return len(self.sends)
 
     def __iter__(self):
-        """Iterate logical sends, expanding batches to scalar broadcasts.
+        """Iterate the per-send view of the rows.
 
-        The engine reads ``sends`` directly (batches intact); everything
+        The engine reads ``sends`` directly (rows intact); everything
         else — tests, adversaries, the net runtime — iterates and sees
-        the historical per-send granularity.
+        one single-send row per logical send.
         """
         return expand_sends(self.sends)

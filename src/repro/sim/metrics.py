@@ -73,8 +73,6 @@ class Metrics:
         """Subscribe these counters to *bus*; returns self for chaining."""
         bus.subscribe(self._on_round_start, "round-start")
         bus.subscribe(self._on_send, "send")
-        bus.subscribe(self._on_send_batch, "send-batch")
-        bus.subscribe(self._on_send_multicast, "send-multicast")
         bus.subscribe(self._on_deliver, "deliver")
         bus.subscribe(self._on_phase, "engine-phase")
         bus.subscribe(self._on_drop, "drop")
@@ -86,8 +84,6 @@ class Metrics:
         """Stop counting events from *bus* (zero-cost once detached)."""
         bus.unsubscribe(self._on_round_start)
         bus.unsubscribe(self._on_send)
-        bus.unsubscribe(self._on_send_batch)
-        bus.unsubscribe(self._on_send_multicast)
         bus.unsubscribe(self._on_deliver)
         bus.unsubscribe(self._on_phase)
         bus.unsubscribe(self._on_drop)
@@ -98,43 +94,21 @@ class Metrics:
         self.record_round(event.round)
 
     def _on_send(self, event) -> None:
-        # Hot path (one call per logical send): counters are bumped
-        # inline rather than via record_send/record_staged.
+        # Hot path (one call per send row): counters are bumped inline
+        # rather than via record_send/record_staged.  A row is one
+        # logical send per payload, times its recipients when direct.
         round_no = event.round
         kind = event.kind
-        self.sends_total += 1
-        self.sends_by_node[event.sender] += 1
-        self.sends_by_kind[kind] += 1
-        self.sends_by_round[round_no] += 1
-        wire_bytes = event.wire_bytes
-        if wire_bytes:
-            self.bytes_total += wire_bytes
-            self.bytes_by_kind[kind] += wire_bytes
-        if event.staged:
-            self.staged_total += 1
-            self.staged_by_round[round_no] += 1
-
-    def _on_send_batch(self, event) -> None:
-        # One event per batched fan-out: a batch of k payloads is k
-        # logical sends.
-        self._count_fanout(event, len(event.payloads))
-
-    def _on_send_multicast(self, event) -> None:
-        # One event per direct-send fan-out: one payload to k
-        # recipients is k logical sends.
-        self._count_fanout(event, len(event.dests))
-
-    def _count_fanout(self, event, count: int) -> None:
-        """Bump the per-send counters in bulk for a *count*-send event
-        (``staged`` on these events is a count, not a flag)."""
-        round_no = event.round
-        kind = event.kind
+        dests = event.dests
+        copies = 1 if dests is None else len(dests)
+        count = len(event.payloads) * copies
         self.sends_total += count
         self.sends_by_node[event.sender] += count
         self.sends_by_kind[kind] += count
         self.sends_by_round[round_no] += count
         wire_bytes = event.wire_bytes
         if wire_bytes:
+            wire_bytes = sum(wire_bytes) * copies
             self.bytes_total += wire_bytes
             self.bytes_by_kind[kind] += wire_bytes
         staged = event.staged

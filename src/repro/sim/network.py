@@ -24,19 +24,20 @@ JSONL sinks (see docs/observability.md).  Per-topic sinks are cached
 against the bus version, so a topic nobody subscribed to costs the hot
 path one ``None`` check per emission site.
 
-There is one message path.  Staging is O(logical sends), not O(sends x
-recipients): broadcasts go into the round's struct-of-arrays columns
-(:mod:`repro.sim.columnar` — a scalar broadcast is four list appends, a
-``broadcast_many`` batch one interned segment), and only direct sends are
-stamped into :class:`~repro.sim.message.Message` objects on per-node
-queues.  A direct-send fan-out
-(:class:`~repro.sim.message.MulticastSend`, what an equivocating strategy
-returns per story) is stamped once too: the one message object is appended
-to every alive recipient's queue and published as one ``send-multicast``
-event.  At delivery each fresh direct message becomes one row of the same
-columns, past the broadcasts.  Duplicate suppression happens against the
-columns' dedup keys plus one lookup per distinct direct message, so the
-all-broadcast hot path performs no per-recipient hashing at all.
+There is one message path and one send form, the
+:class:`~repro.sim.message.Send` row, published as one ``send`` event.
+Staging is O(send rows), not O(sends x recipients): broadcast rows go into
+the round's struct-of-arrays columns (:mod:`repro.sim.columnar` — a
+one-payload row is four list appends, a longer ``broadcast_many`` row one
+interned segment), and only direct rows are stamped into
+:class:`~repro.sim.message.Message` objects on per-node queues — once per
+row, however many recipients it names (what an equivocating strategy
+returns per story): the one message object is appended to every alive
+recipient's queue.  At delivery each fresh direct message becomes one row
+of the same columns, past the broadcasts.  Duplicate suppression happens
+against the columns' dedup keys plus one lookup per distinct direct
+message, so the all-broadcast hot path performs no per-recipient hashing
+at all.
 
 Delivery is O(quorum work), not O(nodes x quorum work): every inbox is a
 :class:`~repro.sim.columnar.ColumnarIndex` row view of the round's
@@ -79,8 +80,6 @@ from repro.obs.events import (
     DecisionEconomy,
     EnginePhase,
     InboxDelivered,
-    MessageBatchSent,
-    MessageMulticastSent,
     MessageSent,
     PlaneStats,
     ProtocolEvent,
@@ -91,14 +90,7 @@ from repro.obs.events import (
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane
 from repro.sim.inbox import Inbox
 from repro.sim.membership import MembershipSchedule
-from repro.sim.message import (
-    BROADCAST,
-    BatchSend,
-    Message,
-    MulticastSend,
-    Outbox,
-    Send,
-)
+from repro.sim.message import Message, Outbox, Send
 from repro.sim.metrics import Metrics
 from repro.sim.node import NodeApi, Protocol
 from repro.sim.rng import Random, make_rng
@@ -114,10 +106,8 @@ _EMPTY_INBOX = Inbox()
 class ByzantineActor(TypingProtocol):
     """Structural interface for Byzantine strategies (see repro.adversary)."""
 
-    def on_round(
-        self, view: "AdversaryView"
-    ) -> Iterable[Send | MulticastSend]:
-        """Return this round's (arbitrary) sends."""
+    def on_round(self, view: "AdversaryView") -> Iterable[Send]:
+        """Return this round's (arbitrary) send rows."""
         ...
 
 
@@ -137,8 +127,9 @@ class AdversaryView:
     correct_nodes: frozenset[NodeId]
     byzantine_nodes: frozenset[NodeId]
     rng: Random
-    #: (sender, send) pairs from correct nodes this round; empty unless the
-    #: network runs in rushing mode.
+    #: (sender, single-send row) pairs from correct nodes this round, in
+    #: the rows' per-send view; empty unless the network runs in rushing
+    #: mode.
     correct_traffic: tuple[tuple[NodeId, Send], ...] = ()
 
 
@@ -245,8 +236,6 @@ class SyncNetwork:
         self._emit_round_start = None
         self._emit_round_end = None
         self._emit_send = None
-        self._emit_batch = None
-        self._emit_multicast = None
         self._emit_deliver = None
         self._emit_phase = None
         self._emit_plane = None
@@ -411,8 +400,6 @@ class SyncNetwork:
         self._emit_round_start = bus.sink(RoundStarted.topic)
         self._emit_round_end = bus.sink(RoundEnded.topic)
         self._emit_send = bus.sink(MessageSent.topic)
-        self._emit_batch = bus.sink(MessageBatchSent.topic)
-        self._emit_multicast = bus.sink(MessageMulticastSent.topic)
         self._emit_deliver = bus.sink(InboxDelivered.topic)
         self._emit_phase = bus.sink(EnginePhase.topic)
         self._emit_plane = bus.sink(PlaneStats.topic)
@@ -461,16 +448,11 @@ class SyncNetwork:
         byzantine_states = self._iter_alive(byzantine=True)
         if byzantine_states:
             if self.rushing:
-                # Adversary strategies see per-send granularity: batched
-                # fan-outs expand to their equivalent scalar broadcasts.
+                # Adversary strategies see per-send granularity.
                 rushing_traffic = tuple(
                     (node_id, sub)
                     for node_id, send in correct_sends
-                    for sub in (
-                        send.expanded()
-                        if type(send) is BatchSend
-                        else (send,)
-                    )
+                    for sub in send.expanded()
                 )
             else:
                 rushing_traffic = ()
@@ -563,12 +545,13 @@ class SyncNetwork:
         past the broadcasts, once however many queues hold it.  Direct
         queues are deduplicated and indexed once per *recipient group*
         — the recipients whose queues hold the same message objects in
-        the same order, which is what a multicast produces — and a
-        group shares one inbox: the row view of the broadcasts plus its
-        direct rows.  Every inbox is a read-only view (the shared-index
-        invariant): no recipient may mutate what it is handed.  The
-        ``deliver`` event carries the recipient's inbox; a subscriber
-        that iterates it builds each broadcast row once per round.
+        the same order, which is what a multi-recipient row produces —
+        and a group shares one inbox: the row view of the broadcasts
+        plus its direct rows.  Every inbox is a read-only view (the
+        shared-index invariant): no recipient may mutate what it is
+        handed.  The ``deliver`` event carries the recipient's inbox; a
+        subscriber that iterates it builds each broadcast row once per
+        round.
 
         The delivery mask, when one is installed, is asked once per
         alive recipient with at least one row, in ``_nodes`` iteration
@@ -596,7 +579,7 @@ class SyncNetwork:
 
         #: Recipient groups: every recipient whose direct queue holds
         #: the same messages in the same order shares one ``(queue,
-        #: inbox)`` entry.  A multicast puts one Message object in many
+        #: inbox)`` entry.  A direct row puts one Message object in many
         #: queues, so an equivocator round has two or three groups, not
         #: one inbox per node.  Bucketed by (length, first id, last id)
         #: and confirmed by list equality, which short-circuits on
@@ -711,161 +694,93 @@ class SyncNetwork:
         protocol.on_round(api, inbox)
         return outbox.sends
 
-    def _wire_cost(self, sender: NodeId, send: Send) -> int:
-        """Size of the send as a repro.net frame (0 when not measuring)."""
-        if not self.measure_bytes:
-            return 0
+    def _wire_cost(self, sender: NodeId, send: Send) -> tuple[int, ...]:
+        """Each payload's size as a repro.net frame (``measure_bytes``)."""
         from repro.net.wire import encode_frame
 
-        try:
-            return len(
-                encode_frame(
-                    self.round, sender, send.kind, send.payload, send.instance
+        costs = []
+        for payload in send.payloads:
+            try:
+                frame = encode_frame(
+                    self.round, sender, send.kind, payload, send.instance
                 )
-            )
-        except Exception:
-            # Non-wire-representable payloads (test doubles etc.): fall
-            # back to a repr-based estimate rather than failing the run.
-            return len(repr((send.kind, send.payload, send.instance)))
+            except Exception:
+                # Non-wire-representable payloads (test doubles etc.):
+                # fall back to a repr-based estimate rather than failing
+                # the run.
+                frame = repr((send.kind, payload, send.instance))
+            costs.append(len(frame))
+        return tuple(costs)
 
     def _stage(self, sends: list[tuple[NodeId, Send]]) -> None:
-        """Queue sends for delivery at the next round.
+        """Queue send rows for delivery at the next round, publishing
+        one ``send`` event per row.
 
-        Broadcast recipients are resolved at delivery time; a direct
-        send is staged only if its destination exists and is alive now.
-        Scalar broadcasts are four list appends; a batched fan-out is
-        one interned segment per sender.  Direct sends stamp real
-        Message objects into the destinations' queues: a scalar send
-        one object for one queue, a multicast one object shared by
-        every alive recipient's queue (and one event for the fan-out).
+        Broadcast recipients are resolved at delivery time: a
+        one-payload broadcast row is four list appends, a longer one
+        one interned segment per sender.  A direct row is staged for
+        each recipient that exists and is alive now: it stamps one
+        Message object, which every such recipient's queue shares.
         """
         round_no = self.round
         emit_send = self._emit_send
-        emit_batch = self._emit_batch
-        emit_multicast = self._emit_multicast
         nodes = self._nodes
         #: Recipient tuple -> (alive recipients' queues, per-recipient
         #: staged flags or None when all staged), for this call.
         fanouts: dict[tuple, tuple] = {}
         cols = self._staging_cols
         plane = self._plane
-        measuring = self.measure_bytes
+        wire_cost = self._wire_cost if self.measure_bytes else None
         for sender, send in sends:
-            if type(send) is BatchSend:
-                batch = plane.intern_batch(
-                    send.kind, send.payloads, send.instance
-                )
-                staged_count, flags = cols.stage_batch(sender, batch)
-                if emit_batch is not None and not measuring:
-                    emit_batch(
-                        MessageBatchSent(
-                            round_no,
-                            sender,
-                            send.kind,
-                            send.payloads,
-                            send.instance,
-                            0,
-                            staged_count,
-                            flags,
-                        )
+            payloads = send.payloads
+            dests = send.dests
+            if dests is None:
+                if len(payloads) == 1:
+                    staged = cols.stage(
+                        sender, send.kind, payloads[0], send.instance
                     )
-                elif emit_send is not None:
-                    # No batch subscriber (or byte accounting, which is
-                    # per-frame): emit the equivalent per-send events.
-                    for i, payload in enumerate(send.payloads):
-                        sub = Send(
-                            BROADCAST, send.kind, payload, send.instance
-                        )
-                        emit_send(
-                            MessageSent(
-                                round_no,
-                                sender,
-                                send.kind,
-                                payload,
-                                send.instance,
-                                None,
-                                self._wire_cost(sender, sub),
-                                bool(flags[i]) if flags is not None else True,
-                            )
-                        )
-                continue
-            if type(send) is MulticastSend:
-                # One stamp for the whole fan-out: every alive recipient
+                    flags = None
+                else:
+                    staged, flags = cols.stage_batch(
+                        sender,
+                        plane.intern_batch(send.kind, payloads, send.instance),
+                    )
+            else:
+                # One stamp for the whole row: every alive recipient
                 # queues the same Message object, which is what lets
                 # delivery dedup and index it once per recipient group.
                 message = send.stamped(sender)
-                dests = send.dests
                 resolved = fanouts.get(dests)
                 if resolved is None:
                     # Liveness cannot change while staging, so a
                     # recipient tuple resolves to its queues once.
                     queues = []
-                    flags = []
+                    alive = []
                     for dest in dests:
                         state = nodes.get(dest)
-                        staged = state is not None and state.alive
-                        if staged:
+                        ok = state is not None and state.alive
+                        if ok:
                             queues.append(state.direct)
-                        flags.append(staged)
+                        alive.append(ok)
                     resolved = fanouts[dests] = (
                         queues,
-                        None if len(queues) == len(dests) else tuple(flags),
+                        None if len(queues) == len(dests) else tuple(alive),
                     )
                 queues, flags = resolved
                 for queue in queues:
                     queue.append(message)
-                if emit_multicast is not None and not measuring:
-                    emit_multicast(
-                        MessageMulticastSent(
-                            round_no,
-                            sender,
-                            send.kind,
-                            send.payload,
-                            send.instance,
-                            dests,
-                            0,
-                            len(queues),
-                            flags,
-                        )
-                    )
-                elif emit_send is not None:
-                    # No multicast subscriber (or byte accounting):
-                    # emit the equivalent per-recipient events.
-                    wire_bytes = self._wire_cost(sender, send)
-                    for i, dest in enumerate(dests):
-                        emit_send(
-                            MessageSent(
-                                round_no,
-                                sender,
-                                send.kind,
-                                send.payload,
-                                send.instance,
-                                dest,
-                                wire_bytes,
-                                flags[i] if flags is not None else True,
-                            )
-                        )
-                continue
-            dest = send.dest
-            if dest is BROADCAST:
-                staged = cols.stage(
-                    sender, send.kind, send.payload, send.instance
-                )
-            else:
-                state = nodes.get(dest)
-                staged = state is not None and state.alive
-                if staged:
-                    state.direct.append(send.stamped(sender))
+                staged = len(queues)
             if emit_send is not None:
                 emit_send(
                     MessageSent(
                         round_no,
                         sender,
                         send.kind,
-                        send.payload,
+                        payloads,
                         send.instance,
-                        None if dest is BROADCAST else dest,
-                        self._wire_cost(sender, send),
+                        dests,
+                        () if wire_cost is None else wire_cost(sender, send),
                         staged,
+                        flags,
                     )
                 )

@@ -119,8 +119,8 @@ def adversary_view(all_nodes, node_id=99):
 
 
 def scalar_sends(strategy, view):
-    """The strategy's output for one round, one ``Send`` per recipient
-    (fan-outs leave the strategy as single multicast entries)."""
+    """The strategy's output for one round, one single-send row per
+    recipient (fan-outs leave the strategy as single direct rows)."""
     return list(expand_sends(strategy.on_round(view)))
 
 

@@ -15,7 +15,7 @@ from repro.adversary import (
 )
 from repro.adversary.simple import HalfCrashStrategy
 from repro.sim.inbox import Inbox
-from repro.sim.message import BROADCAST, MulticastSend, expand_sends
+from repro.sim.message import BROADCAST, expand_sends
 from repro.sim.network import AdversaryView
 from repro.sim.node import Protocol
 
@@ -46,8 +46,8 @@ def view(round_no=1, node_id=50, all_nodes=(1, 2, 3, 4, 50), inbox=()):
 
 
 def scalar_sends(strategy, view):
-    """The strategy's output for one round, one ``Send`` per recipient
-    (fan-outs leave the strategy as single multicast entries)."""
+    """The strategy's output for one round, one single-send row per
+    recipient (fan-outs leave the strategy as single direct rows)."""
     return list(expand_sends(strategy.on_round(view)))
 
 
@@ -99,8 +99,8 @@ class TestEquivocator:
     def test_each_story_leaves_as_one_multicast(self):
         strategy = EquivocatorStrategy(Beacon(1))
         raw = list(strategy.on_round(view(1)))
-        assert [type(s) for s in raw] == [MulticastSend, MulticastSend]
-        # Every entry a strategy returns answers ``.dest`` (per-send
+        assert [s.dests for s in raw] == [(1, 2), (3, 4, 50)]
+        # Every row a strategy returns answers ``.dest`` (per-send
         # consumers and the benchmark's tracer read it).
         assert [s.dest for s in raw] == [(1, 2), (3, 4, 50)]
         assert all(s.dest is not BROADCAST for s in raw)
@@ -108,10 +108,10 @@ class TestEquivocator:
 
     def test_nobody_to_tell_means_no_entry(self):
         # One victim: the lower half is empty, so only the twisted
-        # story goes out (no empty multicast).
+        # story goes out (no empty direct row).
         strategy = EquivocatorStrategy(Beacon(1), targets=frozenset({3}))
         raw = list(strategy.on_round(view(1)))
-        assert [s.dest for s in raw] == [(3,), (1, 2, 4, 50)]
+        assert [s.dests for s in raw] == [(3,), (1, 2, 4, 50)]
 
     def test_respects_kind_filter(self):
         strategy = EquivocatorStrategy(

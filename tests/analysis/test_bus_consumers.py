@@ -61,7 +61,7 @@ class TestTimelineOnMixedStream:
     def test_non_protocol_events_skipped(self):
         stream = [
             RoundStarted(1),
-            MessageSent(1, 5, "echo"),
+            MessageSent(1, 5, "echo", (None,)),
             ProtocolEvent(1, 5, "decide", {"value": 1}),
             ProtocolEvent(2, 6, "accept", {"tag": "t"}),
         ]

@@ -3,6 +3,7 @@
 import itertools
 import json
 import multiprocessing
+import os
 import re
 import time
 
@@ -17,6 +18,8 @@ from repro.analysis.campaign import (
     format_campaign_report,
     run_campaign,
 )
+from repro.cli import main
+from repro.errors import ReproError
 from repro.scenario import ChurnSpec, RunSpec
 
 BASE = RunSpec(
@@ -268,3 +271,49 @@ class TestCrashVerdict:
             assert record["message"].startswith("crash: RuntimeError at ")
             assert RunSpec.load(record["artifact"]).seed == record["seed"]
         assert len(list(tmp_path.glob("violation-*.json"))) == 3
+
+
+_real_worker = campaign._worker
+
+
+def _die_on_spec_two(payload):
+    """A campaign worker whose process dies mid-spec on index 2, the way
+    an OOM kill ends it: no exception, no result."""
+    if payload[0] == 2:
+        os._exit(1)
+    return _real_worker(payload)
+
+
+class TestDeadWorker:
+    @pytest.fixture(autouse=True)
+    def dying_pool(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patch only when forked")
+        monkeypatch.setattr(campaign, "_worker", _die_on_spec_two)
+
+    def test_a_dead_worker_is_an_error_naming_the_lost_specs(self):
+        with pytest.raises(ReproError) as caught:
+            run_campaign(BASE, runs=4, campaign_seed=3, workers=2)
+        message = str(caught.value)
+        assert message.startswith(
+            "campaign seed 3: a worker process died; specs "
+        )
+        spans = message.rsplit("specs ", 1)[1].removesuffix(
+            " did not return"
+        )
+        lost = set()
+        for span in spans.split(", "):
+            first, _, last = span.partition("-")
+            lost.update(range(int(first), int(last or first) + 1))
+        assert 2 in lost and lost <= {0, 1, 2, 3}
+
+    def test_the_cli_exits_2_with_an_error_line(self, capsys):
+        code = main(
+            ["campaign", "total-order", "--runs", "4", "--workers", "2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: campaign seed 0: a worker process died; specs "
+        )

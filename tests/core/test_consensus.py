@@ -224,10 +224,10 @@ class TippingStrategy:
         self._holders = ()
 
     def on_round(self, view):
-        from repro.sim.message import BROADCAST, Send
+        from repro.sim.message import Send
 
         if view.round == 1:
-            return [Send(BROADCAST, "init")]
+            return [Send("init", (None,))]
         if view.round == 3:
             by_value = {}
             for sender, send in view.correct_traffic:
@@ -239,12 +239,17 @@ class TippingStrategy:
                 by_value.items(), key=lambda kv: len(kv[1])
             )
             self._holders = sorted(holders)
-            return [Send(h, "input", self._value) for h in self._holders]
+            return self._tell("input", self._holders)
         if view.round == 4 and self._holders:
-            return [Send(h, "prefer", self._value) for h in self._holders]
+            return self._tell("prefer", self._holders)
         if view.round == 5 and self._holders:
-            return [Send(self._holders[0], "strongprefer", self._value)]
+            return self._tell("strongprefer", self._holders[:1])
         return ()
+
+    def _tell(self, kind, holders):
+        from repro.sim.message import Send
+
+        return [Send(kind, (self._value,), None, (h,)) for h in holders]
 
 
 class TestSubstitutionRule:

@@ -35,7 +35,7 @@ class TestSendBoundary:
     def test_a_rounds_echo_batches_are_one_tuple(self):
         bus = EventBus()
         batches = []
-        bus.subscribe(batches.append, "send-batch")
+        bus.subscribe(batches.append, "send")
         result = run_spec(
             RunSpec(protocol="consensus", n=60, f=0, seed=3), bus=bus
         )

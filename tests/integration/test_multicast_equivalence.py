@@ -1,21 +1,22 @@
 """Byzantine direct-send fan-outs pinned to pre-multicast recordings.
 
-``ProtocolWrappingStrategy.explode_broadcast`` used to return one scalar
-``Send`` per recipient; it now returns one ``MulticastSend`` that the
-columnar engine stamps once, emits as one ``send-multicast`` event and
-delivers through one shared inbox per recipient group.  The change
-must be invisible: the digests below were taken on the commit *before*
-it, from the same hand-built consensus runs — equivocators, a targeted
-splitter, a half-crash and a strategy that keeps addressing a departed
-and a never-registered id — with a scheduled joiner and a forced leave,
-rushing on and off.  Each digest covers every output, the decision
-rounds, ``Metrics.summary()``, the ordered semantic event stream and
-the full ``--events``-style JSONL rendering (per-recipient ``send``
-lines with their ``staged`` flags, every ``deliver`` batch), once on
-the bulk-event path and once with byte accounting (the per-send
-fallback).  The summary is hashed without the columnar plane's work
-counters (``payload_intern_hits``, ``unique_payloads`` and
-``materialized_messages``); the last is pinned as a ceiling instead.
+``ProtocolWrappingStrategy.explode_broadcast`` used to return one
+single-recipient send per recipient; it now returns one direct ``Send``
+row naming every recipient, which the columnar engine stamps once,
+emits as one ``send`` event and delivers through one shared inbox per
+recipient group.  The change must be invisible: the digests below were
+taken on the commit *before* it, from the same hand-built consensus
+runs — equivocators, a targeted splitter, a half-crash and a strategy
+that keeps addressing a departed and a never-registered id — with a
+scheduled joiner and a forced leave, rushing on and off.  Each digest
+covers every output, the decision rounds, ``Metrics.summary()``, the
+ordered semantic event stream and the full ``--events``-style JSONL
+rendering (per-recipient ``send`` lines with their ``staged`` flags,
+every ``deliver`` batch), once without and once with byte accounting
+(exact per-line ``wire_bytes``).  The summary is hashed without the
+columnar plane's work counters (``payload_intern_hits``,
+``unique_payloads`` and ``materialized_messages``); the last is pinned
+as a ceiling instead.
 The summary hashes and ceilings were re-recorded on ce3f1ae under
 that definition.
 

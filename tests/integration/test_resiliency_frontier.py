@@ -37,17 +37,17 @@ class FullSplitAdversary(ByzantineStrategy):
     it completes each half's quorums with that half's own value."""
 
     def on_round(self, view):
-        from repro.sim.message import BROADCAST, Send
+        from repro.sim.message import Send
 
         if view.round == 1:
-            return [Send(BROADCAST, "init")]
+            return [Send("init", (None,))]
         ordered = sorted(view.correct_nodes)
         half = len(ordered) // 2
         lower, upper = ordered[:half], ordered[half:]
         sends = []
         for kind in ("input", "prefer", "strongprefer"):
-            sends.extend(Send(d, kind, 0) for d in lower)
-            sends.extend(Send(d, kind, 1) for d in upper)
+            sends.extend(Send(kind, (0,), dests=(d,)) for d in lower)
+            sends.extend(Send(kind, (1,), dests=(d,)) for d in upper)
         return sends
 
 

@@ -69,12 +69,10 @@ class TestJsonlSink:
 
 
     def test_multicast_renders_as_per_recipient_send_lines(self):
-        from repro.obs.events import MessageMulticastSent
-
         bus = EventBus()
         fanout, scalars = io.StringIO(), io.StringIO()
-        event = MessageMulticastSent(
-            3, 7, "input", 1, ("id", 2), (10, 11, 12), 0, 2,
+        event = MessageSent(
+            3, 7, "input", (1,), ("id", 2), (10, 11, 12), (), 2,
             (True, False, True),
         )
         with bus.to_jsonl(fanout) as sink:
@@ -84,7 +82,8 @@ class TestJsonlSink:
             for dest, staged in ((10, True), (11, False), (12, True)):
                 bus.publish(
                     MessageSent(
-                        3, 7, "input", 1, ("id", 2), dest, staged=staged
+                        3, 7, "input", (1,), ("id", 2), (dest,),
+                        staged=staged,
                     )
                 )
         assert fanout.getvalue() == scalars.getvalue()
@@ -92,7 +91,7 @@ class TestJsonlSink:
 
 class TestRendering:
     def test_non_json_payloads_degrade_to_repr(self):
-        event = MessageSent(1, 5, "echo", payload=frozenset({1}))
+        event = MessageSent(1, 5, "echo", (frozenset({1}),))
         doc = event_to_json(event)
         assert doc["payload"] == repr(frozenset({1}))
 
@@ -110,7 +109,7 @@ class TestRendering:
         ]
 
     def test_broadcast_dest_omitted(self):
-        doc = event_to_json(MessageSent(1, 5, "echo"))
+        doc = event_to_json(MessageSent(1, 5, "echo", (None,)))
         assert "dest" not in doc  # None = broadcast
         assert doc["payload"] is None  # payload always present
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 from collections import Counter
 
 from repro.asyncsim.engine import AsyncEngine, AsyncNode
@@ -23,63 +25,62 @@ def build_network(**kwargs):
 class TestSimWiring:
     def test_event_counts_match_metrics(self):
         collected = Counter()
-        batched_sends = []
+        sends = []
         bus = EventBus()
         bus.subscribe(lambda e: collected.update([e.topic]))
-        bus.subscribe(
-            lambda e: batched_sends.append(len(e.payloads)), "send-batch"
-        )
+        bus.subscribe(lambda e: sends.extend(e.expanded()), "send")
         net = build_network(bus=bus)
         net.run(40)
         metrics = net.metrics
         assert collected["run-start"] == 1
         assert collected["round-start"] == metrics.rounds
         assert collected["round-end"] == metrics.rounds
-        # A batched fan-out is one "send-batch" event carrying k logical
-        # sends; scalar sends still arrive one "send" event each.
-        assert collected["send"] + sum(batched_sends) == metrics.sends_total
-        assert collected["send-batch"] == len(batched_sends)
+        # One "send" event per row: a broadcast_many row carries k
+        # logical sends, which its per-send view lists.
+        assert len(sends) == metrics.sends_total
+        assert collected["send"] < len(sends)
         assert collected["protocol"] == len(net.trace)
         # deliveries_total counts messages; "deliver" counts inboxes
         assert 0 < collected["deliver"] <= metrics.deliveries_total
 
-    def test_fanout_is_one_multicast_event_or_per_send_fallback(self):
+    def test_a_send_subscriber_sees_every_send_whoever_else_listens(self):
+        # One "send" event per row, whoever else is subscribed: with the
+        # default Metrics attached or detached, and with byte accounting
+        # on, a send subscriber gets the same rows, and their per-send
+        # view is every logical send, one per JSONL "send" line.
         from repro.adversary import EquivocatorStrategy
 
         def run(detach_metrics=False, **kwargs):
-            topics = Counter()
             net = build_network(**kwargs)
             net.add_byzantine(50, EquivocatorStrategy(EarlyConsensus(1)))
             if detach_metrics:
                 net.metrics.detach(net.bus)
-            net.bus.subscribe(lambda e: topics.update([e.topic]), "send")
-            if not detach_metrics:
-                net.bus.subscribe(
-                    lambda e: topics.update([e.topic] * len(e.dests)),
-                    "send-multicast",
-                )
-                net.bus.subscribe(
-                    lambda e: topics.update([e.topic] * len(e.payloads)),
-                    "send-batch",
-                )
-            net.run(40)
-            return topics, net.metrics
+            rows = []
+            net.bus.subscribe(rows.append, "send")
+            stream = io.StringIO()
+            with net.bus.to_jsonl(stream):
+                net.run(40)
+            docs = map(json.loads, stream.getvalue().splitlines())
+            lines = sum(doc["topic"] == "send" for doc in docs)
+            sends = sum(len(e.expanded()) for e in rows)
+            shape = [
+                (e.round, e.sender, e.kind, e.payloads, e.dests, e.staged)
+                for e in rows
+            ]
+            return (shape, sends, lines), net.metrics
 
-        bulk, metrics = run()
-        # Two stories to five nodes: every fan-out arrives as one event
-        # whose recipients are counted as logical sends.
-        assert bulk["send-multicast"] > 0
-        assert bulk["send-multicast"] % len(NODE_IDS + (50,)) == 0
-        # Nobody listening for the bulk form, or byte accounting (which
-        # is per frame): the engine emits the equivalent scalar events.
-        scalar, _ = run(detach_metrics=True)
-        assert scalar["send-multicast"] == 0
-        assert scalar["send"] == sum(bulk.values()) == metrics.sends_total
+        seen, metrics = run()
+        rows, sends, lines = seen
+        assert sends == lines == metrics.sends_total > 0
+        # Two stories to five nodes: every fan-out is one row naming its
+        # recipients, each a logical send.
+        fanouts = [dests for *_, dests, _ in rows if dests and len(dests) > 1]
+        assert fanouts
+        assert sum(map(len, fanouts)) % len(NODE_IDS + (50,)) == 0
+        assert run(detach_metrics=True)[0] == seen
         costed, costed_metrics = run(measure_bytes=True)
-        assert costed["send-multicast"] == 0
-        assert costed["send"] == scalar["send"]
+        assert costed == seen
         assert costed_metrics.bytes_total > 0
-        assert costed_metrics.sends_total == metrics.sends_total
         assert costed_metrics.staged_total == metrics.staged_total
 
     def test_shared_bus_feeds_default_subscribers_too(self):

@@ -9,7 +9,7 @@ byte-for-byte determinism.
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.inbox import Inbox
-from repro.sim.message import BROADCAST, Send
+from repro.sim.message import Send
 from repro.sim.network import SyncNetwork
 from repro.sim.node import NodeApi, Protocol
 
@@ -106,7 +106,7 @@ class TestByzantineStampingProperty:
             def on_round(self, view):
                 # whatever id the adversary *claims*, Send has no sender
                 # field; the payload smuggles the claim instead
-                return [Send(BROADCAST, kind, ("i-am", claimed))]
+                return [Send(kind, (("i-am", claimed),))]
 
         net = SyncNetwork(seed=0)
         listener = ScriptedNode([])

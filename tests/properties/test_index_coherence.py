@@ -18,13 +18,7 @@ from repro.scenario import RunSpec, run_spec
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane, RoundColumns
 from repro.sim.inbox import Inbox, InboxIndex
 from repro.sim.lossy import LossyNetwork
-from repro.sim.message import (
-    BROADCAST,
-    BatchSend,
-    Message,
-    MulticastSend,
-    Send,
-)
+from repro.sim.message import Message, Send
 from repro.sim.network import SyncNetwork
 from repro.sim.node import Protocol
 from repro.sim.rng import make_rng
@@ -798,21 +792,21 @@ def random_script(rng, size):
         instance = rng.choice(INSTANCES)
         roll = rng.random()
         if roll < 0.2:
-            script.append(Send(BROADCAST, kind, payload, instance))
+            script.append(Send(kind, (payload,), instance))
         elif roll < 0.35:
             payloads = tuple(
                 rng.choice(PAYLOADS) for _ in range(rng.randrange(1, 4))
             )
-            script.append(BatchSend(kind, payloads, instance))
+            script.append(Send(kind, payloads, instance))
         elif roll < 0.55:
             script.append(
-                Send(rng.choice(ADDRESSES), kind, payload, instance)
+                Send(kind, (payload,), instance, (rng.choice(ADDRESSES),))
             )
         else:
             dests = tuple(
                 rng.sample(ADDRESSES, rng.randrange(1, len(ADDRESSES)))
             )
-            script.append(MulticastSend(dests, kind, payload, instance))
+            script.append(Send(kind, (payload,), instance, dests))
         if rng.random() < 0.25:
             script.append(rng.choice(script))
     return script[:size]
@@ -872,9 +866,9 @@ class TestDirectFanOutCoherence:
                 )
 
     def test_value_equal_multicasts_from_one_sender_collapse(self):
-        twice = MulticastSend((10, 11), "echo", "v")
+        twice = Send("echo", ("v",), None, (10, 11))
         scripts = {
-            0: [twice, twice, MulticastSend((11, 12), "echo", "v")],
+            0: [twice, twice, Send("echo", ("v",), None, (11, 12))],
         }
         inboxes, sent, _net = run_scripts(scripts)
         # Every copy is staged (dedup is a delivery-time, value-level
@@ -887,10 +881,10 @@ class TestDirectFanOutCoherence:
     def test_multicast_repeating_a_broadcast_rides_the_shared_inbox(self):
         scripts = {
             0: [
-                Send(BROADCAST, "input", 1),
-                BatchSend("echo", ("a", "b")),
-                MulticastSend((10, 11), "input", 1),  # the scalar again
-                MulticastSend((11, 12), "echo", "b"),  # inside the batch
+                Send("input", (1,)),
+                Send("echo", ("a", "b")),
+                Send("input", (1,), None, (10, 11)),  # the scalar again
+                Send("echo", ("b",), None, (11, 12)),  # inside the batch
             ],
         }
         inboxes, _sent, _net = run_scripts(scripts)
@@ -907,7 +901,7 @@ class TestDirectFanOutCoherence:
 
     def test_dead_and_unknown_destinations_fail_alone(self):
         scripts = {
-            0: [MulticastSend((10, DEPARTED, 11, UNKNOWN), "echo", "v")],
+            0: [Send("echo", ("v",), None, (10, DEPARTED, 11, UNKNOWN))],
         }
         inboxes, sent, net = run_scripts(scripts)
         assert [(e.dest, e.staged) for e in sent] == [
@@ -925,9 +919,9 @@ class TestDirectFanOutCoherence:
     def test_queues_differing_only_in_order_stay_apart(self):
         scripts = {
             0: [
-                Send(10, "echo", "a"),
-                MulticastSend((10, 11), "echo", "b"),
-                Send(11, "echo", "a"),
+                Send("echo", ("a",), None, (10,)),
+                Send("echo", ("b",), None, (10, 11)),
+                Send("echo", ("a",), None, (11,)),
             ],
         }
         inboxes, _sent, _net = run_scripts(scripts)
@@ -939,11 +933,11 @@ class TestDirectFanOutCoherence:
         lower, upper = (10, 11, 12), (13, 14, 15)
         scripts = {
             0: [
-                Send(BROADCAST, "init"),
-                MulticastSend(lower, "input", 0),
-                MulticastSend(upper, "input", 1),
+                Send("init", (None,)),
+                Send("input", (0,), None, lower),
+                Send("input", (1,), None, upper),
             ],
-            1: [MulticastSend(lower, "input", 1)],
+            1: [Send("input", (1,), None, lower)],
         }
         inboxes, _sent, _net = run_scripts(scripts)
         for group in (lower, upper):
@@ -961,7 +955,7 @@ class TestDirectFanOutCoherence:
         # builds one row view per distinct recipient group (next to the
         # broadcasts' own view), not one per recipient.
         stamps, rows, views = [], [], []
-        stamp = MulticastSend.stamped
+        stamp = Send.stamped
         add_direct = RoundColumns.add_direct
         init = ColumnarIndex.__init__
 
@@ -977,7 +971,7 @@ class TestDirectFanOutCoherence:
             views.append(entries)
             init(index, cols, entries)
 
-        monkeypatch.setattr(MulticastSend, "stamped", counting_stamp)
+        monkeypatch.setattr(Send, "stamped", counting_stamp)
         monkeypatch.setattr(RoundColumns, "add_direct", counting_add_direct)
         monkeypatch.setattr(ColumnarIndex, "__init__", counting_init)
 
@@ -992,11 +986,11 @@ class TestDirectFanOutCoherence:
                     sender,
                     Scripted(
                         [
-                            Send(BROADCAST, "init"),
-                            MulticastSend(nodes[:half], "input", 0),
-                            MulticastSend(nodes[half:], "input", 1),
-                            MulticastSend(nodes[:half], "prefer", 0),
-                            MulticastSend(nodes[half:], "prefer", 1),
+                            Send("init", (None,)),
+                            Send("input", (0,), None, nodes[:half]),
+                            Send("input", (1,), None, nodes[half:]),
+                            Send("prefer", (0,), None, nodes[:half]),
+                            Send("prefer", (1,), None, nodes[half:]),
                         ]
                     ),
                 )
@@ -1018,9 +1012,9 @@ class TestDirectFanOutCoherence:
         # one row view, so the sender is one distinct voice per query.
         scripts = {
             0: [
-                Send(BROADCAST, "input", 0),
-                Send(10, "input", 1),
-                Send(10, "input", 0, "x"),
+                Send("input", (0,)),
+                Send("input", (1,), None, (10,)),
+                Send("input", (0,), "x", (10,)),
             ],
         }
         inboxes, _sent, _net = run_scripts(scripts)
@@ -1037,13 +1031,13 @@ class TestDirectFanOutCoherence:
         assert inboxes[11].payload_counts("input") == {0: 1}
 
     def test_a_multicast_shared_by_two_groups_is_one_row(self):
-        shared = MulticastSend((10, 11, 12, 13), "echo", "both")
+        shared = Send("echo", ("both",), None, (10, 11, 12, 13))
         scripts = {
             0: [
-                Send(BROADCAST, "init"),
+                Send("init", (None,)),
                 shared,
-                MulticastSend((10, 11), "input", 0),
-                MulticastSend((12, 13), "input", 1),
+                Send("input", (0,), None, (10, 11)),
+                Send("input", (1,), None, (12, 13)),
             ],
         }
         # Stage round 1, then deliver it by hand to keep its columns.
@@ -1071,9 +1065,9 @@ class TestDirectFanOutCoherence:
         lower, upper = (10, 11, 12), (13, 14, 15)
         scripts = {
             0: [
-                Send(BROADCAST, "init"),
-                MulticastSend(lower, "input", 0),
-                MulticastSend(upper, "input", 1),
+                Send("init", (None,)),
+                Send("input", (0,), None, lower),
+                Send("input", (1,), None, upper),
             ],
         }
         net = populate(SyncNetwork(), scripts)

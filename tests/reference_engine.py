@@ -4,7 +4,7 @@ The oracle of the engine-equivalence suites.  It shares no staging,
 dedup or collection code with :mod:`repro.sim.network` — no columns, no
 shared tuples or indexes, no recipient groups, no bus: one list of
 value-deduplicated broadcasts per round, one list of directs per node,
-every fan-out form expanded to scalar sends, one private
+every send row read through its per-send view, one private
 :class:`~tests.naive_inbox.NaiveInbox` per recipient — no index code
 either.  It does share the model (``Message``, ``NodeApi``, the
 adversary's view) and the ``make_rng(seed)`` stream
@@ -29,7 +29,7 @@ class ReferenceNetwork:
         self.round = 0
         self.trace = []  # the protocols' semantic events, in order
         self.delivered = {}  # (round, recipient) -> messages handed over
-        #: (sender, kind, payload, instance, dest, staged) per scalar send.
+        #: (sender, kind, payload, instance, dest, staged) per logical send.
         self.sent = []
         self._rng = make_rng(seed)
         self._behaviours = {}  # id -> (behaviour, byzantine)
@@ -123,19 +123,17 @@ class ReferenceNetwork:
 
 
 def per_send_events(bus) -> list:
-    """A live list of every send published on *bus*, at scalar-send
-    granularity whichever bulk form the engine emitted."""
+    """A live list of every logical send published on *bus*: each send
+    row's per-send view."""
     sent = []
-    bus.subscribe(sent.append, "send")
-    bus.subscribe(lambda e: sent.extend(e.expanded()), "send-batch")
-    bus.subscribe(lambda e: sent.extend(e.expanded()), "send-multicast")
+    bus.subscribe(lambda e: sent.extend(e.expanded()), "send")
     return sent
 
 
 def assert_matches_reference(make, rounds, until_all_halted=True):
     """Run one population on ``make(SyncNetwork)`` and on
     ``make(ReferenceNetwork)`` and compare rounds, every correct node's
-    final state, the semantic stream, every scalar send with its staged
+    final state, the semantic stream, every logical send with its staged
     flag and every recipient's deliveries.  Returns both networks."""
     engine, reference = make(SyncNetwork), make(ReferenceNetwork)
     delivered, sent = {}, per_send_events(engine.bus)

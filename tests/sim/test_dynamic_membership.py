@@ -69,7 +69,10 @@ class TestScheduledJoins:
             def on_round(self, view):
                 from repro.sim.message import Send
 
-                return [Send(dest, "evil", None) for dest in view.all_nodes]
+                return [
+                    Send("evil", (None,), dests=(dest,))
+                    for dest in view.all_nodes
+                ]
 
         schedule = MembershipSchedule()
         schedule.join(2, 66, Byz, byzantine=True)

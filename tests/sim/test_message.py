@@ -42,14 +42,14 @@ class TestMessage:
 
 class TestSend:
     def test_stamped_injects_sender(self):
-        send = Send(BROADCAST, "echo", "p")
+        send = Send("echo", ("p",))
         wire = send.stamped(42)
         assert wire.sender == 42
         assert wire.kind == "echo"
         assert wire.payload == "p"
 
     def test_stamped_preserves_instance(self):
-        send = Send(7, "input", 1, instance="id-1")
+        send = Send("input", (1,), instance="id-1", dests=(7,))
         assert send.stamped(3).instance == "id-1"
 
 

@@ -344,7 +344,10 @@ class ChattyByzantine:
 
     def on_round(self, view):
         self.views.append(view)
-        return [Send(dest, "noise", view.round) for dest in view.all_nodes]
+        return [
+            Send("noise", (view.round,), dests=(dest,))
+            for dest in view.all_nodes
+        ]
 
 
 class TestByzantine:
@@ -381,7 +384,7 @@ class TestByzantine:
             def on_round(self, view):
                 # Tries to pose as node 1; the Send API has no sender
                 # field at all, so the engine stamps the truth.
-                return [Send(1, "fake", "i-am-node-1")]
+                return [Send("fake", ("i-am-node-1",), dests=(1,))]
 
         net = SyncNetwork()
         listener = Echoer()
@@ -391,6 +394,18 @@ class TestByzantine:
         net.step()
         fakes = [m for m in listener.received[1] if m.kind == "fake"]
         assert fakes and fakes[0].sender == 2
+
+    def test_a_direct_row_with_several_payloads_is_refused(self):
+        # Nothing builds one, and the engine gives it no path.
+        class TwoStories:
+            def on_round(self, view):
+                return [Send("input", (0, 1), dests=(1,))]
+
+        net = SyncNetwork()
+        net.add_correct(1, Echoer())
+        net.add_byzantine(2, TwoStories())
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            net.step()
 
     def test_outputs_only_cover_correct_nodes(self):
         net = SyncNetwork()
