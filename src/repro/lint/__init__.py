@@ -15,11 +15,11 @@ Usage::
     python -m repro.lint --format=json src   # machine-readable output
     python -m repro.lint --list-rules        # what is enforced
 
-Every run does both phases (per-file rules, then the whole-program
-passes).  A finding is silenced one way only, by an inline directive
-with a justification (see ``docs/lint.md``):
-``repro-lint: disable=<code> -- reason`` on or above the flagged line,
-or ``disable-file=<code> -- reason`` for the whole file.
+Every rule sees one parsed file at a time.  A finding is silenced one
+way only, by an inline directive with a justification (see
+``docs/lint.md``): ``repro-lint: disable=<code> -- reason`` on or above
+the flagged line, or ``disable-file=<code> -- reason`` for the whole
+file.
 
 The rule families:
 
@@ -38,10 +38,6 @@ The rule families:
   only through ``NodeApi.emit``; the observability plumbing
   (``EventBus``, ``Trace``, ``Metrics``, sinks) belongs to the
   runtimes (``repro.obs``, docs/observability.md).
-* **R6xx — whole-program taint** (phase two): the interprocedural
-  versions of the invariants above — global-knowledge taint into
-  ``core/`` (R601), float taint into quorum comparisons (R602), and
-  unordered-iteration escape analysis (R603).
 * **R7xx — async runtime**: stale check-then-act on engine-shared
   state across ``await`` points (R701).
 """
@@ -52,20 +48,17 @@ from repro.lint.diagnostics import Diagnostic, format_json, format_text
 from repro.lint.engine import (
     FileContext,
     LintResult,
-    ProgramRule,
     Rule,
     run_paths,
 )
-from repro.lint.rules import all_program_rules, all_rules, rules_by_code
+from repro.lint.rules import all_rules, rules_by_code
 from repro.lint.sarif import format_sarif
 
 __all__ = [
     "Diagnostic",
     "FileContext",
     "LintResult",
-    "ProgramRule",
     "Rule",
-    "all_program_rules",
     "all_rules",
     "format_json",
     "format_sarif",

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from repro.lint.diagnostics import format_json, format_text
 from repro.lint.engine import run_paths
-from repro.lint.rules import all_program_rules, all_rules
+from repro.lint.rules import all_rules
 from repro.lint.sarif import format_sarif
 
 
@@ -22,8 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Statically enforce the paper's model invariants: the "
             "id-only model (R1xx), integer quorum math (R2xx), "
             "simulator determinism (R3xx), protocol hygiene (R4xx), "
-            "event-plane discipline (R5xx), and their whole-program "
-            "dataflow versions (R6xx taint, R7xx async)."
+            "event-plane discipline (R5xx), and async-runtime state "
+            "(R7xx)."
         ),
     )
     parser.add_argument(
@@ -53,27 +53,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _selected_rules(select: str):
-    """Split a ``--select`` list into (file rules, program rules)."""
+    """The rules a ``--select`` list names, plus the codes it names that
+    no rule has."""
     rules = all_rules()
-    program = all_program_rules()
     if not select:
-        return rules, program
+        return rules, set()
     wanted = {code.strip().upper() for code in select.split(",") if code}
     chosen = [rule for rule in rules if rule.code in wanted]
-    chosen_program = [rule for rule in program if rule.code in wanted]
-    unknown = wanted - {rule.code for rule in [*chosen, *chosen_program]}
-    if unknown:
-        raise SystemExit(
-            f"unknown rule code(s): {', '.join(sorted(unknown))}"
-        )
-    return chosen, chosen_program
+    return chosen, wanted - {rule.code for rule in chosen}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.list_rules:
-        for rule in [*all_rules(), *all_program_rules()]:
+        for rule in all_rules():
             print(f"{rule.code}  {rule.name}")
             print(f"      {rule.description}")
         return 0
@@ -87,16 +81,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    rules, program_rules = _selected_rules(args.select)
-    result = run_paths(paths, rules, program_rules=program_rules)
-    if args.format == "sarif":
+    rules, unknown = _selected_rules(args.select)
+    if unknown:
         print(
-            format_sarif(
-                result.diagnostics,
-                result.summary,
-                rules=[*rules, *program_rules],
-            )
+            f"error: unknown rule code(s): {', '.join(sorted(unknown))}",
+            file=sys.stderr,
         )
+        return 2
+    result = run_paths(paths, rules)
+    if args.format == "sarif":
+        print(format_sarif(result.diagnostics, result.summary, rules=rules))
     else:
         formatter = format_json if args.format == "json" else format_text
         print(formatter(result.diagnostics, result.summary))

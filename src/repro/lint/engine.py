@@ -122,25 +122,6 @@ class Rule(ABC):
         """Yield findings for one file."""
 
 
-class ProgramRule(ABC):
-    """An invariant checked against the whole-program model (phase two).
-
-    Program rules see every file at once through a
-    :class:`repro.lint.program.ProgramModel` and may follow flows
-    across modules; their findings are still attributed to one file and
-    filtered through that file's inline suppressions, exactly like
-    file-rule findings.
-    """
-
-    code: str = ""
-    name: str = ""
-    description: str = ""
-
-    @abstractmethod
-    def check_program(self, model) -> Iterable[Diagnostic]:
-        """Yield findings for the whole program."""
-
-
 @dataclass(slots=True)
 class LintResult:
     """Outcome of one run: active findings plus bookkeeping."""
@@ -169,11 +150,12 @@ def discover_files(paths: Iterable[Path]) -> Iterator[Path]:
 
 
 def load_context(path: Path) -> FileContext | Diagnostic:
-    """Parse one file; a syntax failure is itself a finding (E001)."""
+    """Parse one file; an unreadable, non-UTF-8 or unparsable file is
+    itself a finding (E001)."""
     display = str(path)
     try:
         source = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return Diagnostic(
             path=display,
             line=1,
@@ -218,21 +200,10 @@ def _record(result: LintResult, ctx: FileContext, diag: Diagnostic) -> None:
         _report(result, diag)
 
 
-def run_paths(
-    paths: Iterable[Path],
-    rules: Iterable[Rule],
-    program_rules: Iterable[ProgramRule] = (),
-) -> LintResult:
-    """Lint *paths*, filtering suppressed findings.
-
-    Phase one parses every file and runs the per-file *rules*; phase
-    two links all parsed files into one program model and runs the
-    *program_rules* against it.
-    """
+def run_paths(paths: Iterable[Path], rules: Iterable[Rule]) -> LintResult:
+    """Lint *paths* with *rules*, filtering suppressed findings."""
     rules = list(rules)
-    program_rules = list(program_rules)
     result = LintResult()
-    contexts: list[FileContext] = []
     for path in discover_files(paths):
         result.summary.files += 1
         ctx = load_context(path)
@@ -240,7 +211,6 @@ def run_paths(
             result.diagnostics.append(ctx)
             result.summary.findings += 1
             continue
-        contexts.append(ctx)
         for sup in ctx.suppressions:
             # Blanket opt-outs must say why, or they get reported
             # themselves — suppressions stay visible in review.
@@ -264,17 +234,5 @@ def run_paths(
                 continue
             for diag in rule.check(ctx):
                 _record(result, ctx, diag)
-    if program_rules and contexts:
-        from repro.lint.program import build_program
-
-        model = build_program(contexts)
-        by_display = {ctx.display_path: ctx for ctx in contexts}
-        for rule in program_rules:
-            for diag in rule.check_program(model):
-                ctx = by_display.get(diag.path)
-                if ctx is None:
-                    _report(result, diag)
-                else:
-                    _record(result, ctx, diag)
     result.diagnostics.sort(key=Diagnostic.sort_key)
     return result

@@ -6,7 +6,9 @@ and the adversarial matrix relies on replayable failures.  Randomness
 must therefore flow through :func:`repro.sim.rng.make_rng`, and wall
 clocks stay confined to the real-network layer (``repro.net``) and
 offline analysis.  Iteration order leaking out of unordered collections
-is the concern of the whole-program rule R603.
+is checked on the runs themselves: the same spec under different hash
+seeds must emit the same event stream
+(``tests/integration/test_hash_seed_determinism.py``).
 """
 
 from __future__ import annotations

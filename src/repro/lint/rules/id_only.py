@@ -7,7 +7,7 @@ set, ``n``, or ``f``.  The only sanctioned membership surfaces inside
 :class:`~repro.sim.node.NodeApi` (``knows``/``send`` gating).  The
 known-``n``/``f`` comparators in ``repro.baselines`` take ``n`` and
 ``f`` by definition, so the parameter ban (R103) covers ``repro.core``
-only — the same scope R601 uses for membership taint.
+only.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_program_rules, all_rules, run_paths
+from repro.lint import all_rules, run_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -37,14 +37,9 @@ def lint_tree(tmp_path):
     def _lint(files, select=None):
         root = write_tree(tmp_path / "tree", files)
         rules = all_rules()
-        program_rules = all_program_rules()
         if select is not None:
-            wanted = set(select)
-            rules = [rule for rule in rules if rule.code in wanted]
-            program_rules = [
-                rule for rule in program_rules if rule.code in wanted
-            ]
-        return run_paths([root], rules, program_rules=program_rules)
+            rules = [rule for rule in rules if rule.code in select]
+        return run_paths([root], rules)
 
     return _lint
 

@@ -151,6 +151,14 @@ class TestCli:
         assert proc.returncode == 1
         assert "E001" in proc.stdout
 
+    def test_non_utf8_file_is_reported(self, lint_cli, tmp_path):
+        bad = tmp_path / "latin1.py"
+        bad.write_bytes(b"name = '\xe9t\xe9'\n")
+        proc = lint_cli(bad)
+        assert proc.returncode == 1
+        assert "latin1.py:1:1: E001" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
     def test_unknown_path_is_usage_error(self, lint_cli, tmp_path):
         proc = lint_cli(tmp_path / "missing")
         assert proc.returncode == 2
@@ -158,7 +166,7 @@ class TestCli:
     def test_list_rules(self, lint_cli):
         proc = lint_cli("--list-rules")
         assert proc.returncode == 0
-        for code in ("R101", "R203", "R403", "R603"):
+        for code in ("R101", "R203", "R403", "R701"):
             assert code in proc.stdout
 
     def test_select_subset(self, lint_cli, tmp_path):
@@ -167,3 +175,16 @@ class TestCli:
         bad.write_text("import random\n", encoding="utf-8")
         proc = lint_cli(tmp_path, "--select=R302")
         assert proc.returncode == 0  # R301 not selected
+
+    def test_unknown_select_code_is_usage_error(
+        self, lint_cli, capsys, tmp_path
+    ):
+        proc = lint_cli("--select=R301,R603", tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error: unknown rule code(s): R603" in proc.stderr
+        # The main CLI forwards the same exit code.
+        from repro.cli import main
+
+        assert main(["lint", "--select=R999", str(tmp_path)]) == 2
+        assert "error: unknown rule code(s): R999" in capsys.readouterr().err

@@ -8,12 +8,7 @@ of scripts not yet ported to ``RunSpec`` can only shrink in review.
 
 from __future__ import annotations
 
-from repro.lint import (
-    Diagnostic,
-    all_program_rules,
-    all_rules,
-    run_paths,
-)
+from repro.lint import Diagnostic, all_rules, run_paths
 from repro.lint.engine import discover_files, load_context
 
 from .conftest import REPO_ROOT
@@ -53,9 +48,7 @@ def _suppressions(root):
 
 
 def test_src_and_benchmarks_are_clean():
-    result = run_paths(
-        [SRC, BENCHMARKS], all_rules(), program_rules=all_program_rules()
-    )
+    result = run_paths([SRC, BENCHMARKS], all_rules())
     rendered = "\n".join(d.render() for d in result.diagnostics)
     assert result.ok, f"repro.lint found violations:\n{rendered}"
 

@@ -121,41 +121,9 @@ class TestUnseededRandomCall:
 
 
 class TestUnorderedIteration:
-    # Iteration-order hazards are R603's (see test_rule_program_order).
-    def test_iterating_fresh_set_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "repro/core/bad.py": """\
-                def first_sender(inbox):
-                    for sender in set(m.sender for m in inbox):
-                        return sender
-                """
-            }
-        )
-        assert codes(result) == ["R603"]
-
-    def test_max_over_senders_without_key_flagged(self, lint_tree):
-        result = lint_tree(
-            {
-                "repro/core/bad.py": """\
-                def leader(inbox):
-                    return max(inbox.senders())
-                """
-            }
-        )
-        assert codes(result) == ["R603"]
-
-    def test_superseded_by_program_pass(self, lint_tree):
-        # The per-file R3xx rules leave this defect to the program pass.
-        files = {
-            "repro/core/bad.py": """\
-            def leader(inbox):
-                return max(inbox.senders())
-            """
-        }
-        assert lint_tree(files, select=["R301", "R302", "R303"]).ok
-        assert codes(lint_tree(files, select=["R603"])) == ["R603"]
-
+    # Ordered idioms stay clean.  An iteration order that does leak into
+    # a run is caught on the run itself, by the hash-seed stream test
+    # (tests/integration/test_hash_seed_determinism.py).
     def test_max_with_total_order_key_passes(self, lint_tree):
         result = lint_tree(
             {

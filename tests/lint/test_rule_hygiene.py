@@ -328,6 +328,32 @@ class TestInboxInternalsAccess:
         assert result.ok
 
 
+class TestCommitteeInternalsAccess:
+    def test_gossip_state_read_flagged(self, lint_tree):
+        result = lint_tree(
+            {
+                "repro/core/bad.py": """\
+                def peek(node):
+                    return node._gossip.decision_votes
+                """
+            }
+        )
+        assert codes(result) == ["R406", "R406"]
+
+    def test_implicit_agreement_owns_its_state(self, lint_tree):
+        result = lint_tree(
+            {
+                "repro/core/implicit_agreement.py": """\
+                class OutcomeGossip:
+                    def __init__(self):
+                        self.decision_votes = {}
+                        self.linger_left = 0
+                """
+            }
+        )
+        assert result.ok
+
+
 class TestSeededViolationCli:
     def test_hygiene_violation_fails_with_location(
         self, lint_cli, tmp_path

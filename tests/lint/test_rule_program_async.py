@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from repro.lint import all_program_rules, all_rules, run_paths
+from repro.lint import all_rules, run_paths
 
 from .conftest import FIXTURES
 
 
 def _lint(root):
-    return run_paths([root], all_rules(), program_rules=all_program_rules())
+    return run_paths([root], all_rules())
 
 
 def _r701(result):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.lint import all_program_rules, all_rules, format_sarif
+from repro.lint import all_rules, format_sarif
 from repro.lint.diagnostics import Diagnostic, Summary
 
 
@@ -13,7 +13,7 @@ def _diag(**overrides):
         path="src/repro/core/bad.py",
         line=7,
         col=5,
-        code="R601",
+        code="R101",
         message="membership knowledge enters core",
         source_line="peers = roster(net)",
         hint="use message-derived ids",
@@ -32,7 +32,7 @@ class TestSarifDocument:
     def test_result_location_and_rule(self):
         doc = json.loads(format_sarif([_diag()], Summary(findings=1)))
         (result,) = doc["runs"][0]["results"]
-        assert result["ruleId"] == "R601"
+        assert result["ruleId"] == "R101"
         assert result["level"] == "error"
         location = result["locations"][0]["physicalLocation"]
         assert location["artifactLocation"]["uri"] == (
@@ -43,10 +43,9 @@ class TestSarifDocument:
         assert "use message-derived ids" in result["message"]["text"]
 
     def test_every_registered_rule_documented(self):
-        rules = [*all_rules(), *all_program_rules()]
-        doc = json.loads(format_sarif([], Summary(), rules=rules))
+        doc = json.loads(format_sarif([], Summary(), rules=all_rules()))
         ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"R101", "R301", "R601", "R602", "R603", "R701"} <= ids
+        assert {"R101", "R301", "R502", "R701"} <= ids
 
     def test_results_sorted_and_deterministic(self):
         diags = [
