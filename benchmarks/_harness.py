@@ -1,12 +1,9 @@
-"""Shared benchmark plumbing.
+"""Shared benchmark plumbing: persist a table or figure under ``results/``.
 
-Every benchmark does two things:
-
-* regenerate its experiment's table (the paper has no empirical tables,
-  so these operationalise the theorems — see DESIGN.md §5) and persist it
-  under ``benchmarks/results/`` for EXPERIMENTS.md;
-* time one representative run via pytest-benchmark, so performance
-  regressions in the simulator or protocols are visible.
+The paper has no empirical tables, so the benchmarks operationalise its
+theorems (DESIGN.md §5): the experiment grids (``benchmarks/grid.py``)
+and the remaining ``bench_*`` scripts write what EXPERIMENTS.md quotes
+under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -14,22 +11,8 @@ from __future__ import annotations
 import pathlib
 
 from repro.analysis.report import format_table
-from repro.scenario import RunSpec, run_spec
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-def bench_run(spec: RunSpec, *, bus=None):
-    """Materialize and run one RunSpec (the benchmarks' one run path).
-
-    Benchmarks describe every run as a declarative
-    :class:`~repro.scenario.RunSpec` and execute it here — never by
-    assembling :class:`~repro.sim.network.SyncNetwork` populations by
-    hand (lint rule R502 fences the direct construction API out of
-    ``benchmarks/``), so every benchmarked configuration can be
-    serialized and replayed via ``repro run --scenario``.
-    """
-    return run_spec(spec, bus=bus)
 
 
 def emit_table(

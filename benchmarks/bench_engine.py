@@ -351,11 +351,10 @@ def measure_byz_consensus(
     broadcast as two direct-send fan-outs (one story per half), so
     logical sends grow as n³ — 0.69 M at n=100, 43 M at n=400 — and the
     engine's cost is staging and delivering multicasts, not counting.
-    Built from a :class:`~repro.scenario.RunSpec` like every benchmark
-    outside this file (no injected clock, so no per-phase split).
+    Built from a :class:`~repro.scenario.RunSpec` and run by
+    ``run_spec`` (no injected clock, so no per-phase split).
     """
-    from benchmarks._harness import bench_run
-    from repro.scenario import RunSpec
+    from repro.scenario import RunSpec, run_spec
 
     spec = RunSpec(
         protocol="consensus",
@@ -366,7 +365,7 @@ def measure_byz_consensus(
         seed=seed,
     )
     row, result = _measure(
-        lambda: bench_run(spec), trace=_trace_for(n, tracing)
+        lambda: run_spec(spec), trace=_trace_for(n, tracing)
     )
     assert result.agreed, "byz-consensus workload failed to agree"
     return {

@@ -15,7 +15,8 @@ proofs have to survive:
   :class:`MembershipLiarStrategy`) — echoes for messages never sent and
   phantom participants;
 * targeted attacks (:class:`ValueInjectorStrategy` against approximate
-  agreement, :class:`QuorumSplitterStrategy` against consensus quorums,
+  agreement, :class:`QuorumSplitterStrategy` and
+  :class:`FullSplitStrategy` against consensus quorums,
   :class:`CoordinatorUsurperStrategy` against the rotor);
 * chaos (:class:`RandomNoiseStrategy`) — randomized well-formed garbage.
 
@@ -39,6 +40,7 @@ from repro.adversary.injector import ValueInjectorStrategy
 from repro.adversary.noise import RandomNoiseStrategy
 from repro.adversary.splitter import (
     CoordinatorUsurperStrategy,
+    FullSplitStrategy,
     QuorumSplitterStrategy,
 )
 from repro.adversary.registry import STRATEGY_BUILDERS, build_strategy
@@ -50,6 +52,7 @@ __all__ = [
     "CrashStrategy",
     "EchoForgerStrategy",
     "EquivocatorStrategy",
+    "FullSplitStrategy",
     "MembershipLiarStrategy",
     "PresentOnlyStrategy",
     "ProtocolWrappingStrategy",

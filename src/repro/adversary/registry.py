@@ -23,6 +23,7 @@ from repro.adversary.simple import (
 )
 from repro.adversary.splitter import (
     CoordinatorUsurperStrategy,
+    FullSplitStrategy,
     QuorumSplitterStrategy,
 )
 from repro.errors import ConfigurationError
@@ -48,6 +49,7 @@ STRATEGY_BUILDERS: tuple[str, ...] = (
     "value-injector",
     "noise",
     "splitter",
+    "full-split",
     "usurper",
     "adaptive",
 )
@@ -85,6 +87,8 @@ def build_strategy(
             return RandomNoiseStrategy(**kwargs)
         if name == "splitter":
             return QuorumSplitterStrategy(protocol_factory(), **kwargs)
+        if name == "full-split":
+            return FullSplitStrategy()
         if name == "usurper":
             return CoordinatorUsurperStrategy(protocol_factory(), **kwargs)
         if name == "adaptive":

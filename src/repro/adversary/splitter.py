@@ -4,6 +4,8 @@
 splits every opinion-carrying message between two values, trying to push
 two correct nodes into conflicting ``2n_v/3`` quorums — the situation
 Lemma ``quorum`` proves impossible for ``n > 3f``.
+:class:`FullSplitStrategy` skips the honest protocol and sends each half
+of the correct nodes its own value on every opinion kind, every round.
 
 :class:`CoordinatorUsurperStrategy` plays the rotor honestly (so it gets
 added to every candidate set and is eventually selected coordinator) and
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from repro.adversary.base import ProtocolWrappingStrategy
+from repro.adversary.base import ByzantineStrategy, ProtocolWrappingStrategy
 from repro.sim.message import Send
 from repro.sim.network import AdversaryView
 from repro.sim.node import Protocol
@@ -71,6 +73,26 @@ class QuorumSplitterStrategy(ProtocolWrappingStrategy):
             if bystanders:
                 result.extend(self.explode_broadcast(side_a, bystanders))
         return result
+
+
+class FullSplitStrategy(ByzantineStrategy):
+    """Feed each half of the correct nodes its own complete quorums.
+
+    Announces itself in round 1, then sends value 0 to the lower half
+    and value 1 to the upper half on every consensus opinion kind,
+    every round — the attack that breaks agreement once ``n <= 3f``.
+    """
+
+    def on_round(self, view: AdversaryView) -> Iterable[Send]:
+        if view.round == 1:
+            return [self.broadcast("init")]
+        ordered = sorted(view.correct_nodes)
+        half = len(ordered) // 2
+        sends = []
+        for kind in ("input", "prefer", "strongprefer"):
+            sends.extend(self.to(d, kind, 0) for d in ordered[:half])
+            sends.extend(self.to(d, kind, 1) for d in ordered[half:])
+        return sends
 
 
 class CoordinatorUsurperStrategy(ProtocolWrappingStrategy):

@@ -16,7 +16,11 @@ from each run's event stream into per-monitor violation rates:
 * **termination** — the run finished inside its round budget without
   crashing, plus the O(f) early-stopping bound for full-variant
   consensus;
-* **half-range** — approximate agreement's range contraction.
+* **half-range** — approximate agreement's range contraction;
+* **reliable-broadcast** (Theorem 5.5's three properties),
+  **good-round** (the rotor's, Theorem 6.3) and **validity** (the TRB
+  payload, and every correct input in every interactive-consistency
+  vector).
 
 The report is byte-deterministic for a given (base spec, campaign
 seed, run count) regardless of worker count: specs are derived by
@@ -41,7 +45,12 @@ import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from repro.analysis.checkers import check_approx_agreement
+from repro.analysis.checkers import (
+    check_approx_agreement,
+    check_reliable_broadcast,
+    check_rotor_good_round,
+    check_validity,
+)
 from repro.analysis.monitor import AgreementMonitor, ChainConsistencyMonitor
 from repro.analysis.report import format_table
 from repro.errors import PropertyViolation, ReproError, SimulationError
@@ -74,7 +83,10 @@ _PACKAGE_PARENT = pathlib.Path(__file__).resolve().parents[2]
 _MASK64 = (1 << 64) - 1
 
 #: Protocols whose ``decide`` values must agree exactly (approx decides
-#: nearby floats, total-order/rb decide nothing comparable this way).
+#: nearby floats, total-order/rb decide nothing comparable this way, and
+#: the rotor decides its last accepted opinion, which Theorem 6.3 leaves
+#: free — a Byzantine last coordinator may split it; its promise is the
+#: good round).
 _DECIDING = frozenset(
     {
         "consensus",
@@ -83,7 +95,6 @@ _DECIDING = frozenset(
         "interactive-consistency",
         "trb",
         "renaming",
-        "rotor",
     }
 )
 
@@ -188,6 +199,29 @@ def _total_order_verdicts(spec: RunSpec, result, verdicts: dict) -> None:
             )
 
 
+def _violations(report) -> str | None:
+    return "; ".join(report.violations) or None
+
+
+def _payload(spec: RunSpec):
+    """The sender's payload of a broadcast spec (the registry default)."""
+    return spec.protocol_params.get("payload", "payload")
+
+
+def _vector_validity(spec: RunSpec, result) -> str | None:
+    """Every correct node's vector holds every correct node's input."""
+    inputs = dict(zip(result.correct_ids, _correct_inputs(spec, result)))
+    for nid in result.correct_ids:
+        vector = dict(result.outputs.get(nid) or ())
+        for source, value in inputs.items():
+            if vector.get(source) != value:
+                return (
+                    f"node {nid}'s vector holds {vector.get(source)!r} for"
+                    f" correct node {source}, whose input is {value!r}"
+                )
+    return None
+
+
 def _crash(exc: Exception) -> str:
     """``crash: <Type> at repro/<path>:<line>: <message>``.
 
@@ -217,8 +251,9 @@ def judge(
     message.  The online monitors (``chain-prefix`` for total-order,
     ``agreement`` for deciding protocols) subscribe to *bus* and name
     the round a property broke in; the post-hoc checks (chain growth,
-    finality lag, the O(f) consensus bound, half-range contraction)
-    run over the finished result.  A run that exhausts its round budget
+    finality lag, the O(f) consensus bound, half-range contraction,
+    reliable broadcast, the rotor's good round, validity) run over the
+    finished result.  A run that exhausts its round budget
     is a ``termination`` liveness violation, and a run that raises any
     other exception is a ``termination`` crash — a finding, never an
     aborted caller.
@@ -261,7 +296,22 @@ def judge(
         report = check_approx_agreement(
             result, [float(v) for v in _correct_inputs(spec, result)]
         )
-        verdicts["half-range"] = "; ".join(report.violations) or None
+        verdicts["half-range"] = _violations(report)
+    elif spec.protocol == "reliable-broadcast":
+        # The registry makes the first correct node the sender.
+        verdicts["reliable-broadcast"] = _violations(
+            check_reliable_broadcast(
+                result, result.correct_ids[0], _payload(spec), True
+            )
+        )
+    elif spec.protocol == "rotor":
+        verdicts["good-round"] = _violations(check_rotor_good_round(result))
+    elif spec.protocol == "trb":
+        verdicts["validity"] = _violations(
+            check_validity(result, [_payload(spec)])
+        )
+    elif spec.protocol == "interactive-consistency":
+        verdicts["validity"] = _vector_validity(spec, result)
     return result, verdicts
 
 

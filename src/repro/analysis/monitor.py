@@ -7,15 +7,14 @@ events and raise :class:`~repro.errors.PropertyViolation` the moment an
 invariant breaks, so the traceback lands inside the offending round
 with all state intact.
 
-A monitor attaches to either a :class:`~repro.sim.trace.Trace` or an
-:class:`~repro.obs.bus.EventBus` directly — the latter works on *any*
-runtime (the net runners and the asyncsim engine publish the same
-``protocol`` events the simulator does).
+A monitor attaches to an :class:`~repro.obs.bus.EventBus`, so it works
+on *any* runtime (the net runners and the asyncsim engine publish the
+same ``protocol`` events the simulator does).
 
 Usage::
 
     network = SyncNetwork(seed=3)
-    AgreementMonitor().attach(network.bus)    # or network.trace
+    AgreementMonitor().attach(network.bus)
     ...
     network.run(100)   # raises at the first conflicting decision
 """
@@ -27,22 +26,15 @@ from typing import Any, Hashable
 from repro.errors import PropertyViolation
 from repro.obs.bus import EventBus
 from repro.obs.events import ProtocolEvent
-from repro.sim.trace import Trace, TraceEvent
+from repro.sim.trace import TraceEvent
 from repro.types import NodeId
 
 
 class TraceMonitor:
-    """Base class: subscribe to an event source and inspect each event.
+    """Base class: inspect each ``protocol`` event of a bus."""
 
-    ``attach`` accepts a :class:`Trace` (legacy observer hook) or an
-    :class:`EventBus` (subscribes to the ``protocol`` topic).
-    """
-
-    def attach(self, source: Trace | EventBus) -> "TraceMonitor":
-        if isinstance(source, EventBus):
-            source.subscribe(self.on_event, ProtocolEvent.topic)
-        else:
-            source.subscribe(self.on_event)
+    def attach(self, bus: EventBus) -> "TraceMonitor":
+        bus.subscribe(self.on_event, ProtocolEvent.topic)
         return self
 
     def on_event(self, event: TraceEvent) -> None:  # pragma: no cover

@@ -20,8 +20,12 @@ from repro.scenario.registry import (
     resolve_inputs,
 )
 from repro.scenario.spec import RunSpec
-from repro.sim.rng import make_rng, sparse_ids
-from repro.sim.runner import Scenario, ScenarioResult, run_scenario
+from repro.sim.runner import (
+    Scenario,
+    ScenarioResult,
+    draw_population,
+    run_scenario,
+)
 from repro.types import NodeId
 
 __all__ = ["materialize", "predict_population", "resolve", "run_spec"]
@@ -32,16 +36,10 @@ def predict_population(
 ) -> tuple[list[NodeId], list[NodeId]]:
     """The (correct_ids, byzantine_ids) the runner will draw for *spec*.
 
-    Mirrors :func:`repro.sim.runner.run_scenario`'s id assignment —
-    sparse draw, deterministic interleaving shuffle — so churn
+    The runner's own :func:`~repro.sim.runner.draw_population`, so churn
     generators (and tests) can name concrete ids before the run exists.
     """
-    rng = make_rng(spec.seed)
-    ids = sparse_ids(spec.n, rng, spec.id_space)
-    shuffled = ids[:]
-    rng.shuffle(shuffled)
-    correct = spec.n - spec.f
-    return sorted(shuffled[:correct]), sorted(shuffled[correct:])
+    return draw_population(spec.seed, spec.n - spec.f, spec.f, spec.id_space)
 
 
 def _wrapped_factory(spec: RunSpec, entry: ProtocolEntry, input_fn):

@@ -127,6 +127,22 @@ def collector_paused(fn: Callable[_P, _R]) -> Callable[_P, _R]:
     return paused
 
 
+def draw_population(
+    seed: int, correct: int, byzantine: int, id_space: int
+) -> tuple[list[NodeId], list[NodeId]]:
+    """The sorted (correct_ids, byzantine_ids) a run with *seed* gets.
+
+    Sparse ids, then a seeded shuffle that interleaves the two groups
+    deterministically but not by block, so neither systematically owns
+    the smallest identifiers (the rotor picks coordinators in id order
+    — block assignment would bias it).
+    """
+    rng = make_rng(seed)
+    shuffled = sparse_ids(correct + byzantine, rng, id_space)
+    rng.shuffle(shuffled)
+    return sorted(shuffled[:correct]), sorted(shuffled[correct:])
+
+
 @collector_paused
 def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
     """Build the network described by *scenario*, run it, return the result.
@@ -139,16 +155,12 @@ def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
     ``repro run``).
     """
     scenario.validate()
-    rng = make_rng(scenario.seed)
-    total = scenario.correct + scenario.byzantine
-    ids = sparse_ids(total, rng, scenario.id_space)
-    # Interleave correct/Byzantine ids deterministically but not by block,
-    # so neither group systematically owns the smallest identifiers (the
-    # rotor picks coordinators in id order — block assignment would bias it).
-    shuffled = ids[:]
-    rng.shuffle(shuffled)
-    correct_ids = sorted(shuffled[: scenario.correct])
-    byz_ids = sorted(shuffled[scenario.correct:])
+    correct_ids, byz_ids = draw_population(
+        scenario.seed,
+        scenario.correct,
+        scenario.byzantine,
+        scenario.id_space,
+    )
 
     network = SyncNetwork(
         seed=scenario.seed,

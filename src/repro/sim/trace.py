@@ -33,18 +33,11 @@ __all__ = ["Trace", "TraceEvent"]
 class Trace:
     """Append-only semantic-event log for one run.
 
-    Observers subscribed via :meth:`subscribe` see every event as it is
-    recorded — the hook behind the online monitors in
-    :mod:`repro.analysis.monitor` (fail fast on the round a property
-    breaks, instead of diagnosing post-mortem).
+    Live observers (the online monitors in :mod:`repro.analysis.monitor`)
+    subscribe to the run's bus, not to the log.
     """
 
     events: list[TraceEvent] = field(default_factory=list)
-    _observers: list = field(default_factory=list, repr=False)
-
-    def subscribe(self, observer) -> None:
-        """Register ``observer(event: TraceEvent)`` for live events."""
-        self._observers.append(observer)
 
     def attach(self, bus) -> "Trace":
         """Log the ``protocol`` events of *bus*; returns self."""
@@ -58,8 +51,6 @@ class Trace:
     def ingest(self, event: TraceEvent) -> None:
         """Append an already-constructed event (the bus handler)."""
         self.events.append(event)
-        for observer in self._observers:
-            observer(event)
 
     def record(
         self, round_no: Round, node: NodeId, event: str, detail: dict[str, Any]

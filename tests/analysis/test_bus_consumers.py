@@ -41,14 +41,6 @@ class TestMonitorOnBus:
             net.run(3)
         assert net.round == 1  # raised in the round it happened
 
-    def test_attach_to_trace_still_works(self):
-        net = SyncNetwork(seed=0)
-        monitor = AgreementMonitor().attach(net.trace)
-        net.add_correct(1, Decider("a"))
-        net.add_correct(2, Decider("a"))
-        net.run(3)
-        assert monitor.decisions == {1: "a", 2: "a"}
-
     def test_bus_monitor_ignores_non_protocol_topics(self):
         bus = EventBus()
         monitor = AgreementMonitor().attach(bus)

@@ -1,4 +1,4 @@
-"""Online invariant monitors."""
+"""Online invariant monitors, attached to an event bus."""
 
 import pytest
 
@@ -11,37 +11,41 @@ from repro.core.approx_agreement import IteratedApproximateAgreement
 from repro.core.consensus import EarlyConsensus
 from repro.core.reliable_broadcast import ReliableBroadcast
 from repro.errors import PropertyViolation
+from repro.obs import EventBus, ProtocolEvent
 from repro.sim.network import SyncNetwork
 from repro.sim.rng import make_rng, sparse_ids
-from repro.sim.trace import Trace
+
+
+def publish(bus, round_no, node, event, detail):
+    bus.publish(ProtocolEvent(round_no, node, event, detail))
 
 
 class TestAgreementMonitor:
     def test_silent_on_agreement(self):
-        trace = Trace()
-        monitor = AgreementMonitor().attach(trace)
-        trace.record(3, 1, "decide", {"value": 7})
-        trace.record(3, 2, "decide", {"value": 7})
+        bus = EventBus()
+        monitor = AgreementMonitor().attach(bus)
+        publish(bus, 3, 1, "decide", {"value": 7})
+        publish(bus, 3, 2, "decide", {"value": 7})
         assert monitor.decisions == {1: 7, 2: 7}
 
     def test_raises_on_conflict_with_round_info(self):
-        trace = Trace()
-        AgreementMonitor().attach(trace)
-        trace.record(3, 1, "decide", {"value": 7})
+        bus = EventBus()
+        AgreementMonitor().attach(bus)
+        publish(bus, 3, 1, "decide", {"value": 7})
         with pytest.raises(PropertyViolation, match="round 5"):
-            trace.record(5, 2, "decide", {"value": 8})
+            publish(bus, 5, 2, "decide", {"value": 8})
 
     def test_scoped_to_nodes(self):
-        trace = Trace()
-        AgreementMonitor(nodes={1, 2}).attach(trace)
-        trace.record(3, 1, "decide", {"value": 7})
-        trace.record(4, 99, "decide", {"value": 0})  # out of scope: fine
+        bus = EventBus()
+        AgreementMonitor(nodes={1, 2}).attach(bus)
+        publish(bus, 3, 1, "decide", {"value": 7})
+        publish(bus, 4, 99, "decide", {"value": 0})  # out of scope: fine
 
     def test_live_consensus_run_is_clean(self):
         rng = make_rng(0)
         ids = sparse_ids(4, rng)
         net = SyncNetwork(seed=0)
-        AgreementMonitor(event="consensus-decide").attach(net.trace)
+        AgreementMonitor(event="consensus-decide").attach(net.bus)
         for index, node_id in enumerate(ids):
             net.add_correct(node_id, EarlyConsensus(index % 2))
         net.run(40)  # must not raise
@@ -49,25 +53,25 @@ class TestAgreementMonitor:
 
 class TestRelayMonitor:
     def test_raises_on_late_acceptance(self):
-        trace = Trace()
-        RelayMonitor().attach(trace)
-        trace.record(3, 1, "accept", {"tag": ("m", 9)})
-        trace.record(4, 2, "accept", {"tag": ("m", 9)})  # within window
+        bus = EventBus()
+        RelayMonitor().attach(bus)
+        publish(bus, 3, 1, "accept", {"tag": ("m", 9)})
+        publish(bus, 4, 2, "accept", {"tag": ("m", 9)})  # within window
         with pytest.raises(PropertyViolation, match="relay broken"):
-            trace.record(6, 3, "accept", {"tag": ("m", 9)})
+            publish(bus, 6, 3, "accept", {"tag": ("m", 9)})
 
     def test_tags_independent(self):
-        trace = Trace()
-        RelayMonitor().attach(trace)
-        trace.record(3, 1, "accept", {"tag": "a"})
-        trace.record(9, 2, "accept", {"tag": "b"})  # different tag: fine
+        bus = EventBus()
+        RelayMonitor().attach(bus)
+        publish(bus, 3, 1, "accept", {"tag": "a"})
+        publish(bus, 9, 2, "accept", {"tag": "b"})  # different tag: fine
 
     def test_live_reliable_broadcast_is_clean(self):
         rng = make_rng(1)
         ids = sparse_ids(5, rng)
         sender = ids[0]
         net = SyncNetwork(seed=1)
-        RelayMonitor().attach(net.trace)
+        RelayMonitor().attach(net.bus)
         for node_id in ids:
             net.add_correct(
                 node_id,
@@ -80,11 +84,11 @@ class TestRelayMonitor:
 
 class TestBoundMonitor:
     def test_raises_outside_interval(self):
-        trace = Trace()
-        BoundMonitor("approx-iterate", "estimate", 0.0, 10.0).attach(trace)
-        trace.record(2, 1, "approx-iterate", {"estimate": 5.0})
+        bus = EventBus()
+        BoundMonitor("approx-iterate", "estimate", 0.0, 10.0).attach(bus)
+        publish(bus, 2, 1, "approx-iterate", {"estimate": 5.0})
         with pytest.raises(PropertyViolation, match="outside"):
-            trace.record(3, 1, "approx-iterate", {"estimate": 11.0})
+            publish(bus, 3, 1, "approx-iterate", {"estimate": 11.0})
 
     def test_live_approx_run_respects_lemma_aawithin(self):
         inputs = [2.0, 4.0, 6.0, 8.0, 3.0]
@@ -93,7 +97,7 @@ class TestBoundMonitor:
         net = SyncNetwork(seed=2)
         BoundMonitor(
             "approx-iterate", "estimate", min(inputs), max(inputs)
-        ).attach(net.trace)
+        ).attach(net.bus)
         for index, node_id in enumerate(ids):
             net.add_correct(
                 node_id,
@@ -102,6 +106,6 @@ class TestBoundMonitor:
         net.run(10)
 
     def test_missing_field_ignored(self):
-        trace = Trace()
-        BoundMonitor("e", "x", 0, 1).attach(trace)
-        trace.record(1, 1, "e", {})  # no field: no raise
+        bus = EventBus()
+        BoundMonitor("e", "x", 0, 1).attach(bus)
+        publish(bus, 1, 1, "e", {})  # no field: no raise

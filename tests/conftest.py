@@ -10,21 +10,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.rng import make_rng, sparse_ids
-from repro.sim.runner import Scenario, run_scenario
+from repro.sim.rng import DEFAULT_ID_SPACE
+from repro.sim.runner import Scenario, draw_population, run_scenario
 
 
 def predict_ids(seed: int, correct: int, byzantine: int):
-    """Replicate run_scenario's id assignment for a given configuration.
+    """run_scenario's id assignment for a given configuration.
 
     Returns (correct_ids, byzantine_ids) exactly as the scenario will
     draw them, so tests can name a designated sender up front.
     """
-    rng = make_rng(seed)
-    ids = sparse_ids(correct + byzantine, rng)
-    shuffled = ids[:]
-    rng.shuffle(shuffled)
-    return sorted(shuffled[:correct]), sorted(shuffled[correct:])
+    return draw_population(seed, correct, byzantine, DEFAULT_ID_SPACE)
 
 
 def run_quick(

@@ -21,14 +21,9 @@ BENCHMARKS = REPO_ROOT / "benchmarks"
 #: RunSpec.  R302: a benchmark measures wall time.
 EXEMPT = {
     "bench_ablations.py": {"R502"},
-    "bench_e10_extensions.py": {"R502"},
     "bench_e11_applications.py": {"R502"},
     "bench_e12_clock_sync.py": {"R502"},
-    "bench_e1_reliable_broadcast.py": {"R502"},
-    "bench_e2_rotor.py": {"R502"},
-    "bench_e3_consensus_rounds.py": {"R502"},
     "bench_e4_approx.py": {"R502"},
-    "bench_e5_resiliency.py": {"R502"},
     "bench_e7_parallel.py": {"R502"},
     "bench_e9_baselines.py": {"R502"},
     "bench_engine.py": {"R302", "R502"},
