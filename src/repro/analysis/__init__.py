@@ -9,6 +9,8 @@
 * :mod:`~repro.analysis.campaign` — :func:`judge`, the one verdict per
   spec that every harness uses, and Monte Carlo churn campaigns: many
   seed-derived RunSpecs in a worker pool, per-monitor violation rates;
+* :mod:`~repro.analysis.grid` — experiment grids: many judged
+  (point, seed) runs, one table and its ``n > 3f`` claims;
 * :mod:`~repro.analysis.report` — ASCII tables for EXPERIMENTS.md.
 """
 

@@ -32,9 +32,11 @@ them to ``R.timing.json``).  Any violating spec is saved as a JSON
 artifact that ``repro run --scenario FILE`` replays directly.
 
 :func:`judge` is the one place that decides which properties a
-protocol promises: ``repro run``, ``repro sweep``, ``repro matrix``,
-campaigns and the sampled-consensus oracle all take their verdicts from
-it, so a replayed artifact reads exactly what the report said.
+protocol promises: ``repro run``, campaigns, the grids of
+:mod:`repro.analysis.grid` (``repro sweep``, ``repro matrix`` and the
+experiment tables) and the sampled-consensus oracle all take their
+verdicts from it, so a replayed artifact reads exactly what the report
+said.
 """
 
 from __future__ import annotations

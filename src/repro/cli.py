@@ -8,8 +8,8 @@ Subcommands:
   (e.g. a campaign violation artifact), and ``--events FILE`` to record
   the run's event stream (two runs of one spec write identical bytes);
 * ``repro sweep <protocol>`` — a resiliency sweep over ``f`` for a fixed
-  population, printing the success-rate table;
-* ``repro matrix <protocol>`` — every registered adversary, one table;
+  population, one grid (:mod:`repro.analysis.grid`);
+* ``repro matrix <protocol>`` — every registered adversary, one grid;
 * ``repro campaign [protocol]`` — a Monte Carlo churn campaign: many
   seed-derived RunSpecs in a worker pool, per-monitor violation rates;
 * ``repro demo impossibility`` — the §9 partition/embedding experiments;
@@ -27,13 +27,12 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import statistics
 import sys
 import time
 from dataclasses import replace
 
 from repro.adversary import STRATEGY_BUILDERS
-from repro.analysis.campaign import evaluate_spec, judge
+from repro.analysis.campaign import judge
 from repro.analysis.report import format_table
 from repro.errors import ReproError
 from repro.obs.bus import EventBus
@@ -62,10 +61,7 @@ def _parse_params(pairs) -> dict:
     return params
 
 
-def _spec_from_args(
-    args, f_override: int | None = None, seed: int = 0
-) -> RunSpec:
-    byzantine = args.f if f_override is None else f_override
+def _spec_from_args(args, seed: int = 0) -> RunSpec:
     churn = None
     churn_kind = getattr(args, "churn", None)
     if churn_kind and churn_kind != "none":
@@ -75,7 +71,7 @@ def _spec_from_args(
     return RunSpec(
         protocol=args.protocol,
         n=args.n,
-        f=byzantine,
+        f=args.f,
         variant=getattr(args, "variant", "full"),
         protocol_params=_parse_params(getattr(args, "protocol_param", None)),
         adversary=args.adversary,
@@ -85,16 +81,6 @@ def _spec_from_args(
         max_rounds=args.max_rounds,
         enforce_resiliency=not args.force,
     )
-
-
-def _ok_percent(rows: list[dict]) -> float:
-    """Share of :func:`evaluate_spec` rows with every verdict held."""
-    if not rows:
-        return 0.0
-    held = sum(
-        all(v is None for v in row["verdicts"].values()) for row in rows
-    )
-    return round(100 * held / len(rows), 1)
 
 
 def _load_scenario(path: str) -> RunSpec | None:
@@ -117,10 +103,6 @@ def _runnable(spec: RunSpec, path: str | None) -> bool:
         print(f"error: {where}{exc}", file=sys.stderr)
         return False
     return True
-
-
-def _mean(values: list, digits: int) -> float:
-    return round(statistics.fmean(values), digits) if values else 0.0
 
 
 # Owns the run's lifetime: ``result`` is a local, so the run's graph is
@@ -169,69 +151,45 @@ def cmd_run(args) -> int:
     return 0 if all(v is None for v in verdicts.values()) else 1
 
 
-def cmd_sweep(args) -> int:
-    """Every f from 0 to ``--max-f`` over ``--seeds`` seeds, one row each.
+def _print_grid(name: str, title: str, key: str, specs, seeds: int) -> int:
+    """Print the grid of *specs* (keyed by field *key*): exit 1 when a
+    claim breaks, 2 when the grid cannot run."""
+    from repro.analysis.grid import Grid, measure
 
-    A run counts as ok when every verdict holds; the means are over the
-    runs that finished.
-    """
-    rows = []
-    for f in range(args.max_f + 1):
-        runs = [
-            evaluate_spec(_spec_from_args(args, f_override=f, seed=seed))
-            for seed in range(args.seeds)
-        ]
-        finished = [run for run in runs if run["rounds"] is not None]
-        rows.append(
-            {
-                "f": f,
-                "n>3f": "yes" if args.n > 3 * f else "no",
-                "ok%": _ok_percent(runs),
-                "rounds(mean)": _mean([r["rounds"] for r in finished], 1),
-                "msgs(mean)": _mean([r["sends"] for r in finished], 0),
-            }
-        )
-    print(
-        format_table(
-            rows,
-            title=f"{args.protocol}, n={args.n}, adversary={args.adversary}",
-        )
+    try:
+        grid = Grid(name, title, (key,), tuple(specs), seeds)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rows, columns, broken = measure(grid)
+    print(format_table(rows, columns=columns, title=title))
+    for claim in broken:
+        print(f"claim broken: {claim}", file=sys.stderr)
+    return 1 if broken else 0
+
+
+def cmd_sweep(args) -> int:
+    """Every f from 0 to ``--max-f``, one grid point each."""
+    base = _spec_from_args(args)
+    return _print_grid(
+        "sweep",
+        f"{args.protocol}, n={args.n}, adversary={args.adversary}",
+        "f",
+        (replace(base, f=f) for f in range(args.max_f + 1)),
+        args.seeds,
     )
-    return 0
 
 
 def cmd_matrix(args) -> int:
-    """Run every registered adversary against one protocol."""
-    rows = []
-    for name in STRATEGY_BUILDERS:
-        runs = [
-            evaluate_spec(
-                replace(
-                    _spec_from_args(args, seed=seed),
-                    adversary=name,
-                    rushing=True,
-                )
-            )
-            for seed in range(args.seeds)
-        ]
-        rows.append(
-            {
-                "adversary": name,
-                "ok%": _ok_percent(runs),
-                "rounds(max)": max(
-                    (r["rounds"] for r in runs if r["rounds"] is not None),
-                    default="-",
-                ),
-            }
-        )
-    print(
-        format_table(
-            rows,
-            title=f"{args.protocol}: adversary matrix, n={args.n} "
-            f"f={args.f}, rushing",
-        )
+    """Every registered adversary against one protocol, rushing."""
+    base = _spec_from_args(args)
+    return _print_grid(
+        "matrix",
+        f"{args.protocol}: adversary matrix, n={args.n} f={args.f}, rushing",
+        "adversary",
+        (replace(base, adversary=name) for name in STRATEGY_BUILDERS),
+        args.seeds,
     )
-    return 0 if all(r["ok%"] == 100.0 for r in rows) else 1
 
 
 def cmd_campaign(args) -> int:
@@ -320,19 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, protocol_optional: bool = False):
+    def common(p, protocol_optional: bool = False, fixed=()):
+        """The spec flags, less the *fixed* ones the command sets."""
         if protocol_optional:
             p.add_argument("protocol", nargs="?", choices=PROTOCOLS)
         else:
             p.add_argument("protocol", choices=PROTOCOLS)
         p.add_argument("--n", type=int, default=10, help="total nodes")
-        p.add_argument("--f", type=int, default=3, help="Byzantine nodes")
-        p.add_argument(
-            "--adversary",
-            default="silent",
-            choices=STRATEGY_BUILDERS,
-        )
-        p.add_argument("--rushing", action="store_true")
+        if "f" not in fixed:
+            p.add_argument("--f", type=int, default=3, help="Byzantine nodes")
+        if "adversary" not in fixed:
+            p.add_argument(
+                "--adversary", default="silent", choices=STRATEGY_BUILDERS
+            )
+        if "rushing" not in fixed:
+            p.add_argument("--rushing", action="store_true")
         p.add_argument("--max-rounds", type=int, default=500)
         p.add_argument(
             "--variant",
@@ -348,11 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="protocol-specific knob (JSON value), repeatable",
         )
-        p.add_argument(
-            "--force",
-            action="store_true",
-            help="allow configurations violating n > 3f",
-        )
+        if "force" not in fixed:
+            p.add_argument(
+                "--force",
+                action="store_true",
+                help="allow configurations violating n > 3f",
+            )
 
     run_p = sub.add_parser("run", help="one seeded run")
     common(run_p, protocol_optional=True)
@@ -379,17 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="resiliency sweep over f")
-    common(sweep_p)
+    common(sweep_p, fixed=("f", "force"))
     sweep_p.add_argument("--max-f", type=int, default=4)
     sweep_p.add_argument("--seeds", type=int, default=10)
-    sweep_p.set_defaults(func=cmd_sweep, force=True)
+    sweep_p.set_defaults(func=cmd_sweep, f=0, force=True)
 
     matrix_p = sub.add_parser(
         "matrix", help="every adversary against one protocol"
     )
-    common(matrix_p)
+    common(matrix_p, fixed=("adversary", "rushing"))
     matrix_p.add_argument("--seeds", type=int, default=3)
-    matrix_p.set_defaults(func=cmd_matrix)
+    matrix_p.set_defaults(func=cmd_matrix, adversary="silent", rushing=True)
 
     campaign_p = sub.add_parser(
         "campaign",

@@ -15,9 +15,10 @@ import json
 import pytest
 
 from benchmarks._harness import RESULTS_DIR
-from benchmarks.grid import SPECS_DIR, load, main, measure
+from benchmarks.grid import SPECS_DIR, main
 from repro.analysis import campaign
 from repro.analysis.campaign import evaluate_spec
+from repro.analysis.grid import load, measure
 from repro.analysis.report import format_table
 from repro.errors import ConfigurationError
 from repro.scenario import RunSpec

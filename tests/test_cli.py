@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks._harness import RESULTS_DIR
 from repro.analysis import campaign
 from repro.analysis.campaign import evaluate_spec
 from repro.cli import build_parser, main
@@ -102,10 +103,10 @@ class TestCommands:
                 "2",
             ]
         )
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 0
-        assert "| f " in out
-        assert "n>3f" in out
+        assert "| f " in captured.out
+        assert "claim broken" not in captured.err
 
     def test_run_events_jsonl(self, tmp_path, capsys):
         import json
@@ -373,9 +374,8 @@ class TestCampaign:
 class TestSweep:
     """``repro sweep``: one row per f, every run judged like a campaign's."""
 
-    def sweep(self, capsys, *argv):
-        code = main(["sweep", *argv])
-        assert code == 0
+    def sweep(self, capsys, *argv, code=0):
+        assert main(["sweep", *argv]) == code
         return table_rows(capsys.readouterr().out)
 
     def test_rows_per_point(self, capsys):
@@ -384,7 +384,11 @@ class TestSweep:
             "--max-rounds", "50",
         )
         assert [row["f"] for row in rows] == ["0", "1"]
-        assert all(row["ok%"] == "100" for row in rows)
+        assert all(
+            row[column] == "100"
+            for row in rows
+            for column in ("agreement ok%", "termination ok%")
+        )
 
     def test_judge_failures_counted(self, capsys):
         # f=3 of n=6 under a rushing splitter finishes with split
@@ -393,18 +397,18 @@ class TestSweep:
             capsys, "consensus", "--n", "6", "--max-f", "3", "--seeds", "1",
             "--adversary", "splitter", "--rushing", "--max-rounds", "60",
         )
-        assert rows[3]["ok%"] == "0"
+        assert rows[3]["agreement ok%"] == "0"
         assert rows[3]["rounds(mean)"] == "7"
 
     def test_liveness_failures_counted_not_raised(self, capsys):
-        # One round cannot possibly finish.
+        # One round cannot possibly finish: the n > 3f claim breaks.
         rows = self.sweep(
             capsys, "consensus", "--n", "4", "--max-f", "0", "--seeds", "2",
-            "--max-rounds", "1",
+            "--max-rounds", "1", code=1,
         )
         assert rows == [
-            {"f": "0", "n>3f": "yes", "ok%": "0", "rounds(mean)": "0",
-             "msgs(mean)": "0"},
+            {"f": "0", "agreement ok%": "100", "termination ok%": "0",
+             "rounds(mean)": "-", "rounds(max)": "-", "sends(mean)": "-"},
         ]
 
     def test_means_are_over_finished_runs(self, capsys):
@@ -425,23 +429,66 @@ class TestSweep:
         rounds = sum(run["rounds"] for run in runs) / 3
         sends = sum(run["sends"] for run in runs) / 3
         assert rows[2]["rounds(mean)"] == f"{round(rounds, 1):g}"
-        assert rows[2]["msgs(mean)"] == f"{round(sends):g}"
+        assert rows[2]["sends(mean)"] == f"{round(sends, 1):g}"
 
     def test_ok_share_counts_runs_with_every_verdict_held(
         self, capsys, monkeypatch
     ):
         crash_when(monkeypatch, lambda spec: spec.seed == 1)
         rows = self.sweep(
-            capsys, "consensus", "--n", "4", "--max-f", "0", "--seeds", "2"
+            capsys, "consensus", "--n", "4", "--max-f", "0", "--seeds", "2",
+            code=1,
         )
-        assert rows[0]["ok%"] == "50"
+        assert rows[0]["termination ok%"] == "50"
+        assert rows[0]["agreement ok%"] == "100"
 
     def test_approx_is_judged_by_half_range_not_equal_outputs(self, capsys):
         rows = self.sweep(
             capsys, "approx", "--n", "10", "--max-f", "3", "--seeds", "3",
             "--adversary", "value-injector", "--rushing",
         )
-        assert [row["ok%"] for row in rows] == ["100"] * 4
+        assert [
+            (row["termination ok%"], row["half-range ok%"]) for row in rows
+        ] == [("100", "100")] * 4
+
+    def test_e5_is_a_sweep(self, capsys):
+        # The committed E5 grid's points are f = 0..6 on one base spec.
+        rows = self.sweep(
+            capsys, "consensus", "--n", "10", "--max-f", "6", "--adversary",
+            "full-split", "--rushing", "--max-rounds", "150", "--seeds", "10",
+        )
+        committed = table_rows((RESULTS_DIR / "e5_resiliency.md").read_text())
+        for row in committed:
+            del row["n"]
+        assert rows == committed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "consensus", "--seeds", "0"],
+            ["sweep", "consensus", "--max-f", "-1"],
+            ["matrix", "consensus", "--n", "4", "--f", "1", "--seeds", "0"],
+        ],
+    )
+    def test_empty_grid_is_refused(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a grid needs")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "consensus", "--f", "9"],
+            ["sweep", "consensus", "--force"],
+            ["matrix", "consensus", "--adversary", "splitter"],
+            ["matrix", "consensus", "--rushing"],
+        ],
+    )
+    def test_flags_the_grid_sets_are_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 #: Specs that each harness used to judge its own way (all rushing).
@@ -507,11 +554,11 @@ class TestOneJudge:
         code = main(
             ["matrix", "consensus", "--n", "4", "--f", "1", "--seeds", "1"]
         )
-        rows = {
-            row["adversary"]: row
-            for row in table_rows(capsys.readouterr().out)
-        }
+        captured = capsys.readouterr()
+        rows = {row["adversary"]: row for row in table_rows(captured.out)}
         assert code == 1
-        assert rows["noise"]["ok%"] == "0"
+        assert rows["noise"]["termination ok%"] == "0"
         assert rows["noise"]["rounds(max)"] == "-"
-        assert rows["silent"]["ok%"] == "100"
+        assert rows["silent"]["agreement ok%"] == "100"
+        assert rows["silent"]["termination ok%"] == "100"
+        assert "claim broken: matrix point 7: n > 3f" in captured.err
