@@ -11,7 +11,7 @@ rate and rounds; rounds must stay flat in the number of instances.
 # repro-lint: disable-file=R502 -- assembles its runs by hand, not via RunSpec
 
 from repro.adversary import RandomNoiseStrategy, SilentStrategy
-from repro.analysis.checkers import check_parallel_outputs
+from repro.analysis.verdicts import ParallelOutputs, fold
 from repro.core.parallel_consensus import ParallelConsensus
 from repro.sim.runner import Scenario, run_scenario
 
@@ -58,9 +58,10 @@ def build_rows():
                     instances, awareness, seed
                 )
                 agreed += result.agreed
-                theorem_ok += check_parallel_outputs(
-                    result, inputs_by_node
-                ).ok
+                theorem = ParallelOutputs(result.correct_ids, inputs_by_node)
+                theorem_ok += fold(result.trace, theorem) == {
+                    theorem.name: None
+                }
                 rounds.append(result.rounds)
             rows.append(
                 {

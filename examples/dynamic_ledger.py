@@ -16,7 +16,7 @@ Run:  python examples/dynamic_ledger.py
 """
 
 from repro.adversary import SilentStrategy
-from repro.analysis.checkers import check_chain_prefix
+from repro.analysis.verdicts import ChainPrefix, fold
 from repro.core.total_order import TotalOrderNode, events_from_dict
 from repro.sim.membership import MembershipSchedule
 from repro.sim.network import SyncNetwork
@@ -90,7 +90,8 @@ def main() -> None:
             f"finalized ({status})"
         )
 
-    check_chain_prefix(chains).raise_if_failed()
+    verdicts = fold(network.trace, ChainPrefix())
+    assert verdicts == {"chain-prefix": None}, verdicts
     print("\nchain-prefix holds across every replica ✔")
 
     longest = max(chains.values(), key=len)

@@ -18,7 +18,7 @@ Run:  python examples/elastic_cluster.py
 """
 
 from repro.adversary import MembershipLiarStrategy
-from repro.analysis.checkers import check_rotor_good_round
+from repro.analysis.verdicts import GoodRound, fold
 from repro.core.renaming import ByzantineRenaming
 from repro.core.rotor import RotorCoordinator
 from repro.sim.runner import Scenario, run_scenario
@@ -70,8 +70,8 @@ def elect_leaders() -> None:
     node = result.protocols[result.correct_ids[0]]
     print(f"coordinator rotation: {node.selection_order}")
     print(f"rounds to terminate : {result.rounds}")
-    report = check_rotor_good_round(result)
-    report.raise_if_failed()
+    verdicts = fold(result.trace, GoodRound(result.correct_ids))
+    assert verdicts == {"good-round": None}, verdicts
     print(
         "a round existed where every machine trusted the same CORRECT\n"
         "leader — without anyone knowing how many machines or faults "

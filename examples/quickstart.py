@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.adversary import QuorumSplitterStrategy
-from repro.analysis.checkers import check_agreement, check_validity
+from repro.analysis.verdicts import Agreement, Validity, fold
 from repro.core.consensus import EarlyConsensus
 from repro.sim.runner import Scenario, run_scenario
 
@@ -42,8 +42,12 @@ def main() -> None:
     print(f"messages      : {result.metrics.sends_total}")
     print(f"outputs       : {result.outputs}")
 
-    check_agreement(result).raise_if_failed()
-    check_validity(result, inputs).raise_if_failed()
+    # Judge the run from its event trace: every correct node decided one
+    # value, and that value was some correct node's input.
+    verdicts = fold(
+        result.trace, Agreement(result.correct_ids), Validity(inputs)
+    )
+    assert verdicts == {"agreement": None, "validity": None}, verdicts
     decision = next(iter(result.distinct_outputs))
     print(f"\nAgreement reached on {decision!r} — despite nobody knowing "
           "n or f.")

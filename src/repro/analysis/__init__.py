@@ -1,11 +1,10 @@
-"""Run analysis: property checkers, monitors, the judge, and reports.
+"""Run analysis: stream verdicts, the judge, campaigns, grids, reports.
 
-* :mod:`~repro.analysis.checkers` — machine-checkable versions of every
-  guarantee the paper proves (agreement, validity, the three
-  reliable-broadcast properties, the rotor's good round, approximate
-  agreement's range conditions, chain prefix/growth);
-* :mod:`~repro.analysis.monitor` — online monitors that name the round
-  a property broke in;
+* :mod:`~repro.analysis.verdicts` — every guarantee the paper proves
+  (agreement, validity, the three reliable-broadcast properties, the
+  rotor's good round, approximate agreement's range conditions, chain
+  prefix/growth) as a fold over a run's event stream, live or
+  recorded (``repro judge RUN.jsonl``);
 * :mod:`~repro.analysis.campaign` — :func:`judge`, the one verdict per
   spec that every harness uses, and Monte Carlo churn campaigns: many
   seed-derived RunSpecs in a worker pool, per-monitor violation rates;
@@ -23,24 +22,7 @@ from repro.analysis.campaign import (
     judge,
     run_campaign,
 )
-from repro.analysis.checkers import (
-    CheckReport,
-    check_agreement,
-    check_approx_agreement,
-    check_chain_prefix,
-    check_parallel_outputs,
-    check_reliable_broadcast,
-    check_rotor_good_round,
-    check_validity,
-)
 from repro.analysis.complexity import classify_growth, fit_line
-from repro.analysis.monitor import (
-    AgreementMonitor,
-    BoundMonitor,
-    ChainConsistencyMonitor,
-    RelayMonitor,
-    TraceMonitor,
-)
 from repro.analysis.oracle import (
     OracleReport,
     OracleVerdict,
@@ -51,24 +33,11 @@ from repro.analysis.report import format_table
 from repro.analysis.timeline import render_timeline
 
 __all__ = [
-    "AgreementMonitor",
-    "BoundMonitor",
     "CampaignReport",
-    "ChainConsistencyMonitor",
-    "CheckReport",
     "OracleReport",
     "OracleVerdict",
-    "RelayMonitor",
-    "TraceMonitor",
     "build_specs",
-    "check_agreement",
-    "check_approx_agreement",
-    "check_chain_prefix",
-    "check_parallel_outputs",
-    "check_reliable_broadcast",
-    "check_rotor_good_round",
     "check_sampled_agreement",
-    "check_validity",
     "classify_growth",
     "compare_with_oracle",
     "derive_seed",

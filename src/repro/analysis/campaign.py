@@ -4,23 +4,9 @@ The campaign driver turns a *base* :class:`~repro.scenario.RunSpec`
 into ``runs`` seed-derived specs (splitmix-style mixing of the campaign
 seed with the run index — workers never share generator state, so the
 scenario list is a pure function of ``(campaign_seed, runs)``), runs
-them in a process pool, and aggregates monitor verdicts
-from each run's event stream into per-monitor violation rates:
-
-* **chain-prefix** / **chain-growth** / **finality-lag** — Theorem 11.1
-  under churn, for ``total-order`` runs (online
-  :class:`~repro.analysis.monitor.ChainConsistencyMonitor` for the
-  prefix, post-hoc checks over the finished chains for growth and lag);
-* **agreement** — conflicting ``decide`` events, for deciding
-  protocols (online :class:`~repro.analysis.monitor.AgreementMonitor`);
-* **termination** — the run finished inside its round budget without
-  crashing, plus the O(f) early-stopping bound for full-variant
-  consensus;
-* **half-range** — approximate agreement's range contraction;
-* **reliable-broadcast** (Theorem 5.5's three properties),
-  **good-round** (the rotor's, Theorem 6.3) and **validity** (the TRB
-  payload, and every correct input in every interactive-consistency
-  vector).
+them in a process pool, and aggregates the verdicts of each run's
+event stream (:func:`repro.analysis.verdicts.verdicts_for` says which)
+into per-monitor violation rates.
 
 The report is byte-deterministic for a given (base spec, campaign
 seed, run count) regardless of worker count: specs are derived by
@@ -31,12 +17,10 @@ beside the report, never in it (``repro campaign --out R.json`` writes
 them to ``R.timing.json``).  Any violating spec is saved as a JSON
 artifact that ``repro run --scenario FILE`` replays directly.
 
-:func:`judge` is the one place that decides which properties a
-protocol promises: ``repro run``, campaigns, the grids of
-:mod:`repro.analysis.grid` (``repro sweep``, ``repro matrix`` and the
-experiment tables) and the sampled-consensus oracle all take their
-verdicts from it, so a replayed artifact reads exactly what the report
-said.
+``repro run``, campaigns, the grids of :mod:`repro.analysis.grid`
+(``repro sweep``, ``repro matrix`` and the experiment tables) and the
+sampled-consensus oracle all take their verdicts from :func:`judge`, so
+a replayed artifact reads exactly what the report said.
 """
 
 from __future__ import annotations
@@ -47,24 +31,12 @@ import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from repro.analysis.checkers import (
-    check_approx_agreement,
-    check_reliable_broadcast,
-    check_rotor_good_round,
-    check_validity,
-)
-from repro.analysis.monitor import AgreementMonitor, ChainConsistencyMonitor
 from repro.analysis.report import format_table
-from repro.errors import PropertyViolation, ReproError, SimulationError
+from repro.analysis.verdicts import Judgement
+from repro.errors import ReproError, failure_text
 from repro.obs.bus import EventBus
-from repro.obs.events import ProtocolEvent
-from repro.scenario import (
-    RunSpec,
-    collector_paused,
-    get_protocol,
-    resolve_inputs,
-    run_spec,
-)
+from repro.obs.events import RunEnded, RunStarted
+from repro.scenario import RunSpec, collector_paused, run_spec
 from repro.sim.runner import ScenarioResult
 
 __all__ = [
@@ -78,27 +50,7 @@ __all__ = [
     "run_campaign",
 ]
 
-#: The directory that holds the ``repro`` package: crash locations are
-#: reported relative to it, so they read the same in every checkout.
-_PACKAGE_PARENT = pathlib.Path(__file__).resolve().parents[2]
-
 _MASK64 = (1 << 64) - 1
-
-#: Protocols whose ``decide`` values must agree exactly (approx decides
-#: nearby floats, total-order/rb decide nothing comparable this way, and
-#: the rotor decides its last accepted opinion, which Theorem 6.3 leaves
-#: free — a Byzantine last coordinator may split it; its promise is the
-#: good round).
-_DECIDING = frozenset(
-    {
-        "consensus",
-        "binary-consensus",
-        "parallel",
-        "interactive-consistency",
-        "trb",
-        "renaming",
-    }
-)
 
 
 def derive_seed(campaign_seed: int, index: int) -> int:
@@ -130,191 +82,40 @@ def build_specs(
 # ---------------------------------------------------------------------------
 # Single-run evaluation (runs inside pool workers — must stay picklable)
 # ---------------------------------------------------------------------------
-class _RecordingMonitor:
-    """Wraps an online monitor: record the first violation, keep running."""
-
-    def __init__(self, name: str, monitor) -> None:
-        self.name = name
-        self.monitor = monitor
-        self.violation: str | None = None
-
-    def on_event(self, event) -> None:
-        if self.violation is not None:
-            return
-        try:
-            self.monitor.on_event(event)
-        except PropertyViolation as exc:
-            self.violation = str(exc)
-
-
-def _correct_inputs(spec: RunSpec, result) -> list:
-    entry = get_protocol(spec.protocol)
-    input_fn = resolve_inputs(spec.inputs or entry.default_inputs)
-    return [
-        input_fn(nid, index)
-        for index, nid in enumerate(result.correct_ids)
-    ]
-
-
-def _chains(result: ScenarioResult) -> list[list]:
-    return [
-        list(p.output) if p.halted else p.chain
-        for p in result.network.protocols().values()
-    ]
-
-
-def _total_order_verdicts(spec: RunSpec, result, verdicts: dict) -> None:
-    network = result.network
-    protocols = network.protocols()
-    alive = network.alive_ids
-
-    # The finality horizon: a machine for round r' is final once
-    # 2(r - r') > 5|S| + 4, so with |S| bounded by every id ever
-    # registered, any run longer than first_event + lag bound must
-    # have finalized something.
-    population_bound = len(network.node_ids)
-    lag_bound = (5 * population_bound) // 2 + 4
-    first_event = int(spec.protocol_params.get("event_first", 2))
-    verdicts["chain-growth"] = None
-    if spec.max_rounds >= first_event + lag_bound + 5:
-        longest = max(map(len, _chains(result)), default=0)
-        if longest == 0:
-            verdicts["chain-growth"] = (
-                f"no chain grew within {spec.max_rounds} rounds "
-                f"(finality horizon {first_event + lag_bound})"
-            )
-
-    verdicts["finality-lag"] = None
-    for nid, protocol in protocols.items():
-        if nid not in alive or protocol.halted:
-            continue
-        if not getattr(protocol, "joined", False):
-            continue
-        local_round = protocol.local_round
-        if local_round is None:
-            continue
-        lag = local_round - protocol.final_through
-        if lag > lag_bound and verdicts["finality-lag"] is None:
-            verdicts["finality-lag"] = (
-                f"node {nid} finality lag {lag} exceeds bound "
-                f"{lag_bound} (|S| <= {population_bound})"
-            )
-
-
-def _violations(report) -> str | None:
-    return "; ".join(report.violations) or None
-
-
-def _payload(spec: RunSpec):
-    """The sender's payload of a broadcast spec (the registry default)."""
-    return spec.protocol_params.get("payload", "payload")
-
-
-def _vector_validity(spec: RunSpec, result) -> str | None:
-    """Every correct node's vector holds every correct node's input."""
-    inputs = dict(zip(result.correct_ids, _correct_inputs(spec, result)))
-    for nid in result.correct_ids:
-        vector = dict(result.outputs.get(nid) or ())
-        for source, value in inputs.items():
-            if vector.get(source) != value:
-                return (
-                    f"node {nid}'s vector holds {vector.get(source)!r} for"
-                    f" correct node {source}, whose input is {value!r}"
+def _judged(
+    spec: RunSpec, bus: EventBus
+) -> tuple[ScenarioResult | None, Judgement]:
+    """Run *spec* on *bus* under a :class:`Judgement` of its events."""
+    judgement = Judgement().attach(bus)
+    result = None
+    try:
+        result = run_spec(spec, bus=bus)
+    except Exception as exc:
+        if not judgement.failed:
+            # The run failed where the engine could not say so: before
+            # its first round, or after its run-end.
+            if judgement.folds is None:
+                judgement.on_run_start(
+                    RunStarted("sim", spec.seed, spec.to_json_dict())
                 )
-    return None
-
-
-def _crash(exc: Exception) -> str:
-    """``crash: <Type> at repro/<path>:<line>: <message>``.
-
-    The location is the innermost traceback frame inside the package
-    (a crash in the standard library points at the package line that
-    called it), relative to the package's parent directory.
-    """
-    import traceback
-
-    where = "?"
-    for frame in reversed(traceback.extract_tb(exc.__traceback__)):
-        path = pathlib.Path(frame.filename).resolve()
-        if path.is_relative_to(_PACKAGE_PARENT / "repro"):
-            relative = path.relative_to(_PACKAGE_PARENT).as_posix()
-            where = f"{relative}:{frame.lineno}"
-            break
-    return f"crash: {type(exc).__name__} at {where}: {exc}"
+            judgement.on_run_end(RunEnded(0, error=failure_text(exc)))
+    return result, judgement
 
 
 def judge(
     spec: RunSpec, bus: EventBus
 ) -> tuple[ScenarioResult | None, dict[str, str | None]]:
-    """Run *spec* on *bus* under its protocol's monitors.
+    """Run *spec* on *bus* and judge its event stream.
 
     Returns the finished result (``None`` when the run did not finish)
-    and ``verdicts``: monitor name -> None (held) or the violation
-    message.  The online monitors (``chain-prefix`` for total-order,
-    ``agreement`` for deciding protocols) subscribe to *bus* and name
-    the round a property broke in; the post-hoc checks (chain growth,
-    finality lag, the O(f) consensus bound, half-range contraction,
-    reliable broadcast, the rotor's good round, validity) run over the
-    finished result.  A run that exhausts its round budget
-    is a ``termination`` liveness violation, and a run that raises any
-    other exception is a ``termination`` crash — a finding, never an
-    aborted caller.
+    and ``verdicts``: name -> None (held) or the violation message —
+    what ``repro judge`` reads back from the run's recorded stream.  A
+    run that exhausts its round budget is a ``termination`` liveness
+    violation, and a run that raises any other exception a
+    ``termination`` crash: a finding, never an aborted caller.
     """
-    online: list[_RecordingMonitor] = []
-    if spec.protocol == "total-order":
-        online.append(
-            _RecordingMonitor("chain-prefix", ChainConsistencyMonitor())
-        )
-    elif spec.protocol in _DECIDING:
-        online.append(_RecordingMonitor("agreement", AgreementMonitor()))
-    for wrapper in online:
-        bus.subscribe(wrapper.on_event, ProtocolEvent.topic)
-
-    verdicts: dict[str, str | None] = {w.name: None for w in online}
-    verdicts["termination"] = None
-    result = None
-    try:
-        result = run_spec(spec, bus=bus)
-    except SimulationError as exc:
-        verdicts["termination"] = f"liveness: {exc}"
-    except Exception as exc:
-        verdicts["termination"] = _crash(exc)
-    for wrapper in online:
-        verdicts[wrapper.name] = wrapper.violation
-    if result is None:
-        return None, verdicts
-    if spec.protocol == "total-order":
-        _total_order_verdicts(spec, result, verdicts)
-    elif spec.protocol == "consensus" and spec.variant == "full":
-        # Early-stopping consensus terminates in O(f) rounds: two init
-        # rounds plus at most 2f + 4 five-round phases.
-        bound = 2 + 5 * (2 * spec.f + 4)
-        if result.rounds > bound:
-            verdicts["termination"] = (
-                f"consensus took {result.rounds} rounds; O(f) bound is "
-                f"{bound}"
-            )
-    elif spec.protocol == "approx":
-        report = check_approx_agreement(
-            result, [float(v) for v in _correct_inputs(spec, result)]
-        )
-        verdicts["half-range"] = _violations(report)
-    elif spec.protocol == "reliable-broadcast":
-        # The registry makes the first correct node the sender.
-        verdicts["reliable-broadcast"] = _violations(
-            check_reliable_broadcast(
-                result, result.correct_ids[0], _payload(spec), True
-            )
-        )
-    elif spec.protocol == "rotor":
-        verdicts["good-round"] = _violations(check_rotor_good_round(result))
-    elif spec.protocol == "trb":
-        verdicts["validity"] = _violations(
-            check_validity(result, [_payload(spec)])
-        )
-    elif spec.protocol == "interactive-consistency":
-        verdicts["validity"] = _vector_validity(spec, result)
-    return result, verdicts
+    result, judgement = _judged(spec, bus)
+    return result, judgement.verdicts()
 
 
 @collector_paused
@@ -326,9 +127,9 @@ def evaluate_spec(spec: RunSpec) -> dict[str, Any]:
     counting on return, and the collector resumes on an almost empty
     heap instead of re-traversing the run (DESIGN.md §4).
     """
-    result, verdicts = judge(spec, EventBus())
+    result, judgement = _judged(spec, EventBus())
     row = {
-        "verdicts": verdicts,
+        "verdicts": judgement.verdicts(),
         "rounds": None,
         "sends": None,
         "chain_length": None,
@@ -337,7 +138,7 @@ def evaluate_spec(spec: RunSpec) -> dict[str, Any]:
         row["rounds"] = result.rounds
         row["sends"] = result.metrics.sends_total
         if spec.protocol == "total-order":
-            row["chain_length"] = max(map(len, _chains(result)), default=0)
+            row["chain_length"] = judgement["chain-growth"].longest
     return row
 
 

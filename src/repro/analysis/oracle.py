@@ -19,7 +19,7 @@ hence the ``supermajority`` input default (see
 :func:`repro.scenario.registry.supermajority_inputs`).  Under a
 near-even split both values are valid and the two protocols may
 legitimately resolve differently; that regime is still covered by each
-run's *internal* agreement monitor, just not by cross-run equality.
+run's *internal* agreement verdict, just not by cross-run equality.
 
 The benchmark harness (``benchmarks/bench_engine.py --agreement-seeds``)
 and the integration tests both go through :func:`check_sampled_agreement`
@@ -97,7 +97,7 @@ class OracleReport:
 
 def _single_outcome(outputs: dict) -> Hashable:
     values = set(outputs.values())
-    if len(values) != 1:  # pragma: no cover - monitor raises first
+    if len(values) != 1:  # pragma: no cover - agreement fails first
         raise AssertionError(f"run did not agree internally: {values!r}")
     return values.pop()
 

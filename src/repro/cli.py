@@ -7,6 +7,8 @@ Subcommands:
   ``--scenario FILE`` to replay a serialized :class:`RunSpec` instead
   (e.g. a campaign violation artifact), and ``--events FILE`` to record
   the run's event stream (two runs of one spec write identical bytes);
+* ``repro judge RUN.jsonl`` — judge such a stream on its own: the
+  verdict lines and exit code ``run`` printed;
 * ``repro sweep <protocol>`` — a resiliency sweep over ``f`` for a fixed
   population, one grid (:mod:`repro.analysis.grid`);
 * ``repro matrix <protocol>`` — every registered adversary, one grid;
@@ -34,7 +36,7 @@ from dataclasses import replace
 from repro.adversary import STRATEGY_BUILDERS
 from repro.analysis.campaign import judge
 from repro.analysis.report import format_table
-from repro.errors import ReproError
+from repro.errors import EventStreamError, ReproError
 from repro.obs.bus import EventBus
 from repro.scenario import (
     CHURN_KINDS,
@@ -139,8 +141,7 @@ def cmd_run(args) -> int:
                 f"over {result.metrics.decisions} decisions"
             )
         print(f"outputs  : {result.outputs}")
-    for name, violation in verdicts.items():
-        print(f"{name}: {'OK' if violation is None else violation}")
+    code = _print_verdicts(verdicts)
     if sink is not None:
         print(f"events   : {sink.count} -> {args.events}")
     if args.timeline and result is not None:
@@ -148,7 +149,30 @@ def cmd_run(args) -> int:
 
         print()
         print(render_timeline(result.trace, result.correct_ids))
+    return code
+
+
+def _print_verdicts(verdicts: dict) -> int:
+    """One ``name: OK|message`` line per verdict; exit 1 if any broke."""
+    for name, violation in verdicts.items():
+        print(f"{name}: {'OK' if violation is None else violation}")
     return 0 if all(v is None for v in verdicts.values()) else 1
+
+
+def cmd_judge(args) -> int:
+    """Judge a recorded ``run --events`` stream, as ``run`` judged it."""
+    from repro.analysis.verdicts import judge_stream
+
+    try:
+        verdicts = judge_stream(args.stream)
+    except EventStreamError as exc:
+        problem = f"line {exc.line}: {exc.problem}"
+    except OSError as exc:
+        problem = str(exc)
+    else:
+        return _print_verdicts(verdicts)
+    print(f"error: {args.stream}: {problem}", file=sys.stderr)
+    return 2
 
 
 def _print_grid(name: str, title: str, key: str, specs, seeds: int) -> int:
@@ -338,6 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
         "schema-versioned JSONL (see docs/observability.md)",
     )
     run_p.set_defaults(func=cmd_run)
+
+    judge_p = sub.add_parser(
+        "judge",
+        help="judge a recorded run --events stream: the verdict lines "
+        "and exit code run printed",
+    )
+    judge_p.add_argument("stream", metavar="RUN.jsonl")
+    judge_p.set_defaults(func=cmd_judge)
 
     sweep_p = sub.add_parser("sweep", help="resiliency sweep over f")
     common(sweep_p, fixed=("f", "force"))

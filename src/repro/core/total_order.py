@@ -24,8 +24,8 @@ broadcasts ``absent``, keeps participating in its outstanding machines,
 and halts when they terminate.
 
 Late joiners have no history: their chain covers machines from their join
-round on.  The chain-prefix checker therefore compares nodes on their
-common suffix of rounds (see ``repro.analysis.checkers``).
+round on.  The chain-prefix verdict therefore compares nodes per
+machine round (see ``repro.analysis.verdicts``).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class TotalOrderNode(Protocol):
             self.participants.add(api.node_id)
             self.local_round = 0
             self.joined = True
-            api.emit("to-join", mode="seed", members=len(self.participants))
+            self._emit_join(api, mode="seed")
             return
         # Mid-run joiner: wait one round for present to land, then read
         # the (ack, r) replies.
@@ -169,11 +169,15 @@ class TotalOrderNode(Protocol):
         # earlier rounds are history we never saw.
         self.final_through = self.local_round
         self.joined = True
+        self._emit_join(api, mode="handshake", adopted_round=majority_round)
+
+    def _emit_join(self, api: NodeApi, **detail) -> None:
         api.emit(
             "to-join",
-            mode="handshake",
-            adopted_round=majority_round,
+            **detail,
             members=len(self.participants),
+            local_round=self.local_round,
+            final_through=self.final_through,
         )
 
     # ------------------------------------------------------------------

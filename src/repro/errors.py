@@ -6,6 +6,12 @@ catch everything from this package with a single ``except`` clause.
 
 from __future__ import annotations
 
+import pathlib
+
+#: The directory that holds the ``repro`` package: crash locations are
+#: reported relative to it, so they read the same in every checkout.
+_PACKAGE_PARENT = pathlib.Path(__file__).resolve().parents[1]
+
 
 class ReproError(Exception):
     """Base class for every error raised by the repro library."""
@@ -56,6 +62,7 @@ class EventStreamError(ReproError, ValueError):
 
     def __init__(self, line: int, problem: str):
         self.line = line
+        self.problem = problem
         super().__init__(f"events line {line}: {problem}")
 
 
@@ -74,7 +81,25 @@ class WireError(ReproError, ValueError):
 class PropertyViolation(ReproError):
     """A checked correctness property (agreement, validity, ...) failed.
 
-    Raised by :mod:`repro.analysis.checkers` when a run violates one of the
-    paper's guarantees.  Benchmarks and tests rely on this never firing for
-    ``n > 3f`` and on being able to provoke it for ``n <= 3f``.
+    Raised by :mod:`repro.analysis.oracle` when a judged run violates
+    one of the paper's guarantees.
     """
+
+
+def failure_text(exc: BaseException) -> str:
+    """Why a run did not finish: ``liveness: <message>`` for a
+    :class:`SimulationError` (a blown round budget), else ``crash:
+    <Type> at repro/<path>:<line>: <message>`` at the innermost
+    traceback frame inside the package."""
+    if isinstance(exc, SimulationError):
+        return f"liveness: {exc}"
+    import traceback  # here, not at start-up: only a crashed run pays
+
+    where = "?"
+    for frame in reversed(traceback.extract_tb(exc.__traceback__)):
+        path = pathlib.Path(frame.filename).resolve()
+        if path.is_relative_to(_PACKAGE_PARENT / "repro"):
+            relative = path.relative_to(_PACKAGE_PARENT).as_posix()
+            where = f"{relative}:{frame.lineno}"
+            break
+    return f"crash: {type(exc).__name__} at {where}: {exc}"

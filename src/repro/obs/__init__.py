@@ -4,7 +4,7 @@ Producers (:mod:`repro.sim.network`, :mod:`repro.net.runner`,
 :mod:`repro.asyncsim.engine`) publish the typed events of
 :mod:`repro.obs.events` onto an :class:`EventBus`; consumers —
 :class:`~repro.sim.metrics.Metrics`, :class:`~repro.sim.trace.Trace`,
-the online monitors, timelines, and JSONL files —
+the stream verdicts, timelines, and JSONL files —
 subscribe.  See docs/observability.md.
 """
 
@@ -19,6 +19,7 @@ from repro.obs.events import (
     ProtocolEvent,
     RoundEnded,
     RoundStarted,
+    RunEnded,
     RunStarted,
 )
 from repro.obs.jsonl import (
@@ -40,6 +41,7 @@ __all__ = [
     "ProtocolEvent",
     "RoundEnded",
     "RoundStarted",
+    "RunEnded",
     "RunStarted",
     "JsonlSink",
     "event_to_json",

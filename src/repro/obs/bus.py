@@ -3,8 +3,8 @@
 An :class:`EventBus` carries the typed events of
 :mod:`repro.obs.events` from whichever runtime is executing a run to
 whatever wants to observe it — :class:`~repro.sim.metrics.Metrics`
-counters, the :class:`~repro.sim.trace.Trace` log, online monitors
-(:mod:`repro.analysis.monitor`), JSONL files.
+counters, the :class:`~repro.sim.trace.Trace` log, stream verdicts
+(:mod:`repro.analysis.verdicts`), JSONL files.
 
 Design constraints, in order:
 
@@ -16,8 +16,7 @@ Design constraints, in order:
    rounds and rebuild only when subscriptions actually changed.
 2. **Dumb dispatch.**  A subscriber is any callable taking one event;
    dispatch is a plain loop, synchronous, in subscription order.  A
-   subscriber that raises aborts the emitting round — monitors use
-   exactly this to fail *inside* the offending round.
+   subscriber that raises aborts the emitting round.
 3. **Runtime-agnostic.**  The bus knows nothing about rounds, nodes, or
    networks; it routes on ``event.topic`` alone.
 

@@ -10,7 +10,7 @@ subscribers must never mutate what they receive.  The sync simulator (:mod:`repr
 the TCP lock-step runner (:mod:`repro.net.runner`) and the discrete-event
 engine (:mod:`repro.asyncsim.engine`) all publish the *same* classes onto
 an :class:`~repro.obs.bus.EventBus`, so every consumer — traces, metrics,
-online monitors, timelines, JSONL files — works
+stream verdicts, timelines, JSONL files — works
 unchanged whichever runtime drove the run.
 
 Topics
@@ -20,6 +20,7 @@ Topics
 topic       event class                    emitted by
 ========== =============================== ===============================
 run-start   :class:`RunStarted`            all runtimes, once per run
+run-end     :class:`RunEnded`              sim, last, once per run
 round-start :class:`RoundStarted`          sim + net, each round
 round-end   :class:`RoundEnded`            sim + net, each round
 send        :class:`MessageSent`           all runtimes, per send row
@@ -47,7 +48,7 @@ from repro.types import NodeId, Round
 #: Version of the event vocabulary *and* its JSONL rendering.  Bump on
 #: any field/topic change and document the migration in
 #: docs/observability.md.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(slots=True)
@@ -75,12 +76,34 @@ class ProtocolEvent:
 
 @dataclass(slots=True)
 class RunStarted:
-    """A runtime began executing a run."""
+    """A runtime began executing a run: the sim names its RunSpec
+    document (``None`` for a run built by hand) and the founding
+    population's ids, ascending, so its stream can be judged alone."""
 
     runtime: str  # "sim" | "net" | "asyncsim"
     seed: int | None = None
+    spec: dict[str, Any] | None = None
+    correct: Sequence[NodeId] | None = None
+    byzantine: Sequence[NodeId] | None = None
 
     topic: ClassVar[str] = "run-start"
+
+
+@dataclass(slots=True)
+class RunEnded:
+    """The last event of every sim run, also one that raised: the last
+    round, the ids still in the network (in the order they joined it),
+    how many ids were ever registered, how many correct nodes halted
+    with an output, and ``error``, ``None`` or why the run did not
+    finish (:func:`repro.errors.failure_text`)."""
+
+    rounds: Round
+    alive: Sequence[NodeId] = ()
+    registered: int = 0
+    decisions: int = 0
+    error: str | None = None
+
+    topic: ClassVar[str] = "run-end"
 
 
 @dataclass(slots=True)
@@ -213,29 +236,6 @@ class PlaneStats:
 
 
 @dataclass(slots=True)
-class DecisionEconomy:
-    """Message economy of one finished run: what each decision cost.
-
-    Emitted once by the sync engine at the end of ``run()``, after the
-    last round.  ``decisions`` counts correct nodes that halted with an
-    output; the per-decision ratios divide the run totals by it (zero
-    decisions leaves them at 0.0 rather than dividing).  The sampled
-    consensus variants exist to shrink ``messages_per_decision``; the
-    benchmark harness compares this event against committed baselines.
-    Process-local — not in :data:`EVENT_TYPES`.
-    """
-
-    rounds: Round
-    decisions: int
-    sends_total: int
-    bytes_total: int
-    messages_per_decision: float
-    bytes_per_decision: float
-
-    topic: ClassVar[str] = "decision-economy"
-
-
-@dataclass(slots=True)
 class InboxDelivered:
     """One recipient's deliveries for one round (or one asyncsim
     delivery, as a singleton batch).
@@ -276,6 +276,7 @@ EVENT_TYPES: dict[str, type] = {
     for cls in (
         ProtocolEvent,
         RunStarted,
+        RunEnded,
         RoundStarted,
         RoundEnded,
         EnginePhase,

@@ -2,10 +2,12 @@
 
 One JSON object per line; the first line is a schema header::
 
-    {"topic": "schema", "v": 1, "format": "repro.obs"}
+    {"topic": "schema", "v": 2, "format": "repro.obs"}
+    {"topic": "run-start", "runtime": "sim", "seed": 5, "spec": {...}, ...}
     {"topic": "round-start", "round": 1}
     {"topic": "send", "round": 1, "sender": 42, "kind": "echo", ...}
     {"topic": "protocol", "round": 7, "node": 42, "event": "decide", ...}
+    {"topic": "run-end", "rounds": 9, "alive": [42, ...], ...}
 
 JSON-native values pass through; dicts and sequences recurse (tuples
 become JSON arrays); everything else (``⊥``, frozensets, protocol
@@ -28,26 +30,31 @@ from dataclasses import fields
 from typing import Any, Iterable, Iterator
 
 from repro.errors import EventStreamError
-from repro.obs.events import SCHEMA_VERSION, ProtocolEvent
+from repro.obs.events import EVENT_TYPES, SCHEMA_VERSION, ProtocolEvent
 
 __all__ = [
     "JsonlSink",
+    "event_from_json",
     "event_to_json",
+    "jsonable",
     "load_protocol_events",
+    "numbered_docs",
     "read_jsonl",
 ]
 
 _JSON_NATIVE = (str, int, float, bool, type(None))
 
 
-def _jsonable(value: Any) -> Any:
-    """JSON-native passthrough; everything else degrades to ``repr``."""
+def jsonable(value: Any) -> Any:
+    """A value as its JSONL line renders it (what reading it back gives):
+    JSON-native passthrough, tuples as lists, ``str`` dict keys, and
+    everything else degraded to ``repr``."""
     if isinstance(value, _JSON_NATIVE):
         return value
     if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
+        return {str(key): jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
+        return [jsonable(item) for item in value]
     return repr(value)
 
 
@@ -55,10 +62,10 @@ def _message_to_json(message: Any) -> dict:
     """Render one delivered message (sim Message or asyncsim
     AsyncMessage) without importing either type."""
     return {
-        "from": _jsonable(message.sender),
+        "from": jsonable(message.sender),
         "kind": message.kind,
-        "payload": _jsonable(message.payload),
-        "instance": _jsonable(getattr(message, "instance", None)),
+        "payload": jsonable(message.payload),
+        "instance": jsonable(getattr(message, "instance", None)),
     }
 
 
@@ -68,18 +75,18 @@ def _send_to_json(send: Any) -> dict:
     staged flag."""
     doc: dict[str, Any] = {
         "topic": send.topic,
-        "round": _jsonable(send.round),
-        "sender": _jsonable(send.sender),
-        "kind": _jsonable(send.kind),
-        "payload": _jsonable(send.payload),
-        "instance": _jsonable(send.instance),
+        "round": jsonable(send.round),
+        "sender": jsonable(send.sender),
+        "kind": jsonable(send.kind),
+        "payload": jsonable(send.payload),
+        "instance": jsonable(send.instance),
     }
     if send.dests is not None:
-        doc["dest"] = _jsonable(send.dest)
+        doc["dest"] = jsonable(send.dest)
     doc["wire_bytes"] = sum(send.wire_bytes)
     doc["staged"] = bool(send.staged)
     if send.time is not None:
-        doc["time"] = _jsonable(send.time)
+        doc["time"] = jsonable(send.time)
     return doc
 
 
@@ -99,7 +106,7 @@ def event_to_json(event: Any) -> dict:
             doc["count"] = len(value)
             doc["messages"] = [_message_to_json(m) for m in value]
         elif value is not None or field.name in ("payload", "instance"):
-            doc[field.name] = _jsonable(value)
+            doc[field.name] = jsonable(value)
     return doc
 
 
@@ -139,7 +146,7 @@ class JsonlSink:
                 self._fh.write(json.dumps(_send_to_json(send)) + "\n")
                 self.count += 1
             return
-        if topic in ("plane-stats", "decision-economy"):
+        if topic == "plane-stats":
             # Process-local engine counters; not part of the wire
             # vocabulary (Metrics.summary() reports them instead).
             return
@@ -161,14 +168,14 @@ class JsonlSink:
         self.close()
 
 
-def _numbered_docs(source) -> Iterator[tuple[int, dict]]:
+def numbered_docs(source) -> Iterator[tuple[int, dict]]:
     """``(1-based line number, event dict)`` for each non-blank line."""
-    lines: Iterable[str]
     if isinstance(source, (str, pathlib.Path)):
-        lines = pathlib.Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = source
-    for number, line in enumerate(lines, start=1):
+        # Line by line: a recorded n=200 run is half a gigabyte.
+        with open(source, encoding="utf-8") as lines:
+            yield from numbered_docs(lines)
+        return
+    for number, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
@@ -202,23 +209,22 @@ def read_jsonl(source) -> Iterator[dict]:
     malformed JSON, a line that is not an object or has no ``topic``,
     and a schema version newer than this reader understands.
     """
-    for _number, doc in _numbered_docs(source):
+    for _number, doc in numbered_docs(source):
         yield doc
 
 
-def load_protocol_events(source) -> list[ProtocolEvent]:
-    """Rehydrate the semantic (``protocol``) events of a stream.
+def event_from_json(number: int, doc: dict) -> Any:
+    """Rehydrate line *number* of a stream (say a ``protocol``,
+    ``run-start`` or ``run-end`` line) as its event.
 
-    Payload values inside ``detail`` come back as their JSONL rendering
-    (JSON-native values intact, everything else as ``repr`` strings) —
-    enough for timelines, monitors, and stream diffing.  A ``protocol``
-    line without ``round``, ``node`` or ``event``, or with a ``detail``
-    that is not an object, raises :class:`~repro.errors.EventStreamError`.
+    Payload values inside come back as their JSONL rendering — enough
+    for timelines, verdicts and stream diffing.  A line that does not
+    fit its event (a ``protocol`` line without ``round``, ``node`` or
+    ``event``, a ``detail`` that is not an object, a missing or unknown
+    field) raises :class:`~repro.errors.EventStreamError`.
     """
-    events: list[ProtocolEvent] = []
-    for number, doc in _numbered_docs(source):
-        if doc["topic"] != ProtocolEvent.topic:
-            continue
+    topic = doc["topic"]
+    if topic == ProtocolEvent.topic:
         missing = [k for k in ("round", "node", "event") if k not in doc]
         if missing:
             raise EventStreamError(
@@ -227,7 +233,21 @@ def load_protocol_events(source) -> list[ProtocolEvent]:
         detail = doc.get("detail", {})
         if not isinstance(detail, dict):
             raise EventStreamError(number, "protocol detail is not an object")
-        events.append(
-            ProtocolEvent(doc["round"], doc["node"], doc["event"], dict(detail))
+        return ProtocolEvent(
+            doc["round"], doc["node"], doc["event"], dict(detail)
         )
-    return events
+    values = {key: value for key, value in doc.items() if key != "topic"}
+    try:
+        return EVENT_TYPES[topic](**values)
+    except (KeyError, TypeError) as exc:
+        raise EventStreamError(number, f"{topic} line: {exc}") from None
+
+
+def load_protocol_events(source) -> list[ProtocolEvent]:
+    """Rehydrate the semantic (``protocol``) events of a stream
+    (:func:`event_from_json` says how)."""
+    return [
+        event_from_json(number, doc)
+        for number, doc in numbered_docs(source)
+        if doc["topic"] == ProtocolEvent.topic
+    ]

@@ -116,6 +116,7 @@ def materialize(spec: RunSpec) -> Scenario:
         membership=membership,
         id_space=spec.id_space,
         enforce_resiliency=spec.enforce_resiliency,
+        spec=spec.to_json_dict(),
     )
 
 

@@ -59,9 +59,9 @@ class Metrics:
     #: True once a plane-stats event arrived (None before): the sync
     #: engine has no other message path, so this can never be False.
     columnar_active: bool | None = None
-    #: Decision economy (from the run-end ``decision-economy`` event):
+    #: Decision economy (from a finished run's ``run-end`` event):
     #: correct nodes that halted with an output, and the run's message
-    #: cost amortized over them.
+    #: cost amortized over them (0.0 with no decision).
     decisions: int = 0
     messages_per_decision: float = 0.0
     bytes_per_decision: float = 0.0
@@ -77,7 +77,7 @@ class Metrics:
         bus.subscribe(self._on_phase, "engine-phase")
         bus.subscribe(self._on_drop, "drop")
         bus.subscribe(self._on_plane, "plane-stats")
-        bus.subscribe(self._on_economy, "decision-economy")
+        bus.subscribe(self._on_run_end, "run-end")
         return self
 
     def detach(self, bus) -> None:
@@ -88,7 +88,7 @@ class Metrics:
         bus.unsubscribe(self._on_phase)
         bus.unsubscribe(self._on_drop)
         bus.unsubscribe(self._on_plane)
-        bus.unsubscribe(self._on_economy)
+        bus.unsubscribe(self._on_run_end)
 
     def _on_round_start(self, event) -> None:
         self.record_round(event.round)
@@ -123,10 +123,12 @@ class Metrics:
         self.materialized_messages = event.materialized_messages
         self.columnar_active = True
 
-    def _on_economy(self, event) -> None:
-        self.decisions = event.decisions
-        self.messages_per_decision = event.messages_per_decision
-        self.bytes_per_decision = event.bytes_per_decision
+    def _on_run_end(self, event) -> None:
+        decisions = event.decisions
+        if event.error is None and decisions:
+            self.decisions = decisions
+            self.messages_per_decision = self.sends_total / decisions
+            self.bytes_per_decision = self.bytes_total / decisions
 
     def _on_deliver(self, event) -> None:
         count = len(event.messages)

@@ -19,7 +19,7 @@ The engine knows nothing about any particular protocol; it moves messages,
 tracks contacts, applies membership changes, and publishes everything
 observable onto the run's :class:`~repro.obs.bus.EventBus` — the default
 :class:`~repro.sim.metrics.Metrics` and :class:`~repro.sim.trace.Trace`
-are ordinary subscribers of that bus, as are monitors, recorders, and
+are ordinary subscribers of that bus, as are verdicts, recorders, and
 JSONL sinks (see docs/observability.md).  Per-topic sinks are cached
 against the bus version, so a topic nobody subscribed to costs the hot
 path one ``None`` check per emission site.
@@ -74,10 +74,13 @@ from itertools import compress
 from typing import Any, Callable, Iterable, Sequence
 from typing import Protocol as TypingProtocol
 
-from repro.errors import ConfigurationError, RoundLimitExceeded
+from repro.errors import (
+    ConfigurationError,
+    RoundLimitExceeded,
+    failure_text,
+)
 from repro.obs.bus import EventBus
 from repro.obs.events import (
-    DecisionEconomy,
     EnginePhase,
     InboxDelivered,
     MessageSent,
@@ -85,6 +88,7 @@ from repro.obs.events import (
     ProtocolEvent,
     RoundEnded,
     RoundStarted,
+    RunEnded,
     RunStarted,
 )
 from repro.sim.columnar import ColumnarIndex, ColumnarPlane
@@ -187,8 +191,12 @@ class SyncNetwork:
         measure_bytes: bool = False,
         clock: Callable[[], float] | None = None,
         bus: EventBus | None = None,
+        spec: dict[str, Any] | None = None,
     ):
         self.seed = seed
+        #: The run's RunSpec document, published on ``run-start`` (None
+        #: for a network not built from a spec).
+        self.spec = spec
         self._rng = make_rng(seed)
         self.rushing = rushing
         self.membership = membership or MembershipSchedule()
@@ -342,52 +350,46 @@ class SyncNetwork:
         runs out).  Returns the number of the last executed round.
 
         With ``until_all_halted=False`` the engine always runs exactly
-        ``max_rounds`` rounds (for non-terminating abstractions).
+        ``max_rounds`` rounds (for non-terminating abstractions).  The
+        run's last event is one ``run-end``, also when it raises (its
+        ``error`` then says why, :func:`~repro.errors.failure_text`).
         """
-        for _ in range(max_rounds):
-            self.step()
-            if until_all_halted and self.all_correct_halted():
-                self._emit_economy()
-                return self.round
-        if until_all_halted and not self.all_correct_halted():
-            running = [
-                s.node_id
-                for s in self._nodes.values()
-                if not s.byzantine and s.alive and not s.protocol.halted
-            ]
-            raise RoundLimitExceeded(max_rounds, running)
-        self._emit_economy()
+        try:
+            for _ in range(max_rounds):
+                self.step()
+                if until_all_halted and self.all_correct_halted():
+                    break
+            else:
+                if until_all_halted and not self.all_correct_halted():
+                    running = [
+                        s.node_id
+                        for s in self._nodes.values()
+                        if not s.byzantine
+                        and s.alive
+                        and not s.protocol.halted
+                    ]
+                    raise RoundLimitExceeded(max_rounds, running)
+        except Exception as exc:
+            self._emit_end(failure_text(exc))
+            raise
+        self._emit_end(None)
         return self.round
 
-    def _emit_economy(self) -> None:
-        """Publish the run's message economy (once, at run end).
-
-        Totals come from this network's default Metrics subscriber; a
-        caller that detached it gets zero totals (the decisions count is
-        the engine's own).
-        """
-        sink = self.bus.sink(DecisionEconomy.topic)
+    def _emit_end(self, error: str | None) -> None:
+        """Publish the run's ``run-end`` event (once, last)."""
+        sink = self.bus.sink(RunEnded.topic)
         if sink is None:
             return
+        states = self._nodes.values()
+        alive = tuple(s.node_id for s in states if s.alive)
         decisions = sum(
             1
-            for s in self._nodes.values()
+            for s in states
             if not s.byzantine
             and s.protocol.halted
             and s.protocol.output is not None
         )
-        sends = self.metrics.sends_total
-        wire = self.metrics.bytes_total
-        sink(
-            DecisionEconomy(
-                self.round,
-                decisions,
-                sends,
-                wire,
-                sends / decisions if decisions else 0.0,
-                wire / decisions if decisions else 0.0,
-            )
-        )
+        sink(RunEnded(self.round, alive, len(states), decisions, error))
 
     def _refresh_sinks(self) -> None:
         """Re-snapshot the per-topic dispatchers.
@@ -422,7 +424,11 @@ class SyncNetwork:
         if self.round == 1:
             run_start = self.bus.sink(RunStarted.topic)
             if run_start is not None:
-                run_start(RunStarted("sim", self.seed))
+                correct = sorted(self.correct_ids)
+                byzantine = sorted(self.byzantine_ids)
+                run_start(
+                    RunStarted("sim", self.seed, self.spec, correct, byzantine)
+                )
         if self._emit_round_start is not None:
             self._emit_round_start(RoundStarted(self.round))
         clock = self._clock

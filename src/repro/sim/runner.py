@@ -49,6 +49,9 @@ class Scenario:
     #: When set, checks n > 3f at construction and refuses bad configs;
     #: resiliency experiments set this to False to venture past the bound.
     enforce_resiliency: bool = True
+    #: The RunSpec document this scenario was materialized from (None
+    #: when built by hand); the run publishes it on ``run-start``.
+    spec: dict[str, Any] | None = None
 
     def validate(self) -> None:
         if self.correct <= 0:
@@ -148,7 +151,7 @@ def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
     """Build the network described by *scenario*, run it, return the result.
 
     *bus* (an :class:`~repro.obs.bus.EventBus`) lets callers observe the
-    run — attach monitors or a JSONL sink before calling; ``None`` gives
+    run — attach verdicts or a JSONL sink before calling; ``None`` gives
     the network its own private bus as usual.  Population and round loop
     run with the cyclic collector paused; a caller that also owns the
     result's lifetime extends the pause over it (``evaluate_spec``,
@@ -167,6 +170,7 @@ def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
         rushing=scenario.rushing,
         membership=scenario.membership,
         bus=bus,
+        spec=scenario.spec,
     )
     protocols: dict[NodeId, Protocol] = {}
     for index, node_id in enumerate(correct_ids):

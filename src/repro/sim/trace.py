@@ -2,7 +2,7 @@
 
 Protocols emit semantic events (``accept``, ``decide``, ``good-round``)
 through :meth:`repro.sim.node.NodeApi.emit`; the trace records them with the
-round and node so that property checkers can verify timing-sensitive claims
+round and node so that stream verdicts can verify timing-sensitive claims
 such as the relay property ("if a correct node accepts in round ``r``, every
 correct node accepts by ``r + 1``") after the run.
 
@@ -33,8 +33,9 @@ __all__ = ["Trace", "TraceEvent"]
 class Trace:
     """Append-only semantic-event log for one run.
 
-    Live observers (the online monitors in :mod:`repro.analysis.monitor`)
-    subscribe to the run's bus, not to the log.
+    Live observers (the verdicts of :mod:`repro.analysis.verdicts`)
+    subscribe to the run's bus, not to the log; the log is what
+    :func:`repro.analysis.verdicts.fold` reads after the run.
     """
 
     events: list[TraceEvent] = field(default_factory=list)

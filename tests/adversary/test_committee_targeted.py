@@ -16,10 +16,9 @@ import random
 import pytest
 
 from repro.adversary import EquivocatorStrategy, QuorumSplitterStrategy
-from repro.analysis.monitor import AgreementMonitor
+from repro.analysis.verdicts import Agreement, fold
 from repro.core.committee import sample_committee
 from repro.core.implicit_agreement import CommitteeConsensus
-from repro.obs.bus import EventBus
 from repro.sim.inbox import Inbox
 from repro.sim.message import expand_sends
 from repro.sim.network import AdversaryView, SyncNetwork
@@ -37,9 +36,7 @@ def targeted_network(seed, strategy_builder, byz_in_committee=4):
     byzantine = set(sorted(committee)[:byz_in_committee])
     assert 3 * len(byzantine) < COMMITTEE
     assert 3 * len(byzantine) < POPULATION
-    bus = EventBus()
-    AgreementMonitor().attach(bus)
-    net = SyncNetwork(seed=seed, bus=bus)
+    net = SyncNetwork(seed=seed)
     for index, node_id in enumerate(ids):
         if node_id in byzantine:
             net.add_byzantine(node_id, strategy_builder(seed, committee))
@@ -85,6 +82,7 @@ class TestCommitteeTargetedAdversaries:
         outputs = net.outputs()
         assert len(outputs) == len(ids) - len(byzantine)
         assert len(set(outputs.values())) == 1
+        assert fold(net.trace, Agreement()) == {"agreement": None}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_splitter_aimed_at_committee(self, seed):
@@ -93,6 +91,7 @@ class TestCommitteeTargetedAdversaries:
         outputs = net.outputs()
         assert len(outputs) == len(ids) - len(byzantine)
         assert len(set(outputs.values())) == 1
+        assert fold(net.trace, Agreement()) == {"agreement": None}
 
 
 class Beacon(Protocol):

@@ -1,17 +1,15 @@
-"""Monitors and timelines as event-bus consumers.
+"""Verdicts and timelines as event-bus consumers.
 
-The analysis layer predates the event plane; these tests pin the new
-attachment paths — a monitor subscribing to a bus directly (so it works
-on any runtime) and a timeline rendered from a mixed-topic stream.
+The analysis layer predates the event plane; these tests pin the
+attachment paths — a judgement subscribing to a bus directly (so it
+works on any runtime) and a timeline rendered from a mixed-topic
+stream.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.monitor import AgreementMonitor
 from repro.analysis.timeline import render_timeline
-from repro.errors import PropertyViolation
+from repro.analysis.verdicts import Agreement, Judgement
 from repro.obs import (
     EventBus,
     MessageSent,
@@ -34,19 +32,22 @@ class Decider(Protocol):
 class TestMonitorOnBus:
     def test_attach_to_bus_raises_inside_offending_round(self):
         net = SyncNetwork(seed=0)
-        AgreementMonitor().attach(net.bus)
+        judgement = Judgement([Agreement()]).attach(net.bus)
         net.add_correct(1, Decider("a"))
         net.add_correct(2, Decider("b"))
-        with pytest.raises(PropertyViolation):
-            net.run(3)
-        assert net.round == 1  # raised in the round it happened
+        net.run(3)
+        # The verdict names the round the conflict happened in.
+        assert judgement.verdicts() == {
+            "agreement": "agreement broken in round 1: node 2 decided "
+            "'b' but node 1 decided 'a'"
+        }
 
     def test_bus_monitor_ignores_non_protocol_topics(self):
         bus = EventBus()
-        monitor = AgreementMonitor().attach(bus)
+        judgement = Judgement([Agreement([5])]).attach(bus)
         bus.publish(RoundStarted(1))
         bus.publish(ProtocolEvent(1, 5, "decide", {"value": 1}))
-        assert monitor.decisions == {5: 1}
+        assert judgement.verdicts() == {"agreement": None}
 
 
 class TestTimelineOnMixedStream:

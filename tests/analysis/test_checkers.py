@@ -1,129 +1,122 @@
-"""Tests for the property checkers (including that they can fail)."""
+"""The agreement, validity, approx and chain-prefix verdicts, folded
+over hand-made event streams (including that they can fail).
 
-import pytest
+These cases once pinned ``ScenarioResult``-reading checkers; the
+verdicts of :mod:`repro.analysis.verdicts` read the events alone.
+"""
 
-from repro.analysis.checkers import (
-    CheckReport,
-    check_agreement,
-    check_approx_agreement,
-    check_chain_prefix,
-    check_validity,
+from repro.analysis.verdicts import (
+    Agreement,
+    ChainPrefix,
+    HalfRange,
+    Validity,
+    fold,
 )
-from repro.errors import PropertyViolation
-from repro.sim.metrics import Metrics
-from repro.sim.runner import ScenarioResult
-from repro.sim.trace import Trace
+from repro.obs import ProtocolEvent
 
 
-def fake_result(correct_ids, outputs):
-    return ScenarioResult(
-        network=None,
-        correct_ids=list(correct_ids),
-        byzantine_ids=[],
-        rounds=1,
-        outputs=dict(outputs),
-        metrics=Metrics(),
-        trace=Trace(),
-        protocols={},
-    )
+def decides(outputs: dict) -> list[ProtocolEvent]:
+    return [
+        ProtocolEvent(1, node, "decide", {"value": value})
+        for node, value in outputs.items()
+    ]
 
 
-class TestCheckReport:
-    def test_ok_when_no_violations(self):
-        assert CheckReport("x").ok
+def approx_outputs(outputs: dict) -> list[ProtocolEvent]:
+    return [
+        ProtocolEvent(2, node, "approx-output", {"output": value})
+        for node, value in outputs.items()
+    ]
 
-    def test_raise_if_failed(self):
-        report = CheckReport("x")
-        report.add("broken")
-        with pytest.raises(PropertyViolation):
-            report.raise_if_failed()
 
-    def test_raise_if_failed_passes_through_when_ok(self):
-        report = CheckReport("x")
-        assert report.raise_if_failed() is report
+def chain_events(chains: dict) -> list[ProtocolEvent]:
+    """Each node finalizes its whole chain in one ``to-chain`` event."""
+    return [
+        ProtocolEvent(
+            9,
+            node,
+            "to-chain",
+            {"final_through": chain[-1][0], "entries": chain},
+        )
+        for node, chain in chains.items()
+        if chain
+    ]
 
-    def test_merged(self):
-        a, b = CheckReport("a"), CheckReport("b")
-        a.add("va")
-        merged = a.merged_with(b)
-        assert merged.violations == ["va"]
+
+def held(events, verdict) -> bool:
+    return fold(events, verdict)[verdict.name] is None
 
 
 class TestAgreement:
     def test_accepts_unanimous(self):
-        result = fake_result([1, 2], {1: "v", 2: "v"})
-        assert check_agreement(result).ok
+        assert held(decides({1: "v", 2: "v"}), Agreement([1, 2]))
 
     def test_rejects_conflict(self):
-        result = fake_result([1, 2], {1: "v", 2: "w"})
-        assert not check_agreement(result).ok
+        assert not held(decides({1: "v", 2: "w"}), Agreement([1, 2]))
 
     def test_rejects_missing_decision(self):
-        result = fake_result([1, 2], {1: "v"})
-        report = check_agreement(result)
-        assert not report.ok
-        assert "never decided" in report.violations[0]
+        verdicts = fold(decides({1: "v"}), Agreement([1, 2]))
+        assert "never decided" in verdicts["agreement"]
 
 
 class TestValidity:
     def test_accepts_valid_output(self):
-        result = fake_result([1, 2], {1: 0, 2: 0})
-        assert check_validity(result, [0, 1]).ok
+        assert held(decides({1: 0, 2: 0}), Validity([0, 1]))
 
     def test_rejects_fabricated_output(self):
-        result = fake_result([1], {1: 9})
-        assert not check_validity(result, [0, 1]).ok
+        assert not held(decides({1: 9}), Validity([0, 1]))
 
     def test_unanimous_inputs_pin_the_output(self):
-        result = fake_result([1], {1: 0})
         # inputs unanimous on 1, output 0 -> invalid twice over
-        report = check_validity(result, [1, 1])
-        assert not report.ok
+        message = fold(decides({1: 0}), Validity([1, 1]))["validity"]
+        assert "not a correct input" in message
+        assert "unanimous input 1" in message
 
 
 class TestApprox:
     def test_accepts_contained_and_halved(self):
-        result = fake_result([1, 2], {1: 4.0, 2: 5.0})
-        assert check_approx_agreement(result, [0.0, 10.0]).ok
+        events = approx_outputs({1: 4.0, 2: 5.0})
+        assert held(events, HalfRange([1, 2], [0.0, 10.0]))
 
     def test_rejects_escape(self):
-        result = fake_result([1], {1: 11.0})
-        assert not check_approx_agreement(result, [0.0, 10.0]).ok
+        events = approx_outputs({1: 11.0})
+        assert not held(events, HalfRange([1], [0.0, 10.0]))
 
     def test_rejects_insufficient_shrink(self):
-        result = fake_result([1, 2], {1: 0.0, 2: 9.0})
-        assert not check_approx_agreement(result, [0.0, 10.0]).ok
+        events = approx_outputs({1: 0.0, 2: 9.0})
+        assert not held(events, HalfRange([1, 2], [0.0, 10.0]))
 
     def test_halving_optional(self):
-        result = fake_result([1, 2], {1: 0.0, 2: 9.0})
-        assert check_approx_agreement(
-            result, [0.0, 10.0], expect_halving=False
-        ).ok
+        events = approx_outputs({1: 0.0, 2: 9.0})
+        assert held(events, HalfRange([1, 2], [0.0, 10.0], halving=False))
 
     def test_zero_input_range(self):
-        result = fake_result([1, 2], {1: 5.0, 2: 5.0})
-        assert check_approx_agreement(result, [5.0, 5.0]).ok
+        events = approx_outputs({1: 5.0, 2: 5.0})
+        assert held(events, HalfRange([1, 2], [5.0, 5.0]))
 
 
 class TestChainPrefix:
     def test_identical_chains_pass(self):
         chain = [(1, 9, "a"), (2, 8, "b")]
-        assert check_chain_prefix({1: list(chain), 2: list(chain)}).ok
+        events = chain_events({1: list(chain), 2: list(chain)})
+        assert held(events, ChainPrefix())
 
     def test_prefix_passes(self):
         long = [(1, 9, "a"), (2, 8, "b"), (3, 9, "c")]
-        assert check_chain_prefix({1: long, 2: long[:2]}).ok
+        assert held(chain_events({1: long, 2: long[:2]}), ChainPrefix())
 
     def test_divergence_fails(self):
         a = [(1, 9, "a"), (2, 8, "b")]
         b = [(1, 9, "a"), (2, 8, "X")]
-        assert not check_chain_prefix({1: a, 2: b}).ok
+        message = fold(chain_events({1: a, 2: b}), ChainPrefix())
+        assert "for machine round 2" in message["chain-prefix"]
 
     def test_joiner_suffix_passes(self):
         veteran = [(1, 9, "a"), (2, 8, "b"), (3, 9, "c")]
         joiner = [(2, 8, "b"), (3, 9, "c")]
-        assert check_chain_prefix({1: veteran, 2: joiner}).ok
+        events = chain_events({1: veteran, 2: joiner})
+        assert held(events, ChainPrefix())
 
     def test_empty_chains_pass(self):
-        assert check_chain_prefix({}).ok
-        assert check_chain_prefix({1: [], 2: []}).ok
+        assert held(chain_events({}), ChainPrefix())
+        assert held(chain_events({1: [], 2: []}), ChainPrefix())

@@ -1,71 +1,58 @@
-"""Tests for the parallel-consensus output checker."""
+"""Theorem 10.1's verdict over parallel-consensus pair-set outputs."""
 
 import pytest
 
 from repro.adversary import SilentStrategy
-from repro.analysis.checkers import check_parallel_outputs
+from repro.analysis.verdicts import ParallelOutputs, fold
 from repro.core.parallel_consensus import ParallelConsensus
-from repro.sim.metrics import Metrics
-from repro.sim.runner import ScenarioResult
-from repro.sim.trace import Trace
+from repro.obs import ProtocolEvent
 
 from tests.conftest import run_quick
 
 
-def fake_result(correct_ids, outputs):
-    return ScenarioResult(
-        network=None,
-        correct_ids=list(correct_ids),
-        byzantine_ids=[],
-        rounds=1,
-        outputs=dict(outputs),
-        metrics=Metrics(),
-        trace=Trace(),
-    )
+def verdict(outputs: dict, inputs: dict) -> str | None:
+    """Fold the verdict over one ``decide`` per node of *outputs*."""
+    events = [
+        ProtocolEvent(4, node, "decide", {"value": value})
+        for node, value in outputs.items()
+    ]
+    return fold(events, ParallelOutputs([1, 2], inputs))[
+        "parallel-consensus"
+    ]
 
 
 class TestSynthetic:
     def test_accepts_valid_run(self):
         out = (("a", 1), ("b", 2))
-        result = fake_result([1, 2], {1: out, 2: out})
         inputs = {1: {"a": 1, "b": 2}, 2: {"a": 1, "b": 2}}
-        assert check_parallel_outputs(result, inputs).ok
+        assert verdict({1: out, 2: out}, inputs) is None
 
     def test_rejects_missing_universal_pair(self):
-        result = fake_result([1, 2], {1: (), 2: ()})
         inputs = {1: {"a": 1}, 2: {"a": 1}}
-        report = check_parallel_outputs(result, inputs)
-        assert any("validity" in v for v in report.violations)
+        assert "validity" in verdict({1: (), 2: ()}, inputs)
 
     def test_partial_pairs_may_be_dropped(self):
-        result = fake_result([1, 2], {1: (), 2: ()})
         inputs = {1: {"a": 1}, 2: {}}  # not universal: drop is legal
-        assert check_parallel_outputs(result, inputs).ok
+        assert verdict({1: (), 2: ()}, inputs) is None
 
     def test_rejects_fabricated_pair(self):
         out = (("ghost", 9),)
-        result = fake_result([1, 2], {1: out, 2: out})
-        inputs = {1: {}, 2: {}}
-        report = check_parallel_outputs(result, inputs)
-        assert any("fabrication" in v for v in report.violations)
+        assert "fabrication" in verdict({1: out, 2: out}, {1: {}, 2: {}})
 
     def test_rejects_value_not_input_by_anyone(self):
         out = (("a", 5),)
-        result = fake_result([1, 2], {1: out, 2: out})
         inputs = {1: {"a": 1}, 2: {"a": 2}}
-        report = check_parallel_outputs(result, inputs)
-        assert any("fabrication" in v for v in report.violations)
+        assert "fabrication" in verdict({1: out, 2: out}, inputs)
 
     def test_value_from_some_correct_node_ok(self):
         out = (("a", 2),)
-        result = fake_result([1, 2], {1: out, 2: out})
         inputs = {1: {"a": 1}, 2: {"a": 2}}
-        assert check_parallel_outputs(result, inputs).ok
+        assert verdict({1: out, 2: out}, inputs) is None
 
     def test_disagreement_propagates(self):
-        result = fake_result([1, 2], {1: (("a", 1),), 2: (("a", 2),)})
         inputs = {1: {"a": 1}, 2: {"a": 1}}
-        assert not check_parallel_outputs(result, inputs).ok
+        message = verdict({1: (("a", 1),), 2: (("a", 2),)}, inputs)
+        assert "agreement broken" in message
 
 
 class TestEndToEnd:
@@ -85,4 +72,5 @@ class TestEndToEnd:
             protocol_factory=factory,
             strategy_factory=lambda nid, i: SilentStrategy(),
         )
-        check_parallel_outputs(result, inputs_by_node).raise_if_failed()
+        check = ParallelOutputs(result.correct_ids, inputs_by_node)
+        assert fold(result.trace, check) == {"parallel-consensus": None}

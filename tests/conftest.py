@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.verdicts import fold
 from repro.sim.rng import DEFAULT_ID_SPACE
 from repro.sim.runner import Scenario, draw_population, run_scenario
 
@@ -50,6 +51,12 @@ def run_quick(
             enforce_resiliency=enforce_resiliency,
         )
     )
+
+
+def assert_holds(result, *verdicts) -> None:
+    """Every verdict, folded over *result*'s trace, holds."""
+    folded = fold(result.trace, *verdicts)
+    assert all(v is None for v in folded.values()), folded
 
 
 @pytest.fixture

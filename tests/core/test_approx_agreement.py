@@ -3,14 +3,14 @@
 import pytest
 
 from repro.adversary import SilentStrategy, ValueInjectorStrategy
-from repro.analysis.checkers import check_approx_agreement
+from repro.analysis.verdicts import HalfRange
 from repro.core.approx_agreement import (
     ApproximateAgreement,
     IteratedApproximateAgreement,
     trim_and_midpoint,
 )
 
-from tests.conftest import run_quick
+from tests.conftest import assert_holds, run_quick
 
 
 class TestTrimAndMidpoint:
@@ -63,8 +63,7 @@ class TestSingleShot:
             ),
             max_rounds=3,
         )
-        report = check_approx_agreement(result, inputs)
-        assert report.ok, report.violations
+        assert_holds(result, HalfRange(result.correct_ids, inputs))
 
     def test_decides_in_two_rounds(self):
         result = run_quick(
@@ -93,8 +92,7 @@ class TestSingleShot:
             strategy_factory=lambda nid, i: GarbageInjector(),
             max_rounds=3,
         )
-        report = check_approx_agreement(result, inputs)
-        assert report.ok, report.violations
+        assert_holds(result, HalfRange(result.correct_ids, inputs))
 
 
 class TestIterated:

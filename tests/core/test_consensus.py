@@ -9,10 +9,10 @@ from repro.adversary import (
     RandomNoiseStrategy,
     SilentStrategy,
 )
-from repro.analysis.checkers import check_agreement, check_validity
+from repro.analysis.verdicts import Agreement, Validity
 from repro.core.consensus import EarlyConsensus
 
-from tests.conftest import run_quick
+from tests.conftest import assert_holds, run_quick
 
 
 def splitter_factory(nid, i):
@@ -60,8 +60,8 @@ class TestValidity:
             protocol_factory=factory,
             strategy_factory=splitter_factory,
         )
-        check_agreement(result).raise_if_failed()
-        check_validity(result, inputs.values()).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
+        assert_holds(result, Validity(inputs.values()))
 
 
 class TestAgreement:

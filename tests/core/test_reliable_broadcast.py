@@ -8,10 +8,10 @@ from repro.adversary import (
     SilentStrategy,
 )
 from repro.adversary.base import ByzantineStrategy
-from repro.analysis.checkers import check_reliable_broadcast
+from repro.analysis.verdicts import BroadcastProperties
 from repro.core.reliable_broadcast import ReliableBroadcast
 
-from tests.conftest import predict_ids, run_quick
+from tests.conftest import assert_holds, predict_ids, run_quick
 
 
 def rb_run(
@@ -52,8 +52,9 @@ class TestCorrectness:
     @pytest.mark.parametrize("seed", range(5))
     def test_correctness_across_seeds(self, seed):
         result, sender = rb_run(seed=seed)
-        report = check_reliable_broadcast(result, sender, "m", True)
-        assert report.ok, report.violations
+        assert_holds(
+            result, BroadcastProperties(result.correct_ids, sender, "m")
+        )
 
     def test_works_at_minimum_population(self):
         result, sender = rb_run(correct=3, byzantine=0)
@@ -64,8 +65,9 @@ class TestCorrectness:
     def test_works_at_exact_resiliency_bound(self):
         # n = 3f + 1 is the tightest legal configuration.
         result, sender = rb_run(correct=9, byzantine=4, seed=2)
-        report = check_reliable_broadcast(result, sender, "m", True)
-        assert report.ok, report.violations
+        assert_holds(
+            result, BroadcastProperties(result.correct_ids, sender, "m")
+        )
 
 
 class TestUnforgeability:
@@ -173,8 +175,9 @@ class TestAdversaryMatrix:
             strategy_factory=lambda nid, i: strategy_builder(),
             rushing=True,
         )
-        report = check_reliable_broadcast(result, sender, "m", True)
-        assert report.ok, report.violations
+        assert_holds(
+            result, BroadcastProperties(result.correct_ids, sender, "m")
+        )
 
 
 class TestProtocolShape:

@@ -8,10 +8,10 @@ from repro.adversary import (
     PresentOnlyStrategy,
     SilentStrategy,
 )
-from repro.analysis.checkers import check_rotor_good_round
+from repro.analysis.verdicts import GoodRound
 from repro.core.rotor import RotorCoordinator
 
-from tests.conftest import run_quick
+from tests.conftest import assert_holds, run_quick
 
 
 def rotor_factory(nid, i):
@@ -69,7 +69,7 @@ class TestGoodRound:
             strategy_factory=lambda nid, i: SilentStrategy(),
             max_rounds=100,
         )
-        assert check_rotor_good_round(result).ok
+        assert_holds(result, GoodRound(result.correct_ids))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_good_round_with_usurper(self, seed):
@@ -86,7 +86,7 @@ class TestGoodRound:
             ),
             max_rounds=100,
         )
-        assert check_rotor_good_round(result).ok
+        assert_holds(result, GoodRound(result.correct_ids))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_good_round_with_membership_liar(self, seed):
@@ -99,7 +99,7 @@ class TestGoodRound:
             strategy_factory=lambda nid, i: MembershipLiarStrategy(),
             max_rounds=100,
         )
-        assert check_rotor_good_round(result).ok
+        assert_holds(result, GoodRound(result.correct_ids))
 
 
 class TestSelections:

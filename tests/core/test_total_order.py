@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adversary import RandomNoiseStrategy, SilentStrategy
-from repro.analysis.checkers import check_chain_prefix
+from repro.analysis.verdicts import ChainPrefix, fold
 from repro.core.total_order import TotalOrderNode, events_from_dict
 from repro.sim.membership import MembershipSchedule
 from repro.sim.network import SyncNetwork
@@ -65,10 +65,7 @@ class TestStaticPopulation:
 
     def test_prefix_checker_passes(self):
         result = static_run()
-        chains = {
-            n: result.protocols[n].chain for n in result.correct_ids
-        }
-        assert check_chain_prefix(chains).ok
+        assert fold(result.trace, ChainPrefix()) == {"chain-prefix": None}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_chains_identical_under_noise(self, seed):
@@ -142,11 +139,7 @@ class TestDynamicPopulation:
 
     def test_prefix_checker_handles_joiners(self):
         net, seed_ids, joiner_ids = dynamic_network()
-        chains = {
-            nid: p.chain
-            for nid, p in net.protocols().items()
-        }
-        assert check_chain_prefix(chains).ok
+        assert fold(net.trace, ChainPrefix()) == {"chain-prefix": None}
 
     def test_leaver_halts_after_draining(self):
         net, seed_ids, _ = dynamic_network(joiners=0, join_rounds=(),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adversary.base import ByzantineStrategy
-from repro.analysis.checkers import check_chain_prefix
+from repro.analysis.verdicts import ChainPrefix, fold
 from repro.core.total_order import TotalOrderNode, events_from_dict
 from repro.sim.membership import MembershipSchedule
 from repro.sim.network import SyncNetwork
@@ -97,10 +97,7 @@ class TestAckLiar:
         # the adopted round must be a real one (majority of correct
         # acks), not the lie
         assert joiner.local_round < 200
-        chains = {
-            nid: p.chain for nid, p in net.protocols().items()
-        }
-        assert check_chain_prefix(chains).ok
+        assert fold(net.trace, ChainPrefix()) == {"chain-prefix": None}
 
     def test_liar_acks_do_not_corrupt_veterans(self):
         net, correct_ids, _ = run_network(AckLiar, seed=5)

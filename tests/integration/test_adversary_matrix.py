@@ -8,7 +8,7 @@ test suite gets to the paper's "for all Byzantine behaviours" quantifier.
 import pytest
 
 from repro.adversary import STRATEGY_BUILDERS, build_strategy
-from repro.analysis.checkers import check_agreement
+from repro.analysis.verdicts import Agreement, GoodRound
 from repro.core import (
     BinaryKingConsensus,
     ByzantineRenaming,
@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core.approx_agreement import IteratedApproximateAgreement
 
-from tests.conftest import predict_ids, run_quick
+from tests.conftest import assert_holds, predict_ids, run_quick
 
 PROTOCOLS = {
     "consensus": lambda nid, i: EarlyConsensus(i % 2),
@@ -79,13 +79,11 @@ def test_matrix(protocol_name, strategy_name):
         ),
         max_rounds=400,
     )
-    check_agreement(result).raise_if_failed()
+    assert_holds(result, Agreement(result.correct_ids))
 
 
 @pytest.mark.parametrize("strategy_name", STRATEGY_BUILDERS)
 def test_matrix_rotor(strategy_name):
-    from repro.analysis.checkers import check_rotor_good_round
-
     result = run_quick(
         correct=7,
         byzantine=2,
@@ -98,7 +96,7 @@ def test_matrix_rotor(strategy_name):
         ),
         max_rounds=120,
     )
-    check_rotor_good_round(result).raise_if_failed()
+    assert_holds(result, GoodRound(result.correct_ids))
 
 
 @pytest.mark.parametrize("strategy_name", STRATEGY_BUILDERS)
@@ -121,5 +119,5 @@ def test_matrix_trb(strategy_name):
         ),
         max_rounds=400,
     )
-    check_agreement(result).raise_if_failed()
+    assert_holds(result, Agreement(result.correct_ids))
     assert result.distinct_outputs == {"m"}

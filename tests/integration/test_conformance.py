@@ -14,11 +14,11 @@ from repro.adversary import (
     QuorumSplitterStrategy,
     ValueInjectorStrategy,
 )
-from repro.analysis.checkers import (
-    check_agreement,
-    check_reliable_broadcast,
-    check_rotor_good_round,
-    check_validity,
+from repro.analysis.verdicts import (
+    Agreement,
+    BroadcastProperties,
+    GoodRound,
+    Validity,
 )
 from repro.core import (
     EarlyConsensus,
@@ -27,7 +27,7 @@ from repro.core import (
     RotorCoordinator,
 )
 
-from tests.conftest import predict_ids, run_quick
+from tests.conftest import assert_holds, predict_ids, run_quick
 
 #: (correct, byzantine) shapes: minimum, tight, generous, large.
 SHAPES = [(3, 1), (7, 3), (12, 2), (21, 6)]
@@ -49,8 +49,8 @@ class TestConsensusConformance:
             ),
             max_rounds=2 + 5 * (2 * byzantine + 8),
         )
-        check_agreement(result).raise_if_failed()
-        check_validity(result, inputs).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
+        assert_holds(result, Validity(inputs))
 
 
 @pytest.mark.parametrize("correct,byzantine", SHAPES)
@@ -70,7 +70,9 @@ class TestReliableBroadcastConformance:
             max_rounds=8,
             until_all_halted=False,
         )
-        check_reliable_broadcast(result, sender, "m", True).raise_if_failed()
+        assert_holds(
+            result, BroadcastProperties(result.correct_ids, sender, "m")
+        )
 
 
 @pytest.mark.parametrize("correct,byzantine", SHAPES)
@@ -87,7 +89,7 @@ class TestRotorConformance:
             ),
             max_rounds=3 * (correct + byzantine) + 20,
         )
-        check_rotor_good_round(result).raise_if_failed()
+        assert_holds(result, GoodRound(result.correct_ids))
 
 
 @pytest.mark.parametrize("correct,byzantine", SHAPES)

@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks._harness import RESULTS_DIR
 from benchmarks.grid import SPECS_DIR, main
-from repro.analysis import campaign
+from repro.analysis import verdicts as stream_verdicts
 from repro.analysis.campaign import evaluate_spec
 from repro.analysis.grid import load, measure
 from repro.analysis.report import format_table
@@ -118,11 +118,11 @@ class TestJudgeVerdicts:
     def test_interactive_consistency_validity_sees_a_wrong_entry(
         self, monkeypatch
     ):
-        honest = campaign._correct_inputs
+        honest = stream_verdicts._inputs
         monkeypatch.setattr(
-            campaign,
-            "_correct_inputs",
-            lambda spec, result: [None] + honest(spec, result)[1:],
+            stream_verdicts,
+            "_inputs",
+            lambda spec, correct: [None] + honest(spec, correct)[1:],
         )
         verdicts = _verdicts(protocol="interactive-consistency", n=4, f=1)
         assert "whose input is None" in verdicts["validity"]

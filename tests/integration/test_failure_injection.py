@@ -14,7 +14,7 @@ from repro.adversary import (
     SilentStrategy,
 )
 from repro.adversary.simple import HalfCrashStrategy
-from repro.analysis.checkers import check_agreement
+from repro.analysis.verdicts import Agreement
 from repro.core import (
     ByzantineRenaming,
     EarlyConsensus,
@@ -22,7 +22,7 @@ from repro.core import (
     ParallelConsensus,
 )
 
-from tests.conftest import run_quick
+from tests.conftest import assert_holds, run_quick
 
 
 class TestCrashStorms:
@@ -37,7 +37,7 @@ class TestCrashStorms:
                 EarlyConsensus(i % 2), crash_round
             ),
         )
-        check_agreement(result).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_half_crash_mid_broadcast(self, seed):
@@ -50,7 +50,7 @@ class TestCrashStorms:
                 EarlyConsensus(i % 2), crash_round=4 + i
             ),
         )
-        check_agreement(result).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
 
     def test_staggered_crashes_across_byzantine_nodes(self):
         result = run_quick(
@@ -62,7 +62,7 @@ class TestCrashStorms:
                 EarlyConsensus(i % 2), crash_round=3 + 2 * i
             ),
         )
-        check_agreement(result).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
 
 
 class TestMixedAdversaries:
@@ -92,7 +92,7 @@ class TestMixedAdversaries:
                 lambda: EarlyConsensus(0)
             ),
         )
-        check_agreement(result).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_renaming_under_mixed_attack(self, seed):
@@ -107,7 +107,7 @@ class TestMixedAdversaries:
             ),
             max_rounds=150,
         )
-        check_agreement(result).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_interactive_consistency_under_mixed_attack(self, seed):
@@ -121,7 +121,7 @@ class TestMixedAdversaries:
                 lambda: InteractiveConsistency(0)
             ),
         )
-        check_agreement(result).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
 
 
 class TestScale:
@@ -136,7 +136,7 @@ class TestScale:
             strategy_factory=lambda nid, i: SilentStrategy(),
             max_rounds=2 + 5 * 25,
         )
-        check_agreement(result).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
 
     def test_parallel_consensus_thirty_instances(self):
         result = run_quick(
@@ -148,6 +148,6 @@ class TestScale:
             ),
             strategy_factory=lambda nid, i: SilentStrategy(),
         )
-        check_agreement(result).raise_if_failed()
+        assert_holds(result, Agreement(result.correct_ids))
         (output,) = result.distinct_outputs
         assert len(output) == 30

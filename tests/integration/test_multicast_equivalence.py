@@ -18,7 +18,9 @@ columnar plane's work counters (``payload_intern_hits``,
 ``unique_payloads`` and ``materialized_messages``); the last is pinned
 as a ceiling instead.
 The summary hashes and ceilings were re-recorded on ce3f1ae under
-that definition.
+that definition, and the two event-file hashes for event schema v2: a
+v2 file differs from its v1 recording only in its header, its
+``run-start`` line and one closing ``run-end`` line.
 
 Print fresh digests with::
 
@@ -59,8 +61,8 @@ PARENT_DIGESTS = {
         "decide_rounds_sha256": "121afb299ef141ff88a7cc2e0c66439993c8042766c96a28c12674652d7f678a",
         "summary_sha256": "9f72908f155a0cae80a98efaedf95b3db9d2a60e1e4e3bd73250309b3247d7fa",
         "semantic_sha256": "8d29a4a86015ceb580b40743ebcce0b6db6c9dca0d041739518d7995ed41dc0a",
-        "events_sha256": "eaab05b8a5330d4979f437b46e1c603671330503ccc7bd7e40f518079e2351af",
-        "events_bytes_sha256": "d2a64b741a13f646f35bcbcedf8d70123484320e0539b7deea50b4217b554f83",
+        "events_sha256": "966521bc10d773e37953aaf0a03d5b81850cea7035fa4b5bbc4273b210694618",
+        "events_bytes_sha256": "81736b0a12db301a42054fa439996ca057296223ca437bce9a0ec5efdc7def0c",
     },
     True: {
         "sends_total": 2397,
@@ -72,8 +74,8 @@ PARENT_DIGESTS = {
         "decide_rounds_sha256": "121afb299ef141ff88a7cc2e0c66439993c8042766c96a28c12674652d7f678a",
         "summary_sha256": "4289dd296d45081f8a513a5b47f253435a54eb7c02218da54b3f3f31bd804cd8",
         "semantic_sha256": "8d29a4a86015ceb580b40743ebcce0b6db6c9dca0d041739518d7995ed41dc0a",
-        "events_sha256": "2ca69730fe275d96e7d608877a4164886c01f4be1d4077694bd8746b94189db4",
-        "events_bytes_sha256": "2157a493dc1e10d21c55d133be66ca221018a64d697f44af66f53706925f1f69",
+        "events_sha256": "5692fea3dbc9e3e6c4bff9897bb1e0bb49bd0dda61b4ecaaedcced7c38005a0a",
+        "events_bytes_sha256": "372b5d210815063b4ea5c0dcf025f216ee3c4b58dc04f968c8eabf0a499ebdf6",
     },
 }
 

@@ -13,7 +13,11 @@ hashed without the columnar plane's work counters (how many payloads
 it interned and how many ``Message`` objects it built are not
 behaviour); the build count is pinned as a ceiling instead, and the
 state hashes were re-recorded on ce3f1ae under this definition, with
-every event-stream hash unchanged since 3960fcc.  The runs are
+every event-stream hash unchanged since 3960fcc up to event schema v2.
+Schema v2 re-recorded the event-stream hashes and line counts: a v2
+stream differs from its v1 recording only in its header, its
+``run-start`` line, the ``local_round``/``final_through`` fields of
+``to-join`` and one closing ``run-end`` line.  The runs are
 
 * a grid of ``total-order`` specs — four adversaries × three churn
   shapes × three seeds, the CI campaign-smoke population — none of the
@@ -217,231 +221,232 @@ def wakeup_digest() -> dict:
 
 
 #: Recorded on 3960fcc (the parent of the quiescence skip); state hashes
-#: and ``materialized`` ceilings re-recorded on ce3f1ae.
+#: and ``materialized`` ceilings re-recorded on ce3f1ae; event-stream
+#: hashes and counts re-recorded for event schema v2.
 PARENT_GRID_DIGESTS = {
     ("silent", "none", 5): {
-        "rounds": 48, "events": 7531, "chain_max": 42,
+        "rounds": 48, "events": 7532, "chain_max": 42,
         "materialized": 5446,
         "state_sha256": "e0ae5a799498d457774e5ccd2688918a3d29a9be7ecb5a04ee70a00bcb7f6222",
-        "events_sha256": "a0730f19af0dc8f78695100c886ab8f71525ff2c2bb036fec12c94105bbe855d",
+        "events_sha256": "a0043afabdb0fb92d8e5311b38dda05ec7fcce6179d151515eef19d68f48f2ce",
     },
     ("silent", "none", 6): {
-        "rounds": 48, "events": 7531, "chain_max": 42,
+        "rounds": 48, "events": 7532, "chain_max": 42,
         "materialized": 5446,
         "state_sha256": "c569fbbe66bd7191566f205c8333ff8dce0a49f2ae815079c943e4c77f4fc6e1",
-        "events_sha256": "5ea89aa350fdf367b9607293ec3298e1ff5864be1b91d77f22cb5007698f77f8",
+        "events_sha256": "b2fceec1000f5fee1d30c21e5a790de594eb225dbcb84e8c6875d6a782f93318",
     },
     ("silent", "none", 7): {
-        "rounds": 48, "events": 7531, "chain_max": 42,
+        "rounds": 48, "events": 7532, "chain_max": 42,
         "materialized": 5446,
         "state_sha256": "cb4356417ec628686735d4fb2ee9cc50c9b04deee40ba8e453b4643b1b86ed2f",
-        "events_sha256": "ff2d316e09f894eafa4f6c48da5900752afcb4f74e03c2e4cbef189aaa435f8e",
+        "events_sha256": "e190e7c35d8ce56c29d7aec9ca1130441e126dd657a9f3274ccb79e106a552c6",
     },
     ("silent", "rate", 5): {
-        "rounds": 48, "events": 7602, "chain_max": 35,
+        "rounds": 48, "events": 7603, "chain_max": 35,
         "materialized": 5519,
         "state_sha256": "861ce9c3a6d34f092a4725e83a597639bd734d70c8903c9337501f93a23ea64b",
-        "events_sha256": "683f98a2ac43e24dcef2ea0e51fff8c72e05cbeab164040b7c337f65012ee0b7",
+        "events_sha256": "63eac1123928fbe4d93eaab52d3663944fae5435dc7006450b4a3babd74c151d",
     },
     ("silent", "rate", 6): {
-        "rounds": 48, "events": 5814, "chain_max": 39,
+        "rounds": 48, "events": 5815, "chain_max": 39,
         "materialized": 4052,
         "state_sha256": "4090982b806abe666ae74f7fbb89fb617c5b5172a47eaf434c969f3cf81579b4",
-        "events_sha256": "2a3202703382919139363705424e358085040f36268959cf67ecad997702859a",
+        "events_sha256": "00c278d7be083ec79e307c6e229f422bc7f8972d19ba57824295002951eb3c66",
     },
     ("silent", "rate", 7): {
-        "rounds": 48, "events": 8236, "chain_max": 43,
+        "rounds": 48, "events": 8237, "chain_max": 43,
         "materialized": 6040,
         "state_sha256": "55efe7dbf24263d4ef0ac9410e42273c5833e9dd8de844bbed1d59df724b53f0",
-        "events_sha256": "28b449125913c3099837c97d0273070ad8d333dc8635039ba1a27ef7d4fe2e87",
+        "events_sha256": "83468286f4c9dfaa9838ecbfee45bc0e2c17c01bf8d125b75248a644480e4921",
     },
     ("silent", "bursts", 5): {
-        "rounds": 48, "events": 10057, "chain_max": 35,
+        "rounds": 48, "events": 10058, "chain_max": 35,
         "materialized": 7616,
         "state_sha256": "9939387a1ac4a938a65bb1b7735a36eec1c53b8f7839742b61a11eb1b1f02b72",
-        "events_sha256": "25dcc0571954a93bccaae6e3d1797de8a5db8ed132611e38d1fd6eb3bec6d00d",
+        "events_sha256": "4f21f51641cce4701f5d3e7c5acd410b87eed127e79bd9a45d2757e5d0ba4670",
     },
     ("silent", "bursts", 6): {
-        "rounds": 48, "events": 10057, "chain_max": 35,
+        "rounds": 48, "events": 10058, "chain_max": 35,
         "materialized": 7616,
         "state_sha256": "aabeb2d6bfe86c24d632b6f4b99072adc742da1871bdabe77fa02ca85abd43c5",
-        "events_sha256": "cc1c01e4991a045126f74cf9a58003e1332c09d39522c6522367f79c22450012",
+        "events_sha256": "c14d290dfcd38cd122a18d2c61b84c4cf2fd6137c65932165c1d02f91a133958",
     },
     ("silent", "bursts", 7): {
-        "rounds": 48, "events": 10057, "chain_max": 35,
+        "rounds": 48, "events": 10058, "chain_max": 35,
         "materialized": 7616,
         "state_sha256": "1c4325b5a8225d30a33562c2629db7660e39e9ecca969f252191426984c10b27",
-        "events_sha256": "b190b967d4cfd8c85d9b07b5038eb7a290113ee2d5cec64cbd241a574b0770ca",
+        "events_sha256": "8088f4f7692e99f4b3f86e59a446fc1a52853b953fcb61112172ada843f052fd",
     },
     ("equivocator", "none", 5): {
-        "rounds": 48, "events": 26482, "chain_max": 35,
+        "rounds": 48, "events": 26483, "chain_max": 35,
         "materialized": 6912,
         "state_sha256": "3ceb7583ce24412c332773b3a8a9a3ef7a6ccef78cee4c0c33559677326f9744",
-        "events_sha256": "f5d48cd078083405ff66bc70429fee2ed643db9c70a469caff56e4db66cdf074",
+        "events_sha256": "08b7a17fdaf934c5dd1179b1303f335fd265967c726a94b6b848278bfedbf69b",
     },
     ("equivocator", "none", 6): {
-        "rounds": 48, "events": 26104, "chain_max": 35,
+        "rounds": 48, "events": 26105, "chain_max": 35,
         "materialized": 6966,
         "state_sha256": "e5a6eafa9e107463f72cb0650eefa2ed181cef3cb96da27a7411159f761fb682",
-        "events_sha256": "726f4fb7efbcab1b3dda3c764c480e8be38591a1e65bd0c998b789f5c855370e",
+        "events_sha256": "f25594df4009ef0b58823d68cfc1a8d6b5eaaa8270ad89562544c3eda8a359e6",
     },
     ("equivocator", "none", 7): {
-        "rounds": 48, "events": 26104, "chain_max": 35,
+        "rounds": 48, "events": 26105, "chain_max": 35,
         "materialized": 6966,
         "state_sha256": "a66a6cd81143767f53a0752ca4f7a7fa02b56ec81e0c26a70cf6e76e91153805",
-        "events_sha256": "969e1e07427d02294861582c07107e6a38e170a616978ffd8a53177cb608f789",
+        "events_sha256": "d4ca10ea5caec2761e999ce5dfb48a7f4e8b2289b7fe62d661e39b2128867786",
     },
     ("equivocator", "rate", 5): {
-        "rounds": 48, "events": 18817, "chain_max": 28,
+        "rounds": 48, "events": 18818, "chain_max": 28,
         "materialized": 6286,
         "state_sha256": "863444dc74515a8f1885d34b80455507569e1aa809232a5ca69d9637b21b687f",
-        "events_sha256": "cf208c6432a463fc9fe3706f4efd7f48dc8a691317e2cbad4393c443d28aab0e",
+        "events_sha256": "76654204c1d4d1f8aee04f444d109b1845e0a27c66ba89a771190582ab99aa63",
     },
     ("equivocator", "rate", 6): {
-        "rounds": 48, "events": 15022, "chain_max": 39,
+        "rounds": 48, "events": 15023, "chain_max": 39,
         "materialized": 4826,
         "state_sha256": "f37e30e834497756a9ebed7d658de350e6cdad168f7e96922d8f71a8267cdc8b",
-        "events_sha256": "8eabfaf4ed7de0c1606bcfa8f41befb198939c765e4d7e17d70e52bca0bb9f0d",
+        "events_sha256": "85d1f5cffbe48c6acd8f15933dd23b91360e2a8a5a8b28f5cf3103229742cf2a",
     },
     ("equivocator", "rate", 7): {
-        "rounds": 48, "events": 18840, "chain_max": 28,
+        "rounds": 48, "events": 18841, "chain_max": 28,
         "materialized": 6870,
         "state_sha256": "812800b488ed24f6d21d331e53a847fe013a2b4e52ba25908c2a5916450cbdd0",
-        "events_sha256": "d97885bcee2e069c1ee1bbf7512ac31bc5931460219b2f822bb27929693c69a1",
+        "events_sha256": "3561185257c86021aeef4d75798685406c307b07a1efde25ec065bf87ca1e5f4",
     },
     ("equivocator", "bursts", 5): {
-        "rounds": 48, "events": 36447, "chain_max": 28,
+        "rounds": 48, "events": 36448, "chain_max": 28,
         "materialized": 9347,
         "state_sha256": "8ad773c0f9720427a71ab8c22bb9461dcc1dc069514a184f0d025a7c657e6963",
-        "events_sha256": "36a14c00dbf539b2cb0c181461a0d1f91bed7ede1f6656ee9d64cb60f263c456",
+        "events_sha256": "4dccdd542784967391a484d80d0931306695f02c6a6a89f4128483f8a422d536",
     },
     ("equivocator", "bursts", 6): {
-        "rounds": 48, "events": 36018, "chain_max": 28,
+        "rounds": 48, "events": 36019, "chain_max": 28,
         "materialized": 9398,
         "state_sha256": "79378eacdd5fcc08d96edf5eb179fb685891b3a75dc9f4613816e51ce2274148",
-        "events_sha256": "d121934971cdb5154d36e69743ab6138b4b83103488f53720a0825047220c264",
+        "events_sha256": "a924bc7fbed7b1a0c4ff52a963bb219177bad795462eee02a8a6dd616930c3b6",
     },
     ("equivocator", "bursts", 7): {
-        "rounds": 48, "events": 36020, "chain_max": 28,
+        "rounds": 48, "events": 36021, "chain_max": 28,
         "materialized": 9400,
         "state_sha256": "b9f5fb9305ae6c4c3004c2dfae375450f61f122331929d8f1c0493958e7ea6ee",
-        "events_sha256": "faa9526dc5c6d9beeda46719eaa6dd1da630f02e7564fa4623abb2b277a9527a",
+        "events_sha256": "2e2f12e16114e4f7846bb3ca2785183bff8683bc462c0001d82dd6bf58807595",
     },
     ("noise", "none", 5): {
-        "rounds": 48, "events": 7869, "chain_max": 42,
+        "rounds": 48, "events": 7870, "chain_max": 42,
         "materialized": 5592,
         "state_sha256": "929d205fed2e1f5e8411c44416ee6649a69d827d3b488b1ac05c8f0e38c90530",
-        "events_sha256": "5d0d16ed2a9f28948b08593c87da09018c22aafef781d58f3ed50909701e62ee",
+        "events_sha256": "bda326b820b0398d09907ff241678b5d846c853aa7469c1232d230cff036022e",
     },
     ("noise", "none", 6): {
-        "rounds": 48, "events": 7856, "chain_max": 42,
+        "rounds": 48, "events": 7857, "chain_max": 42,
         "materialized": 5572,
         "state_sha256": "5cbbaf5c4aae6b35a9c08461ffa7c7293c74df812a60b20bedb6aed7c6bd0db6",
-        "events_sha256": "d3067c52932069515e85f418afb5054e8ba5e33aed104ed53530020e523db6e1",
+        "events_sha256": "65285bdf5d21c4efd78f80770a379bd05e13311c8a01b5c1cbae0c1d1d53fc33",
     },
     ("noise", "none", 7): {
-        "rounds": 48, "events": 7872, "chain_max": 42,
+        "rounds": 48, "events": 7873, "chain_max": 42,
         "materialized": 5595,
         "state_sha256": "2bebb08c0311248aa57d268b3e24aa71ffb57d8eeed5908e0af8c09084a2bdf1",
-        "events_sha256": "50850d1aedfcb8a4103bb38804c01b1a997d4a79976b4a67369aa90fc587773f",
+        "events_sha256": "9c981d31d51d9a460410da4af424fd7862a1673652898b66c08b0f0efc8d366e",
     },
     ("noise", "rate", 5): {
-        "rounds": 48, "events": 9271, "chain_max": 28,
+        "rounds": 48, "events": 9272, "chain_max": 28,
         "materialized": 6661,
         "state_sha256": "060179013aedb7a77be8f725e138dff10968e74df73915ad2c7bfd3ef9d9aa0b",
-        "events_sha256": "41bfebbea6ae98bf8d07eb8318d7e19eeeb77eded60983e8f15bc6cf8b4a5a17",
+        "events_sha256": "1b033a496cadd685f4983c7b813157c1f7dc8bba4b80116419032bbe367c977f",
     },
     ("noise", "rate", 6): {
-        "rounds": 48, "events": 6132, "chain_max": 39,
+        "rounds": 48, "events": 6133, "chain_max": 39,
         "materialized": 4181,
         "state_sha256": "ac1a16435d51c25e86d0c6a93d73d8a153c2b89078afab99285895834f9318e8",
-        "events_sha256": "e3eec7b23f7faa1ca209d088691ad49eff81ea437d93091c9f37916c68daed45",
+        "events_sha256": "c2ac3263ff748f9f35e09f5939464c015185df319ab6cb996d7b9fc39f77998c",
     },
     ("noise", "rate", 7): {
-        "rounds": 48, "events": 8598, "chain_max": 43,
+        "rounds": 48, "events": 8599, "chain_max": 43,
         "materialized": 6189,
         "state_sha256": "4c4995d40670ed9ef85bbdfb6e14fffab1ad9759a73e82079308b6610e358bfa",
-        "events_sha256": "7eb96226c1c6d2528e7fef74b57344d3cd958bccd06b432b05dde4673516140a",
+        "events_sha256": "33945b5e09886fcd0dc11c7c49753555abfae069df5bed8e969d65e80c807c8a",
     },
     ("noise", "bursts", 5): {
-        "rounds": 48, "events": 10433, "chain_max": 28,
+        "rounds": 48, "events": 10434, "chain_max": 28,
         "materialized": 7757,
         "state_sha256": "20cecc05a6b59d3a2fd1501cf5a5c8a0017a4ed67411a6c07ce4d4b065446afd",
-        "events_sha256": "fe561809c84ff77f632de25966d6e4e319a8f088a0e2f28a5007c3b95833ad41",
+        "events_sha256": "66a150c4e5c66d2e906bfb4d2a2a141996d6e5103f2935c4cd829bd028c02d89",
     },
     ("noise", "bursts", 6): {
-        "rounds": 48, "events": 10422, "chain_max": 35,
+        "rounds": 48, "events": 10423, "chain_max": 35,
         "materialized": 7754,
         "state_sha256": "646a19c386a0b7894abd883c1ca2a20b8f1ae64ceb915ec8d66985a23aeb8cf1",
-        "events_sha256": "3ab456eda5b2844741acd7edc640b4bedf0e3b36b4cca8350e413400cfca2fdb",
+        "events_sha256": "40bab84934658b405dc00bb540ec29dbdcb4bbb6a9fdd4ce7936d382a2894d19",
     },
     ("noise", "bursts", 7): {
-        "rounds": 48, "events": 10411, "chain_max": 35,
+        "rounds": 48, "events": 10412, "chain_max": 35,
         "materialized": 7781,
         "state_sha256": "03560b010ff8732ae234744e5327f93d30cf0a0e4711e5fa8dbca035346fe910",
-        "events_sha256": "b764021debc47a1fef15a2c77cbfa3a07a09c62e7f1514f7162e1d1b39c8ec9a",
+        "events_sha256": "bb8151b54a0235f8932ded7d01121d4623741adebb3cc8de45dc0e1c998b8225",
     },
     ("adaptive", "none", 5): {
-        "rounds": 48, "events": 9692, "chain_max": 35,
+        "rounds": 48, "events": 9693, "chain_max": 35,
         "materialized": 5534,
         "state_sha256": "471679aff5a07fecbb3ad84a2bf0ee837ba2ad6a19102f0969c7677d3e01230d",
-        "events_sha256": "fdcb6a20f1ba151b8c8a10405472588f032a677356ea46e7a9465f386009d9eb",
+        "events_sha256": "e43c4ed326bab6c2a3dc675e24197f80abe925d12e17fe04048e347496ae80cf",
     },
     ("adaptive", "none", 6): {
-        "rounds": 48, "events": 9692, "chain_max": 35,
+        "rounds": 48, "events": 9693, "chain_max": 35,
         "materialized": 5534,
         "state_sha256": "f0403002c48619694c91e05519f4f38fc2c831a4f8b72762fee324aa2e8deeec",
-        "events_sha256": "145f1a4a53a42005de75efcac151c8521b0709283daa4b9d5fc56ef03e50bd59",
+        "events_sha256": "17526b9900022282118fa37e8658442877971d11a2fd27dbb7ef50fbf9c5f87b",
     },
     ("adaptive", "none", 7): {
-        "rounds": 48, "events": 9692, "chain_max": 35,
+        "rounds": 48, "events": 9693, "chain_max": 35,
         "materialized": 5534,
         "state_sha256": "7642358f792cabf2119db7ce4b728162c3b3be17650022957052e386073aa781",
-        "events_sha256": "c599d056ba698cd51937f5b50989142068549f22d8ee6b5e007a88de96172247",
+        "events_sha256": "7991747ae814f31287ea709b625eb7ba43b2b4bdb070522041bd32a7d0850b79",
     },
     ("adaptive", "rate", 5): {
-        "rounds": 48, "events": 18085, "chain_max": 28,
+        "rounds": 48, "events": 18086, "chain_max": 28,
         "materialized": 12957,
         "state_sha256": "290c4362b0f540e5bf9e362d0eb84b157cccf63c831e11021432012104c9a123",
-        "events_sha256": "c6dd56efd4020b4bdf1f67288e4792ffed89e3d252cfb1563de2bf25509aadbe",
+        "events_sha256": "3adc5beefa763b83fec398a680f1e658f49625c49aaa1ba9c2eade44615125c6",
     },
     ("adaptive", "rate", 6): {
-        "rounds": 48, "events": 14046, "chain_max": 34,
+        "rounds": 48, "events": 14047, "chain_max": 34,
         "materialized": 9910,
         "state_sha256": "4fce8c4ab54ddf9f32d37fe96ea81971592fcf258af362306b91c6394364cb5f",
-        "events_sha256": "034dd6af5ae21a74dccff377ed326261d6aedc45f22a93b658391b69577efb7f",
+        "events_sha256": "c6bb1472faffa217361b34591b18f75622a6e60a5dbf6203aac785dbb4880411",
     },
     ("adaptive", "rate", 7): {
-        "rounds": 48, "events": 10601, "chain_max": 28,
+        "rounds": 48, "events": 10602, "chain_max": 28,
         "materialized": 6128,
         "state_sha256": "037ee5d64b2bbd3cab09b4e979b1ca5e2e03da5fe5e9da5043728b2a87f17e6e",
-        "events_sha256": "14d9540fd3c54ed91aee7c98ec3bb1bc37d304f293a68f52353f80c1134f2f78",
+        "events_sha256": "565af75a1b4ed35419a2f33dcd4edf390f992176e9218f1d974ade1c81ba8df2",
     },
     ("adaptive", "bursts", 5): {
-        "rounds": 48, "events": 12776, "chain_max": 28,
+        "rounds": 48, "events": 12777, "chain_max": 28,
         "materialized": 7704,
         "state_sha256": "3382aa68f2dec2b4edf07042594c29fb0e80299d74ae60a4a55b7bebd4a2df8f",
-        "events_sha256": "5327b24c7d374de5b0e6098c44023bad8432466ee599c3b5eab7ae109a44eaa3",
+        "events_sha256": "39fa4277c2a02762d97009034689ac7956107c4f048ad5406bf68f39826218bb",
     },
     ("adaptive", "bursts", 6): {
-        "rounds": 48, "events": 12776, "chain_max": 28,
+        "rounds": 48, "events": 12777, "chain_max": 28,
         "materialized": 7704,
         "state_sha256": "89eabcf00f4fc7b4bf54550c0c4cd53791c4ba6de373b9c71ae0f936845e3df3",
-        "events_sha256": "a15470b3654321e7db7ff18f230b61e720ec9306153034d5a251f7ed3d38e0a2",
+        "events_sha256": "8985df9607de0ac39fe9888557b5c1d48d3c4e6a99e25f49613b8da437cebbac",
     },
     ("adaptive", "bursts", 7): {
-        "rounds": 48, "events": 12776, "chain_max": 28,
+        "rounds": 48, "events": 12777, "chain_max": 28,
         "materialized": 7704,
         "state_sha256": "52c45697d1fd551e73b18768cfde1857a3e3946c1b59b6bb9162a5a844a452f8",
-        "events_sha256": "8d30e01983efea0b41422cc716da4e3445b918b4920ad0fe201e00837f581f26",
+        "events_sha256": "3fa1524704da044ad372d81710fea76d5685eba6528154fc6112280a5482f6a0",
     },
 }
 PARENT_WAKEUP_DIGESTS = {
     "late-speaker": {
-        "rounds": 70, "events": 9363, "chain_max": 21,
+        "rounds": 70, "events": 9364, "chain_max": 21,
         "materialized": 7291,
         "state_sha256": "e2cec60577c6207d2e57bce4519d4c555f703616106a1cfebc0b3c0732737058",
-        "events_sha256": "14d5aeededdc5761de5db58effe04fc4ebe2ae0f1522dde88b2fae8d21e9cdfb",
+        "events_sha256": "9db3bd7caa3ea0158d4fac8108890d4849085749ffc249486c74dd70f3706afc",
         "joins": [(34, 101, "(('to', 10), 'x')"), (34, 102, "(('to', 10), 'x')")],
         "join_count": 7,
         "to_chain_rounds": [(31, 6), (32, 7), (33, 8), (34, 9), (37, 12), (38, 13), (39, 14), (40, 15), (41, 16)],

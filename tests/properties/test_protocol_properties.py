@@ -12,11 +12,11 @@ from repro.adversary import (
     QuorumSplitterStrategy,
     SilentStrategy,
 )
-from repro.analysis.checkers import check_validity
+from repro.analysis.verdicts import Validity
 from repro.core.consensus import EarlyConsensus
 from repro.core.approx_agreement import ApproximateAgreement
 
-from tests.conftest import run_quick
+from tests.conftest import assert_holds, run_quick
 
 fast = settings(
     max_examples=15,
@@ -60,7 +60,7 @@ class TestConsensusProperties:
         )
         assert result.agreed, result.outputs
         if len(set(inputs)) == 1:
-            check_validity(result, inputs).raise_if_failed()
+            assert_holds(result, Validity(inputs))
         else:
             assert result.distinct_outputs <= {0, 1}
 
@@ -97,7 +97,7 @@ class TestConsensusProperties:
         )
         assert result.agreed, result.outputs
         if len(set(inputs)) == 1:
-            check_validity(result, inputs).raise_if_failed()
+            assert_holds(result, Validity(inputs))
 
     @fast
     @given(

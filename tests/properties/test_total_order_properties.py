@@ -3,7 +3,7 @@
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.adversary import SilentStrategy
-from repro.analysis.checkers import check_chain_prefix
+from repro.analysis.verdicts import ChainPrefix, fold
 from repro.core.total_order import TotalOrderNode, events_from_dict
 from repro.sim.membership import MembershipSchedule
 from repro.sim.network import SyncNetwork
@@ -49,8 +49,7 @@ def test_random_event_plans_yield_identical_chains(plans, seed, byzantine):
         node_id: protocol.chain
         for node_id, protocol in net.protocols().items()
     }
-    report = check_chain_prefix(chains)
-    assert report.ok, report.violations
+    assert fold(net.trace, ChainPrefix()) == {"chain-prefix": None}
     # chains are identical (same membership, same horizon)
     values = list(chains.values())
     assert all(c == values[0] for c in values)
@@ -94,6 +93,5 @@ def test_random_join_round_preserves_suffix_consistency(seed, join_round):
         node_id: protocol.chain
         for node_id, protocol in net.protocols().items()
     }
-    report = check_chain_prefix(chains)
-    assert report.ok, report.violations
+    assert fold(net.trace, ChainPrefix()) == {"chain-prefix": None}
     assert chains[joiner], "joiner finalized nothing"

@@ -12,7 +12,7 @@ scenario-layer refactor):
 
 import pytest
 
-from repro.analysis.checkers import check_chain_prefix
+from repro.analysis.verdicts import ChainPrefix
 from repro.errors import ConfigurationError
 from repro.scenario import (
     ChurnSpec,
@@ -23,12 +23,7 @@ from repro.scenario import (
 )
 from repro.sim.runner import run_scenario
 
-
-def chains_of(result):
-    return {
-        nid: (list(p.output) if p.halted else p.chain)
-        for nid, p in result.network.protocols().items()
-    }
+from tests.conftest import assert_holds
 
 
 class TestLeaveThenRejoinSameId:
@@ -56,8 +51,7 @@ class TestLeaveThenRejoinSameId:
         # through the join handshake, not with its pre-crash state.
         rejoined = result.network.protocols()[victim]
         assert rejoined.joined
-        report = check_chain_prefix(chains_of(result))
-        assert report.ok, report.violations
+        assert_holds(result, ChainPrefix())
 
     def test_rejoin_round_is_fresh_registration(self):
         # Materializing twice yields identical schedules — determinism
@@ -111,5 +105,4 @@ class TestLeaveOfDepartedNode:
         scenario.membership = schedule
         result = run_scenario(scenario)
         assert correct[0] not in result.network.alive_ids
-        report = check_chain_prefix(chains_of(result))
-        assert report.ok, report.violations
+        assert_holds(result, ChainPrefix())

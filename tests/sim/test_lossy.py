@@ -111,16 +111,19 @@ class Keeper(EarlyConsensus):
 # The 120-run grid: four traffic shapes x five drop rates x six seeds,
 # pinned to digests recorded on the commit before the loss filter became
 # a row mask (when LossyNetwork still rode a second, object engine).
+# Event schema v2 re-recorded them: each run's stream gained its v2
+# header, a run-start naming the population and a closing run-end line,
+# and nothing else in any row changed.
 # ----------------------------------------------------------------------
 GRID_RATES = (0.0, 0.01, 0.2, 0.6, 1.0)
 GRID_SEEDS = range(6)
 
 #: shape -> sha256 over that shape's 30 runs, recorded on the parent.
 PARENT_GRID_DIGESTS = {
-    "plain": "138b8c684f5a522709085ea86f3955755739251885d25f82e5988710da093cdd",
-    "byzantine": "1c4f6084c368ddab097b35f0f310c2573017ab026654fcf0aa0d363d68774c5b",
-    "churn": "bfa7c874e196c48e7b07233f5d3097c20206a3e8f131a90cd35ab7439ba9db6a",
-    "parallel": "fd359e741040046964f7c74b2ea3fa6d674389081863a00f396e79eaa17cd58f",
+    "plain": "89985bd19f157541921e6ab2677568902c15d1a8ac46abfec003edaee544e12f",
+    "byzantine": "8898e1af897d52257196562354f9826273d9537aa6115f29a3a0df2caf631e0a",
+    "churn": "4b5b1cb9d5288fece2511048dc6e9c541184e1f2f91852077d4b7d1221370798",
+    "parallel": "ab9d091b55bc3e379fdc1dbabb7c0e7ac6202f076a59b10d850dfe4a677d6a9c",
 }
 
 

@@ -77,5 +77,5 @@ class TestVerifyReplay:
         text = recorded()
         truncated = "".join(text.splitlines(keepends=True)[:200])
         assert first_divergence(text, truncated) == (
-            "fresh stream has 254 lines, recorded stream has 200"
+            "fresh stream has 255 lines, recorded stream has 200"
         )

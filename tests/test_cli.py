@@ -139,7 +139,9 @@ class TestCommands:
         # Direct-send fan-outs travel the engine as single multicast
         # rows; the events file must not show it.  Digest recorded on
         # the commit before multicasts existed (one ``send`` line per
-        # recipient, 970 of them).
+        # recipient, 970 of them), re-recorded for event schema v2,
+        # whose header, run-start and closing run-end lines are the
+        # only ones that differ.
         import hashlib
 
         path = tmp_path / "events.jsonl"
@@ -163,10 +165,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "messages : 970" in out
-        assert f"events   : 1197 -> {path}" in out
+        assert f"events   : 1198 -> {path}" in out
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "5589af3d51466fc2abd6c4188cec3040"
-            "d1aacd0e7542d86137050a5477a851c1"
+            "ba6d66ec12955e81c0ce89845220bf02"
+            "0245738710a291e8604fb2849414a7b9"
         )
 
     def test_run_events_of_a_replay_spec_are_its_recording(
