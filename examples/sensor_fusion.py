@@ -18,7 +18,7 @@ Run:  python examples/sensor_fusion.py
 import random
 
 from repro.adversary import ValueInjectorStrategy
-from repro.core.approx_agreement import IteratedApproximateAgreement
+from repro.core.approx_agreement import ApproximateAgreement
 from repro.sim.runner import Scenario, run_scenario
 
 TRUE_TEMPERATURE = 21.5
@@ -38,7 +38,7 @@ def main() -> None:
     scenario = Scenario(
         correct=10,
         byzantine=3,
-        protocol_factory=lambda node_id, index: IteratedApproximateAgreement(
+        protocol_factory=lambda node_id, index: ApproximateAgreement(
             readings[index], iterations=ITERATIONS
         ),
         # Compromised sensors report -40°C to half the network and +85°C

@@ -22,7 +22,6 @@ from repro.analysis.campaign import (
     judge,
     run_campaign,
 )
-from repro.analysis.complexity import classify_growth, fit_line
 from repro.analysis.oracle import (
     OracleReport,
     OracleVerdict,
@@ -38,11 +37,9 @@ __all__ = [
     "OracleVerdict",
     "build_specs",
     "check_sampled_agreement",
-    "classify_growth",
     "compare_with_oracle",
     "derive_seed",
     "evaluate_spec",
-    "fit_line",
     "format_campaign_report",
     "format_table",
     "judge",

@@ -8,7 +8,8 @@ count; :func:`measure` judges every (point, seed) with
 key such as ``churn.params.count`` reaching into a nested field — and
 ``seeds``; ``repro sweep`` and ``repro matrix`` build theirs in memory.
 
-The columns are fixed: the override keys; ``<verdict> ok%`` per
+The columns are fixed: the override keys (blank where a point's spec
+has no such nested key); ``<verdict> ok%`` per
 verdict; ``rounds(mean)``, ``rounds(max)`` and ``sends(mean)`` over the
 runs that finished (``-`` when none did); ``chain length(max)`` when
 the runs report one.  So are the claims: a point with ``n > 3f`` holds
@@ -115,7 +116,8 @@ def measure(grid: Grid) -> tuple[list[dict], list[str], list[str]]:
         row = {}
         for key in grid.keys:
             parent, last = _parent(doc, key)
-            row[key] = parent[last]
+            if last in parent:  # a nested key only some points set
+                row[key] = parent[last]
         runs = [
             evaluate_spec(replace(spec, seed=seed))
             for seed in range(grid.seeds)
@@ -144,4 +146,9 @@ def measure(grid: Grid) -> tuple[list[dict], list[str], list[str]]:
             broken.append(f"{where}: n > 3f but a verdict was violated")
         elif spec.n <= 3 * spec.f and all_held:
             broken.append(f"{where}: n <= 3f but no verdict was violated")
-    return rows, list(columns), broken
+    # The override keys, every point's verdicts, then the run figures.
+    rank = dict.fromkeys(grid.keys, 0)
+    order = sorted(
+        columns, key=lambda c: rank.get(c, 1 if c.endswith(" ok%") else 2)
+    )
+    return rows, order, broken

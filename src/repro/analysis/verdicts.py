@@ -28,7 +28,7 @@ from repro.obs.events import (
     RunStarted,
 )
 from repro.obs.jsonl import event_from_json, jsonable, numbered_docs
-from repro.scenario import RunSpec, get_protocol, resolve_inputs
+from repro.scenario import RunSpec, get_protocol, parallel_inputs, resolve_inputs
 from repro.types import NodeId
 
 #: Protocols whose ``decide`` values must agree exactly (approx decides
@@ -268,41 +268,56 @@ class FinalityLag(Verdict):
                 return
 
 
-class HalfRange(_Outputs):
-    """Approximate agreement: every correct node has an
-    ``approx-output`` inside the correct input range, and the outputs
-    span at most half that range (*halving* False: all of it)."""
+class HalfRange(Verdict):
+    """Approximate agreement, Theorem 8.3 per iteration: every correct
+    node has an ``approx-output`` inside the correct input range, and
+    each iteration's correct estimates (``approx-iterate``, the last
+    iteration's ``approx-output``) span at most half the previous
+    iteration's range, the first half the input range (*halving* False:
+    all of it)."""
 
     name = "half-range"
-    events = ("approx-output",)
-    field = "output"
+    events = ("approx-iterate", "approx-output")
 
     def __init__(self, correct, inputs, halving: bool = True) -> None:
-        super().__init__()
         self.correct, self.inputs = list(correct), list(inputs)
         self.halving = halving
+        #: node -> its estimate after each iteration, its output last.
+        self.estimates: dict[NodeId, list] = {node: [] for node in correct}
+        self.outputs: dict[NodeId, Any] = {}
+
+    def on_event(self, event: ProtocolEvent) -> None:
+        estimates = self.estimates.get(event.node)
+        field = "output" if event.event == "approx-output" else "estimate"
+        if estimates is None or field not in event.detail:
+            return
+        estimates.append(event.detail[field])
+        if field == "output":
+            self.outputs[event.node] = event.detail[field]
 
     def verdict(self) -> str | None:
         lo, hi = min(self.inputs), max(self.inputs)
-        problems, outputs = [], []
+        problems = []
         for node in self.correct:
             if node not in self.outputs:
                 problems.append(f"node {node} has no approx-output")
-                continue
-            output = self.outputs[node]
-            outputs.append(output)
-            if not lo <= output <= hi:
+            elif not lo <= self.outputs[node] <= hi:
                 problems.append(
-                    f"node {node} output {output} outside input range "
-                    f"[{lo}, {hi}]"
+                    f"node {node} output {self.outputs[node]} outside "
+                    f"input range [{lo}, {hi}]"
                 )
-        spread = max(outputs) - min(outputs) if outputs else 0
-        limit = (hi - lo) / 2 if self.halving else hi - lo
-        if hi > lo and spread > limit + 1e-12:
-            problems.append(
-                f"output range {spread} exceeds {limit} "
-                f"(input range {hi - lo})"
-            )
+        previous, what = hi - lo, "input"
+        histories = [h for h in self.estimates.values() if h]
+        for step, values in enumerate(zip(*histories), 1):
+            spread = max(values) - min(values)
+            limit = previous / 2 if self.halving else previous
+            if spread > limit + 1e-12:
+                problems.append(
+                    f"iteration {step} range {spread} exceeds {limit} "
+                    f"({what} range {previous})"
+                )
+                break
+            previous, what = spread, f"iteration {step}"
         return "; ".join(problems) or None
 
 
@@ -514,9 +529,15 @@ class ParallelOutputs(_Outputs):
 
 
 def _inputs(spec: RunSpec, correct: list[NodeId]) -> list:
-    """The correct nodes' inputs, from the spec's input names."""
+    """The correct nodes' inputs, from the spec's input names (for
+    ``parallel``, each node's ``{instance id: value}`` map)."""
     entry = get_protocol(spec.protocol)
     input_fn = resolve_inputs(spec.inputs or entry.default_inputs)
+    if spec.protocol == "parallel":
+        return [
+            parallel_inputs(spec, input_fn, nid, index)
+            for index, nid in enumerate(correct)
+        ]
     return [input_fn(nid, index) for index, nid in enumerate(correct)]
 
 
@@ -527,9 +548,11 @@ def verdicts_for(run_start: RunStarted) -> list[Verdict]:
     Every run is judged on ``termination``; deciding protocols on
     ``agreement`` and total order on ``chain-prefix``, both as they
     break; and, over the finished run, total order on chain growth and
-    finality lag, approx on half-range contraction, reliable broadcast
-    on its three properties (the first correct node sends), the rotor
-    on its good round, and TRB and interactive consistency on validity.
+    finality lag, approx on half-range contraction per iteration,
+    reliable broadcast on its three properties (the first correct node
+    sends), the rotor on its good round, TRB and interactive consistency
+    on validity, and parallel consensus on Theorem 10.1.  A ``classic``
+    variant is judged as its protocol.
     """
     spec = RunSpec.from_json_dict(run_start.spec)
     correct = list(run_start.correct or ())
@@ -559,6 +582,9 @@ def verdicts_for(run_start: RunStarted) -> list[Verdict]:
         found.append(Validity([payload]))
     elif protocol == "interactive-consistency":
         found.append(VectorValidity(correct, _inputs(spec, correct)))
+    elif protocol == "parallel":
+        inputs = dict(zip(correct, _inputs(spec, correct)))
+        found.append(ParallelOutputs(correct, inputs))
     return found
 
 

@@ -3,10 +3,11 @@
 The classical trimmed-mean round: broadcast the estimate, discard exactly
 the ``f`` smallest and ``f`` largest of the ``n`` received values, and
 average the survivors' extremes.  Identical convergence behaviour to the
-paper's Algorithm 4 — the benchmark compares the two to support §12's
-"convergence rate remains unchanged" claim — but it needs the true ``f``
-and assumes all ``n`` values arrive (a silent faulty node must be padded
-with a default, another luxury of known membership).
+paper's Algorithm 4 — the ``classic`` variant of ``approx`` emits the
+same per-iteration events, so benchmark E9 judges both on Theorem 8.3's
+halving, §12's "convergence rate remains unchanged" — but it needs the
+true ``f`` and assumes all ``n`` values arrive (a silent faulty node
+must be padded with a default, another luxury of known membership).
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class DolevApproxAgreement(Protocol):
                 self.estimate = trim_f_and_midpoint(values, self.f)
             self.estimates.append(self.estimate)
             if len(self.estimates) >= self.iterations:
+                api.emit(
+                    "approx-output", output=self.estimate, n_v=len(values)
+                )
                 self.decide(api, self.estimate)
                 return
+            api.emit("approx-iterate", estimate=self.estimate)
         api.broadcast(KIND_VALUE, self.estimate)

@@ -6,8 +6,8 @@ distinct echoes (at least one correct node backs the message), accept at
 ``n - f`` (a quorum every correct node will eventually see).  Correct for
 ``n > 3f``.
 
-Used by benchmark E9 to compare round/message complexity against the
-unknown-``n, f`` version.
+The ``classic`` variant of ``reliable-broadcast`` (benchmark E9), judged
+on Algorithm 1's three properties like the id-only version.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class SrikanthTouegBroadcast(Protocol):
         if api.round == 1:
             if api.node_id == self.sender_id:
                 api.broadcast(KIND_MESSAGE, self.message)
+                api.emit("rb-sent", message=self.message)
             return
         if api.round == 2:
             for msg in inbox.from_sender(self.sender_id).filter(KIND_MESSAGE):

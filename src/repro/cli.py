@@ -320,11 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-rounds", type=int, default=500)
         p.add_argument(
             "--variant",
-            choices=("full", "sampled"),
+            choices=("full", "sampled", "classic"),
             default="full",
             help="'sampled' runs the committee-sampled variant "
             f"({'/'.join(SAMPLED_PROTOCOLS)} only): a polylog committee "
-            "decides, everyone else adopts via implicit agreement",
+            "decides, everyone else adopts via implicit agreement; "
+            "'classic' the known-n,f algorithm the protocol generalizes",
         )
         p.add_argument(
             "--protocol-param",

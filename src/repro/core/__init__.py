@@ -18,7 +18,7 @@ Modules (paper algorithm numbers in parentheses):
 * :mod:`~repro.core.consensus` (Alg 3) — early-terminating consensus in
   ``O(f)`` rounds;
 * :mod:`~repro.core.approx_agreement` (Alg 4) — trim-and-midpoint
-  approximate agreement, single-shot, iterated, and dynamic;
+  approximate agreement, iterated and dynamic;
 * :mod:`~repro.core.parallel_consensus` (Alg 5) — many joinable consensus
   instances in parallel;
 * :mod:`~repro.core.total_order` (Alg 6) — totally ordering events in a
@@ -43,7 +43,6 @@ from repro.core.consensus import EarlyConsensus
 from repro.core.approx_agreement import (
     ApproximateAgreement,
     ContinuousApproximateAgreement,
-    IteratedApproximateAgreement,
     trim_and_midpoint,
 )
 from repro.core.committee import committee_size, sample_committee
@@ -69,7 +68,6 @@ __all__ = [
     "EarlyConsensus",
     "EchoVoting",
     "InteractiveConsistency",
-    "IteratedApproximateAgreement",
     "ParallelConsensus",
     "ReliableBroadcast",
     "ReliableChannel",

@@ -14,11 +14,12 @@ survives, which forces the halving.
 Three shapes:
 
 * :func:`trim_and_midpoint` — the pure one-shot computation;
-* :class:`ApproximateAgreement` — the paper's single-round protocol;
-* :class:`IteratedApproximateAgreement` — repeats the round to drive the
-  range below a target width; also the dynamic-network variant (§11): it
-  recomputes ``R_v`` from scratch each round, so nodes may join or leave
-  between iterations.
+* :class:`ApproximateAgreement` — the paper's round, once (the default)
+  or repeated to drive the range below a target width; it recomputes
+  ``R_v`` from scratch each round, so nodes may join or leave between
+  iterations;
+* :class:`ContinuousApproximateAgreement` — the never-ending
+  dynamic-network variant (§11).
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ def trim_and_midpoint(values: Sequence[float]) -> float:
         raise ValueError("cannot agree on zero values")
     ordered = sorted(values)
     trim = len(ordered) // 3
+    # len // 3 < len / 2: at least one value survives.
     survivors = ordered[trim: len(ordered) - trim]
-    if not survivors:  # pragma: no cover - len//3 < len/2 guarantees some
-        survivors = [ordered[len(ordered) // 2]]
     return (survivors[0] + survivors[-1]) / 2
 
 
@@ -68,23 +68,6 @@ def _one_value_per_sender(inbox: Inbox) -> list[float]:
         if message.sender not in per_sender or value < per_sender[message.sender]:
             per_sender[message.sender] = value
     return list(per_sender.values())
-
-
-class ApproximateAgreement(Protocol):
-    """The paper's single-round approximate agreement."""
-
-    def __init__(self, input_value: float):
-        super().__init__()
-        self.input_value = float(input_value)
-
-    def on_round(self, api: NodeApi, inbox: Inbox) -> None:
-        if api.round == 1:
-            api.broadcast(KIND_VALUE, self.input_value)
-            return
-        values = _one_value_per_sender(inbox)
-        output = trim_and_midpoint(values)
-        api.emit("approx-output", output=output, n_v=len(values))
-        self.decide(api, output)
 
 
 class ContinuousApproximateAgreement(Protocol):
@@ -122,14 +105,14 @@ class ContinuousApproximateAgreement(Protocol):
         api.emit("approx-estimate", estimate=self.estimate)
 
 
-class IteratedApproximateAgreement(Protocol):
-    """Run the Algorithm-4 round repeatedly.
+class ApproximateAgreement(Protocol):
+    """Algorithm 4's round, *iterations* times (Theorem 8.3 per round).
 
     Each iteration broadcasts the current estimate and replaces it with
-    the trimmed midpoint of that round's received values.  Because every
-    round recomputes the received set from scratch, this is exactly the
-    protocol the paper applies to dynamic networks: participants may join
-    or leave between rounds, subject to ``n > 3f`` holding per round.
+    the trimmed midpoint of that round's received values, emitting
+    ``approx-iterate`` — or, on the last one, ``approx-output`` and the
+    decision.  With one iteration this is the paper's single-round
+    protocol, deciding in round 2.
 
     Args:
         input_value: the initial estimate.
@@ -140,7 +123,7 @@ class IteratedApproximateAgreement(Protocol):
             measuring per-round convergence).
     """
 
-    def __init__(self, input_value: float, iterations: int = 10):
+    def __init__(self, input_value: float, iterations: int = 1):
         super().__init__()
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -154,8 +137,11 @@ class IteratedApproximateAgreement(Protocol):
             if values:
                 self.estimate = trim_and_midpoint(values)
             self.estimates.append(self.estimate)
-            api.emit("approx-iterate", estimate=self.estimate)
             if len(self.estimates) >= self.iterations:
+                api.emit(
+                    "approx-output", output=self.estimate, n_v=len(values)
+                )
                 self.decide(api, self.estimate)
                 return
+            api.emit("approx-iterate", estimate=self.estimate)
         api.broadcast(KIND_VALUE, self.estimate)

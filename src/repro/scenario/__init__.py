@@ -27,6 +27,7 @@ from repro.scenario.registry import (
     alternating_inputs,
     get_protocol,
     index_inputs,
+    parallel_inputs,
     resolve_inputs,
     supermajority_inputs,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "get_protocol",
     "index_inputs",
     "materialize",
+    "parallel_inputs",
     "predict_population",
     "resolve",
     "resolve_inputs",

@@ -58,8 +58,9 @@ def _wrapped_factory(spec: RunSpec, entry: ProtocolEntry, input_fn):
 def resolve(spec: RunSpec) -> tuple[ProtocolEntry, InputFn]:
     """*spec*'s protocol entry and input function, building nothing;
     :class:`~repro.errors.ConfigurationError` when the spec can never
-    run whatever its seed (``validate()`` or an unknown protocol,
-    variant, inputs or, with ``f > 0``, adversary name)."""
+    run whatever its seed (``validate()``, an unknown protocol,
+    variant, inputs or, with ``f > 0``, adversary name, or a
+    ``protocol_params`` key or value the protocol cannot read)."""
     spec.validate()
     entry = get_protocol(spec.protocol)
     if spec.variant not in entry.variants:
@@ -67,6 +68,7 @@ def resolve(spec: RunSpec) -> tuple[ProtocolEntry, InputFn]:
             f"protocol {spec.protocol!r} has no {spec.variant!r} "
             f"variant; choose from {entry.variants}"
         )
+    entry.check_params(spec.protocol_params)
     input_fn = resolve_inputs(spec.inputs or entry.default_inputs)
     if spec.f and spec.adversary not in STRATEGY_BUILDERS:
         raise ConfigurationError(

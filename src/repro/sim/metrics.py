@@ -35,18 +35,13 @@ class Metrics:
     #: Inbound frames the net runtime discarded without delivery
     #: (stamped outside the runner's round window).
     frames_dropped: int = 0
-    sends_by_node: Counter = field(default_factory=Counter)
     sends_by_kind: Counter = field(default_factory=Counter)
     bytes_by_kind: Counter = field(default_factory=Counter)
-    sends_by_round: Counter = field(default_factory=Counter)
-    deliveries_by_round: Counter = field(default_factory=Counter)
-    staged_by_round: Counter = field(default_factory=Counter)
     #: Engine wall time by phase ("deliver", "correct", "adversary",
-    #: "stage") and by round.  Populated only when the network was built
-    #: with an injected clock (benchmarks); simulations themselves never
-    #: read wall time, so these never influence behaviour.
+    #: "stage").  Populated only when the network was built with an
+    #: injected clock (benchmarks); simulations themselves never read
+    #: wall time, so it never influences behaviour.
     engine_time_by_phase: Counter = field(default_factory=Counter)
-    engine_time_by_round: Counter = field(default_factory=Counter)
     #: Columnar-plane interning counters (cumulative; updated from
     #: ``plane-stats`` events).
     payload_intern_hits: int = 0
@@ -95,26 +90,20 @@ class Metrics:
 
     def _on_send(self, event) -> None:
         # Hot path (one call per send row): counters are bumped inline
-        # rather than via record_send/record_staged.  A row is one
-        # logical send per payload, times its recipients when direct.
-        round_no = event.round
+        # rather than via record_send.  A row is one logical send per
+        # payload, times its recipients when direct.
         kind = event.kind
         dests = event.dests
         copies = 1 if dests is None else len(dests)
         count = len(event.payloads) * copies
         self.sends_total += count
-        self.sends_by_node[event.sender] += count
         self.sends_by_kind[kind] += count
-        self.sends_by_round[round_no] += count
         wire_bytes = event.wire_bytes
         if wire_bytes:
             wire_bytes = sum(wire_bytes) * copies
             self.bytes_total += wire_bytes
             self.bytes_by_kind[kind] += wire_bytes
-        staged = event.staged
-        if staged:
-            self.staged_total += staged
-            self.staged_by_round[round_no] += staged
+        self.staged_total += event.staged
 
     def _on_plane(self, event) -> None:
         # Cumulative counters: the latest event carries the run totals.
@@ -131,12 +120,10 @@ class Metrics:
             self.bytes_per_decision = self.bytes_total / decisions
 
     def _on_deliver(self, event) -> None:
-        count = len(event.messages)
-        self.deliveries_total += count
-        self.deliveries_by_round[event.round] += count
+        self.deliveries_total += len(event.messages)
 
     def _on_phase(self, event) -> None:
-        self.record_engine_time(event.round, event.phase, event.seconds)
+        self.engine_time_by_phase[event.phase] += event.seconds
 
     def _on_drop(self, event) -> None:
         self.frames_dropped += event.count
@@ -152,28 +139,13 @@ class Metrics:
         wire_bytes: int = 0,
     ) -> None:
         self.sends_total += 1
-        self.sends_by_node[sender] += 1
         self.sends_by_kind[kind] += 1
-        self.sends_by_round[round_no] += 1
         if wire_bytes:
             self.bytes_total += wire_bytes
             self.bytes_by_kind[kind] += wire_bytes
 
     def record_delivery(self, round_no: int, count: int = 1) -> None:
         self.deliveries_total += count
-        self.deliveries_by_round[round_no] += count
-
-    def record_staged(self, round_no: int, count: int = 1) -> None:
-        """Count entries entering the engine's staging queues."""
-        self.staged_total += count
-        self.staged_by_round[round_no] += count
-
-    def record_engine_time(
-        self, round_no: int, phase: str, seconds: float
-    ) -> None:
-        """Attribute engine wall time to a phase (observability only)."""
-        self.engine_time_by_phase[phase] += seconds
-        self.engine_time_by_round[round_no] += seconds
 
     def record_round(self, round_no: int) -> None:
         self.rounds = max(self.rounds, round_no)

@@ -94,6 +94,29 @@ class TestApprox:
         events = approx_outputs({1: 5.0, 2: 5.0})
         assert held(events, HalfRange([1, 2], [5.0, 5.0]))
 
+    @staticmethod
+    def two_iterations(first: dict, second: dict) -> list[ProtocolEvent]:
+        return [
+            ProtocolEvent(2, node, "approx-iterate", {"estimate": value})
+            for node, value in first.items()
+        ] + [
+            ProtocolEvent(3, node, "approx-output", {"output": value})
+            for node, value in second.items()
+        ]
+
+    def test_accepts_halving_every_iteration(self):
+        events = self.two_iterations({1: 4.0, 2: 8.0}, {1: 5.0, 2: 7.0})
+        assert held(events, HalfRange([1, 2], [0.0, 10.0]))
+
+    def test_rejects_a_second_iteration_that_halves_too_little(self):
+        # The outputs span 2.5 <= 5.0, half the input range, but only
+        # 2.5 > 2.0 against the first iteration's range 4.0.
+        events = self.two_iterations({1: 4.0, 2: 8.0}, {1: 5.0, 2: 7.5})
+        message = fold(events, HalfRange([1, 2], [0.0, 10.0]))["half-range"]
+        assert message == (
+            "iteration 2 range 2.5 exceeds 2.0 (iteration 1 range 4.0)"
+        )
+
 
 class TestChainPrefix:
     def test_identical_chains_pass(self):

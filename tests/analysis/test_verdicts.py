@@ -15,7 +15,7 @@ from repro.analysis.campaign import run_campaign
 from repro.analysis.grid import load
 from repro.analysis.verdicts import judge_stream, verdicts_for
 from repro.cli import main
-from repro.obs import RunStarted
+from repro.obs import ProtocolEvent, RunStarted
 from repro.scenario import PROTOCOLS, RunSpec
 
 from tests.replay_scenarios import SPECS, recording_path
@@ -28,6 +28,7 @@ NAMES = {
     "finality-lag",
     "good-round",
     "half-range",
+    "parallel-consensus",
     "reliable-broadcast",
     "termination",
     "validity",
@@ -235,3 +236,59 @@ class TestVerdictsFor:
         _result, verdicts = campaign.judge(spec, campaign.EventBus())
         assert names == list(verdicts)
         assert "termination" in names
+
+    def test_parallel_is_judged_on_theorem_10_1(self):
+        spec = RunSpec(protocol="parallel", n=7, f=2, inputs="constant:1")
+        start = RunStarted("sim", spec.seed, spec.to_json_dict(), (1, 2))
+        (theorem,) = [
+            verdict
+            for verdict in verdicts_for(start)
+            if verdict.name == "parallel-consensus"
+        ]
+        # Both correct nodes input ("k", 1); both output a fabricated pair.
+        fabricated = [["k", 1], ["x", 9]]
+        for node in (1, 2):
+            theorem.on_event(
+                ProtocolEvent(9, node, "decide", {"value": fabricated})
+            )
+        assert "fabrication: node 1 output ('x', 9)" in theorem.verdict()
+
+    def test_parallel_instances_and_awareness_give_each_node_its_map(self):
+        spec = RunSpec(
+            protocol="parallel",
+            n=4,
+            f=1,
+            inputs="constant:1",
+            protocol_params={"instances": 3, "awareness": "partial"},
+        )
+        start = RunStarted("sim", spec.seed, spec.to_json_dict(), (5, 6, 7))
+        (theorem,) = [
+            verdict
+            for verdict in verdicts_for(start)
+            if verdict.name == "parallel-consensus"
+        ]
+        assert theorem.inputs == {
+            5: {"id0": 1, "id2": 1},
+            6: {"id1": 1},
+            7: {"id0": 1, "id2": 1},
+        }
+
+
+class TestJudgeOnParallel:
+    def test_run_and_judge_report_parallel_consensus(self, tmp_path, capsys):
+        spec = RunSpec(
+            protocol="parallel",
+            n=7,
+            f=2,
+            adversary="equivocator",
+            inputs="constant:1",
+            protocol_params={"instances": 4, "awareness": "partial"},
+            max_rounds=25,
+        )
+        path = spec.save(tmp_path / "spec.json")
+        run_code, run_lines, judge_code, judge_lines = run_then_judge(
+            path, tmp_path / "run.jsonl", capsys
+        )
+        assert run_code == judge_code == 0
+        assert "parallel-consensus: OK" in judge_lines
+        assert run_lines == judge_lines

@@ -1,5 +1,10 @@
 """Tests for the classical known-n,f baselines."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.adversary import QuorumSplitterStrategy, SilentStrategy
@@ -10,8 +15,13 @@ from repro.baselines import (
     SrikanthTouegBroadcast,
 )
 from repro.baselines.dolev_approx import trim_f_and_midpoint
+from repro.analysis.campaign import evaluate_spec
+from repro.obs.bus import EventBus
+from repro.scenario import RunSpec, run_spec
 from repro.sim.network import SyncNetwork
 from repro.sim.rng import consecutive_ids
+
+SRC = pathlib.Path(__file__).parents[2] / "src"
 
 
 def build_network(
@@ -160,3 +170,70 @@ class TestKnownFRotating:
         net.run(10)
         # only the single coordinator's opinion broadcast
         assert net.metrics.sends_total == 1
+
+
+class TestClassicVariant:
+    """Each classic is its protocol's ``classic`` variant and holds the
+    verdicts the id-only version is judged on."""
+
+    @pytest.mark.parametrize(
+        "protocol, expected, kwargs",
+        [
+            ("reliable-broadcast", "reliable-broadcast", {"max_rounds": 6}),
+            ("binary-consensus", "agreement", {}),
+            (
+                "approx",
+                "half-range",
+                {
+                    "adversary": "value-injector",
+                    "rushing": True,
+                    "protocol_params": {"iterations": 6},
+                },
+            ),
+            ("rotor", "good-round", {}),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_holds_its_protocols_verdicts(
+        self, protocol, expected, kwargs, seed
+    ):
+        spec = RunSpec(
+            protocol=protocol, n=10, f=3, variant="classic", seed=seed,
+            **kwargs,
+        )
+        verdicts = evaluate_spec(spec)["verdicts"]
+        assert expected in verdicts
+        assert set(verdicts.values()) == {None}, verdicts
+
+    def test_dolev_emits_the_per_iteration_events(self):
+        spec = RunSpec(
+            protocol="approx",
+            n=4,
+            f=1,
+            variant="classic",
+            protocol_params={"iterations": 3},
+        )
+        bus, events = EventBus(), []
+        bus.subscribe(lambda event: events.append(event.event), "protocol")
+        run_spec(spec, bus=bus)
+        assert events.count("approx-iterate") == 2 * 3
+        assert events.count("approx-output") == 3
+
+    def test_a_full_run_never_imports_the_baselines(self):
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['run', 'rotor', '--n', '4', '--f', '1']) == 0\n"
+            "assert 'repro.baselines' not in sys.modules\n"
+            "main(['run', 'rotor', '--n', '4', '--f', '1',"
+            " '--variant', 'classic'])\n"
+            "assert 'repro.baselines' in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,6 @@ from repro.adversary import SilentStrategy, ValueInjectorStrategy
 from repro.analysis.verdicts import HalfRange
 from repro.core.approx_agreement import (
     ApproximateAgreement,
-    IteratedApproximateAgreement,
     trim_and_midpoint,
 )
 
@@ -102,7 +101,7 @@ class TestIterated:
             correct=7,
             byzantine=2,
             seed=2,
-            protocol_factory=lambda nid, i: IteratedApproximateAgreement(
+            protocol_factory=lambda nid, i: ApproximateAgreement(
                 inputs[i], iterations=6
             ),
             strategy_factory=lambda nid, i: ValueInjectorStrategy(
@@ -127,7 +126,7 @@ class TestIterated:
             correct=7,
             byzantine=2,
             seed=3,
-            protocol_factory=lambda nid, i: IteratedApproximateAgreement(
+            protocol_factory=lambda nid, i: ApproximateAgreement(
                 inputs[i], iterations=8
             ),
             strategy_factory=lambda nid, i: SilentStrategy(),
@@ -142,7 +141,7 @@ class TestIterated:
             correct=7,
             byzantine=2,
             seed=4,
-            protocol_factory=lambda nid, i: IteratedApproximateAgreement(
+            protocol_factory=lambda nid, i: ApproximateAgreement(
                 inputs[i], iterations=12
             ),
             strategy_factory=lambda nid, i: ValueInjectorStrategy(),
@@ -153,12 +152,12 @@ class TestIterated:
 
     def test_iterations_validation(self):
         with pytest.raises(ValueError):
-            IteratedApproximateAgreement(0.0, iterations=0)
+            ApproximateAgreement(0.0, iterations=0)
 
     def test_all_decide_same_round(self):
         result = run_quick(
             correct=5,
-            protocol_factory=lambda nid, i: IteratedApproximateAgreement(
+            protocol_factory=lambda nid, i: ApproximateAgreement(
                 float(i), iterations=4
             ),
             max_rounds=8,

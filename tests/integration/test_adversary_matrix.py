@@ -18,7 +18,7 @@ from repro.core import (
     RotorCoordinator,
     TerminatingReliableBroadcast,
 )
-from repro.core.approx_agreement import IteratedApproximateAgreement
+from repro.core.approx_agreement import ApproximateAgreement
 
 from tests.conftest import assert_holds, predict_ids, run_quick
 
@@ -34,7 +34,7 @@ PROTOCOLS = {
 HONEST = {
     "consensus": lambda: EarlyConsensus(0),
     "binary-king": lambda: BinaryKingConsensus(0),
-    "approx": lambda: IteratedApproximateAgreement(0.0, iterations=5),
+    "approx": lambda: ApproximateAgreement(0.0, iterations=5),
     "renaming": lambda: ByzantineRenaming(),
     "parallel": lambda: ParallelConsensus({"k": 0}),
     "interactive-consistency": lambda: InteractiveConsistency(0),
@@ -51,7 +51,7 @@ def test_matrix_approx(strategy_name):
         byzantine=2,
         seed=11,
         rushing=True,
-        protocol_factory=lambda nid, i: IteratedApproximateAgreement(
+        protocol_factory=lambda nid, i: ApproximateAgreement(
             inputs[i], iterations=5
         ),
         strategy_factory=build_strategy(

@@ -21,8 +21,8 @@ from repro.analysis.verdicts import (
     Validity,
 )
 from repro.core import (
+    ApproximateAgreement,
     EarlyConsensus,
-    IteratedApproximateAgreement,
     ReliableBroadcast,
     RotorCoordinator,
 )
@@ -102,7 +102,7 @@ class TestApproxConformance:
             byzantine=byzantine,
             seed=8,
             rushing=True,
-            protocol_factory=lambda nid, i: IteratedApproximateAgreement(
+            protocol_factory=lambda nid, i: ApproximateAgreement(
                 inputs[i], iterations=iterations
             ),
             strategy_factory=lambda nid, i: ValueInjectorStrategy(

@@ -10,7 +10,7 @@ import pytest
 
 from repro.adversary import SilentStrategy, ValueInjectorStrategy
 from repro.baselines import DolevApproxAgreement
-from repro.core.approx_agreement import IteratedApproximateAgreement
+from repro.core.approx_agreement import ApproximateAgreement
 from repro.core.consensus import EarlyConsensus
 from repro.core.parallel_consensus import ParallelConsensus
 from repro.sim.network import SyncNetwork
@@ -61,7 +61,7 @@ class TestUnknownVsKnownF:
             byzantine=2,
             seed=5,
             rushing=True,
-            protocol_factory=lambda nid, i: IteratedApproximateAgreement(
+            protocol_factory=lambda nid, i: ApproximateAgreement(
                 inputs[i], iterations=iterations
             ),
             strategy_factory=lambda nid, i: ValueInjectorStrategy(),

@@ -23,11 +23,7 @@ EXEMPT = {
     "bench_ablations.py": {"R502"},
     "bench_e11_applications.py": {"R502"},
     "bench_e12_clock_sync.py": {"R502"},
-    "bench_e4_approx.py": {"R502"},
-    "bench_e7_parallel.py": {"R502"},
-    "bench_e9_baselines.py": {"R502"},
     "bench_engine.py": {"R302", "R502"},
-    "bench_scale.py": {"R502"},
     "bench_synchrony_erosion.py": {"R502"},
     "e2e/clock.py": {"R302"},
 }

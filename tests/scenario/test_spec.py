@@ -1,10 +1,14 @@
 """RunSpec: validation, freezing, and the JSON round-trip."""
 
 import dataclasses
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.e2e.workloads import WORKLOADS, spec_doc
+from benchmarks.grid import SPECS_DIR
+from repro.analysis.grid import load
 from repro.errors import ConfigurationError
 from repro.scenario import (
     ChurnSpec,
@@ -16,6 +20,37 @@ from repro.scenario import (
     resolve_inputs,
     run_spec,
 )
+
+from tests.replay_scenarios import SPECS as REPLAY_SPECS
+
+VIOLATIONS = pathlib.Path(__file__).parents[1] / "data" / "violations"
+
+
+def committed_specs() -> list:
+    """Every spec the repository commits: grid points, replay scenarios,
+    violation artifacts and e2e workloads (full and quick)."""
+    specs = [
+        pytest.param(spec, id=f"{path.stem}-{index}")
+        for path in sorted(SPECS_DIR.glob("*.json"))
+        for index, spec in enumerate(load(path).specs)
+    ]
+    specs += [
+        pytest.param(spec, id=f"replay-{name}")
+        for name, spec in REPLAY_SPECS.items()
+    ]
+    specs += [
+        pytest.param(RunSpec.load(path), id=path.stem)
+        for path in sorted(VIOLATIONS.glob("*.json"))
+    ]
+    specs += [
+        pytest.param(
+            RunSpec.from_json_dict(spec_doc(workload, 0, 0, quick=quick)),
+            id=f"e2e-{name}{'-quick' if quick else ''}",
+        )
+        for name, workload in WORKLOADS.items()
+        for quick in (False, True)
+    ]
+    return specs
 
 
 class TestValidation:
@@ -59,12 +94,30 @@ class TestValidation:
             ({"inputs": "telepathy"}, "input assignment"),
             ({"f": 1, "adversary": "nope"}, "unknown adversary"),
             ({"id_space": 3}, "id_space"),
+            ({"variant": "classic"}, "no 'classic' variant"),
+            ({"protocol_params": {"payload": "m"}}, "key 'payload'"),
+            (
+                {
+                    "protocol": "parallel",
+                    "protocol_params": {"instances": 2, "awareness": "half"},
+                },
+                "unknown awareness 'half'",
+            ),
+            (
+                {"protocol": "approx", "protocol_params": {"iterations": 0}},
+                "iterations must be a positive integer",
+            ),
         ],
     )
     def test_resolve_refuses_what_can_never_run(self, kwargs, match):
         spec = RunSpec(**{"protocol": "consensus", "n": 4, **kwargs})
         with pytest.raises(ConfigurationError, match=match):
             resolve(spec)
+
+    @pytest.mark.parametrize("spec", committed_specs())
+    def test_every_committed_spec_reads_only_its_params(self, spec):
+        entry, _ = resolve(spec)
+        assert set(spec.protocol_params) <= set(entry.params)
 
     def test_resolve_ignores_the_adversary_of_a_byzantine_free_run(self):
         entry, _ = resolve(RunSpec(protocol="consensus", n=4, adversary="x"))

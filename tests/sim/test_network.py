@@ -450,7 +450,6 @@ class TestMetricsIntegration:
         net.run(3, until_all_halted=False)
         assert net.metrics.staged_total == 3 * 3
         assert net.metrics.deliveries_total == 2 * 9
-        assert net.metrics.staged_by_round[2] == 3
         assert "staged_total" in net.metrics.summary()
 
     def test_clock_injection_times_engine_phases(self):
@@ -461,9 +460,6 @@ class TestMetricsIntegration:
         phases = net.metrics.engine_time_by_phase
         assert set(phases) == {"deliver", "correct", "adversary", "stage"}
         assert all(dt > 0 for dt in phases.values())
-        assert sum(net.metrics.engine_time_by_round.values()) == (
-            sum(phases.values())
-        )
         assert "engine_time_by_phase" in net.metrics.summary()
 
     def test_no_clock_means_no_engine_timings(self):

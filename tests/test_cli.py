@@ -288,8 +288,21 @@ class TestScenarioFile:
             ({"variant": "nope"}, "protocol 'consensus' has no 'nope'"),
             ({"n": 10, "id_space": 5}, "id_space=5 cannot hold n=10"),
             ({"f": 1, "adversary": "nope"}, "unknown adversary 'nope'"),
+            (
+                {"variant": "classic"},
+                "protocol 'consensus' has no 'classic' variant; choose "
+                "from ('full', 'sampled')",
+            ),
+            (
+                {"protocol_params": {"iterations": 8}},
+                "protocol 'consensus' reads no protocol_params key "
+                "'iterations'; it reads []",
+            ),
         ],
-        ids=["n0", "n4f2", "protocol", "variant", "id-space", "adversary"],
+        ids=[
+            "n0", "n4f2", "protocol", "variant", "id-space", "adversary",
+            "classic", "param",
+        ],
     )
     def test_spec_that_can_never_run_is_an_input_error(
         self, tmp_path, capsys, command, doc, message
@@ -315,6 +328,26 @@ class TestScenarioFile:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: n=4, f=2 violates n > 3f")
+
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    def test_a_param_the_protocol_does_not_read_is_an_input_error(
+        self, capsys, command
+    ):
+        argv = ["--n", "4", "--f", "1", "--protocol-param", "iteration=8"]
+        code = main([command, "approx", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            "error: protocol 'approx' reads no protocol_params key "
+            "'iteration'; it reads ['iterations']"
+        )
+
+    def test_approx_runs_its_iterations(self, capsys):
+        argv = ["--n", "4", "--f", "1", "--protocol-param", "iterations=8"]
+        assert main(["run", "approx", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "rounds   : 9" in out
+        assert "half-range: OK" in out
 
 
 class TestCampaign:
