@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.adversary import STRATEGY_BUILDERS, build_strategy
 from repro.errors import ConfigurationError
-from repro.scenario.churn import build_membership
+from repro.scenario.churn import build_membership, churn_params
 from repro.scenario.registry import (
     InputFn,
     ProtocolEntry,
@@ -59,8 +59,9 @@ def resolve(spec: RunSpec) -> tuple[ProtocolEntry, InputFn]:
     """*spec*'s protocol entry and input function, building nothing;
     :class:`~repro.errors.ConfigurationError` when the spec can never
     run whatever its seed (``validate()``, an unknown protocol,
-    variant, inputs or, with ``f > 0``, adversary name, or a
-    ``protocol_params`` key or value the protocol cannot read)."""
+    variant, inputs or, with ``f > 0``, adversary name, a
+    ``protocol_params`` key or value the protocol cannot read, or a
+    churn spec :func:`~repro.scenario.churn.churn_params` refuses)."""
     spec.validate()
     entry = get_protocol(spec.protocol)
     if spec.variant not in entry.variants:
@@ -75,6 +76,8 @@ def resolve(spec: RunSpec) -> tuple[ProtocolEntry, InputFn]:
             f"unknown adversary {spec.adversary!r}; known: "
             f"{', '.join(STRATEGY_BUILDERS)}"
         )
+    if spec.churn is not None:
+        churn_params(spec, entry)
     return entry, input_fn
 
 

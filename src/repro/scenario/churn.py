@@ -32,7 +32,10 @@ from repro.types import NodeId
 #: independent streams of the one master seed.
 CHURN_SALT = 0x5EED_CA11
 
-__all__ = ["CHURN_SALT", "CHURN_KINDS", "build_membership", "validate_schedule"]
+__all__ = [
+    "CHURN_SALT", "CHURN_KINDS", "build_membership", "churn_params",
+    "validate_schedule",
+]
 
 
 def _fresh_id(rng, taken: set[NodeId], id_space: int) -> NodeId:
@@ -43,32 +46,90 @@ def _fresh_id(rng, taken: set[NodeId], id_space: int) -> NodeId:
             return candidate
 
 
-def _joiner_factory(spec, entry, node_id: NodeId, round_no: int):
+#: Each generator's params with their defaults (``None``: derived from
+#: the spec when absent).  A value must be an int, or, where the
+#: default is a float, any number.
+_DEFAULTS: dict[str, dict[str, Any]] = {
+    "rate": {
+        "join_rate": 0.08, "leave_rate": 0.04, "start": 12, "stop": None,
+        "max_joins": None, "max_leaves": None,
+    },
+    "crash-recover": {"pairs": 1, "first": 16, "gap": 8, "spacing": 12},
+    "bursts": {"first": 14, "period": 7, "count": 3, "joins": 1, "leaves": 0},
+}
+
+
+def churn_params(spec, entry) -> dict[str, Any]:
+    """*spec*'s churn params over their generator's defaults.
+
+    :class:`~repro.errors.ConfigurationError` when the churn spec can
+    never run, whatever the seed: an unknown kind or key, a value of the
+    wrong type, a protocol with no joiner (every kind joins), or a
+    schedule shape its generator refuses.
+    """
+    kind = spec.churn.kind
+    if kind not in _DEFAULTS:
+        raise ConfigurationError(
+            f"unknown churn kind {kind!r}; known: {', '.join(CHURN_KINDS)}"
+        )
+    params = dict(_DEFAULTS[kind])
+    unknown = sorted(set(spec.churn.params) - set(params))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown churn params for {kind!r}: {unknown}"
+        )
+    for key, value in spec.churn.params.items():
+        real = isinstance(params[key], float)
+        if type(value) is not int and not (real and type(value) is float):
+            raise ConfigurationError(
+                f"churn param {key!r} must be "
+                f"{'a number' if real else 'an integer'}, got {value!r}"
+            )
+        params[key] = value
     if entry.joiner is None:
         raise ConfigurationError(
             f"protocol {spec.protocol!r} has no join handshake; churn "
             "schedules need a protocol with a registered joiner "
             "(e.g. total-order)"
         )
-    return entry.joiner(spec, node_id, round_no)
+    founders, f = spec.n - spec.f, spec.f
+    if kind == "crash-recover":
+        if params["gap"] < 2:
+            raise ConfigurationError(
+                "crash-recover gap must be >= 2: a node cannot rejoin the "
+                "round it is removed"
+            )
+        if params["pairs"] > founders:
+            raise ConfigurationError(
+                f"crash-recover pairs={params['pairs']} exceeds the "
+                f"{founders} correct founders"
+            )
+        # Victims go down every ``spacing`` rounds for ``gap`` rounds.
+        spacing = max(params["spacing"], 1)
+        down = min(params["pairs"], -(-params["gap"] // spacing))
+        if spec.enforce_resiliency and not founders - down + f > 3 * f:
+            raise ConfigurationError(
+                f"crash-recover downtime leaves n={founders - down + f}, "
+                f"f={f}: violates n > 3f"
+            )
+    if kind == "bursts" and params["leaves"] > params["joins"]:
+        raise ConfigurationError(
+            "bursts: cannot yank more joiners than the burst admits"
+        )
+    return params
 
 
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 def _rate_schedule(
-    spec, entry, correct_ids: Sequence[NodeId], byz_ids: Sequence[NodeId]
+    spec, params: dict[str, Any], entry, correct_ids, byz_ids
 ) -> MembershipSchedule:
     """Independent per-round join/leave coin flips over a window."""
-    params = dict(spec.churn.params)
-    join_rate = float(params.pop("join_rate", 0.08))
-    leave_rate = float(params.pop("leave_rate", 0.04))
-    start = int(params.pop("start", 12))
-    stop = int(params.pop("stop", max(start, spec.max_rounds - 25)))
-    max_joins = params.pop("max_joins", None)
-    max_leaves = params.pop("max_leaves", None)
-    _reject_unknown("rate", params)
-
+    start, stop = params["start"], params["stop"]
+    if stop is None:
+        stop = max(start, spec.max_rounds - 25)
+    max_joins, max_leaves = params["max_joins"], params["max_leaves"]
     rng = make_rng(spec.seed, salt=CHURN_SALT)
     schedule = MembershipSchedule()
     taken = set(correct_ids) | set(byz_ids)
@@ -77,18 +138,16 @@ def _rate_schedule(
     joins = leaves = 0
     for round_no in range(start, stop):
         if (max_joins is None or joins < max_joins) and (
-            rng.random() < join_rate
+            rng.random() < params["join_rate"]
         ):
             joiner = _fresh_id(rng, taken, spec.id_space)
             schedule.join(
-                round_no,
-                joiner,
-                _joiner_factory(spec, entry, joiner, round_no),
+                round_no, joiner, entry.joiner(spec, joiner, round_no)
             )
             correct_alive.add(joiner)
             joins += 1
         if (max_leaves is None or leaves < max_leaves) and (
-            rng.random() < leave_rate
+            rng.random() < params["leave_rate"]
         ):
             # Remove a random correct member — but never below the
             # resiliency floor the dynamic model requires per round.
@@ -104,95 +163,48 @@ def _rate_schedule(
 
 
 def _crash_recover_schedule(
-    spec, entry, correct_ids: Sequence[NodeId], byz_ids: Sequence[NodeId]
+    spec, params: dict[str, Any], entry, correct_ids, byz_ids
 ) -> MembershipSchedule:
     """Forced removals followed by same-id rejoins."""
-    params = dict(spec.churn.params)
-    pairs = int(params.pop("pairs", 1))
-    first = int(params.pop("first", 16))
-    gap = int(params.pop("gap", 8))
-    spacing = int(params.pop("spacing", 12))
-    _reject_unknown("crash-recover", params)
-    if gap < 2:
-        raise ConfigurationError(
-            "crash-recover gap must be >= 2: a node cannot rejoin the "
-            "round it is removed"
-        )
-    if pairs > len(correct_ids):
-        raise ConfigurationError(
-            f"crash-recover pairs={pairs} exceeds the {len(correct_ids)} "
-            "correct founders"
-        )
-
+    first, gap, spacing = params["first"], params["gap"], params["spacing"]
     rng = make_rng(spec.seed, salt=CHURN_SALT)
-    victims = rng.sample(sorted(correct_ids), pairs)
+    victims = rng.sample(sorted(correct_ids), params["pairs"])
     schedule = MembershipSchedule()
-    f_alive = len(byz_ids)
-    n_during = len(correct_ids) - 1 + f_alive
-    if spec.enforce_resiliency and not n_during > 3 * f_alive:
-        raise ConfigurationError(
-            f"crash-recover downtime leaves n={n_during}, f={f_alive}: "
-            "violates n > 3f"
-        )
     for k, victim in enumerate(victims):
         down = first + k * spacing
         schedule.leave(down, victim)
         schedule.join(
-            down + gap,
-            victim,
-            _joiner_factory(spec, entry, victim, down + gap),
+            down + gap, victim, entry.joiner(spec, victim, down + gap)
         )
     return schedule
 
 
 def _bursts_schedule(
-    spec, entry, correct_ids: Sequence[NodeId], byz_ids: Sequence[NodeId]
+    spec, params: dict[str, Any], entry, correct_ids, byz_ids
 ) -> MembershipSchedule:
     """Clumped joins, with some joiners yanked at their admission round."""
-    params = dict(spec.churn.params)
-    first = int(params.pop("first", 14))
-    period = int(params.pop("period", 7))
-    count = int(params.pop("count", 3))
-    joins_per_burst = int(params.pop("joins", 1))
-    leaves_per_burst = int(params.pop("leaves", 0))
-    _reject_unknown("bursts", params)
-    if leaves_per_burst > joins_per_burst:
-        raise ConfigurationError(
-            "bursts: cannot yank more joiners than the burst admits"
-        )
-
+    first, period = params["first"], params["period"]
     rng = make_rng(spec.seed, salt=CHURN_SALT)
     schedule = MembershipSchedule()
     taken = set(correct_ids) | set(byz_ids)
-    for burst in range(count):
+    for burst in range(params["count"]):
         round_no = first + period * burst
         burst_joiners = []
-        for _ in range(joins_per_burst):
+        for _ in range(params["joins"]):
             joiner = _fresh_id(rng, taken, spec.id_space)
             schedule.join(
-                round_no,
-                joiner,
-                _joiner_factory(spec, entry, joiner, round_no),
+                round_no, joiner, entry.joiner(spec, joiner, round_no)
             )
             burst_joiners.append(joiner)
         # Established members admit a joiner to S three rounds after its
         # `present` lands; removing it exactly then maximizes the damage
         # a churn adversary can do to the membership views.
-        for victim in burst_joiners[:leaves_per_burst]:
+        for victim in burst_joiners[:params["leaves"]]:
             schedule.leave(round_no + 3, victim)
     return schedule
 
 
-def _reject_unknown(kind: str, leftovers: dict[str, Any]) -> None:
-    if leftovers:
-        raise ConfigurationError(
-            f"unknown churn params for {kind!r}: {sorted(leftovers)}"
-        )
-
-
-_GENERATORS: dict[
-    str, Callable[..., MembershipSchedule]
-] = {
+_GENERATORS: dict[str, Callable[..., MembershipSchedule]] = {
     "rate": _rate_schedule,
     "crash-recover": _crash_recover_schedule,
     "bursts": _bursts_schedule,
@@ -209,14 +221,9 @@ def build_membership(
     byz_ids: Sequence[NodeId],
 ) -> MembershipSchedule:
     """Generate and validate the membership schedule for *spec*."""
-    try:
-        generator = _GENERATORS[spec.churn.kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown churn kind {spec.churn.kind!r}; known: "
-            f"{', '.join(CHURN_KINDS)}"
-        ) from None
-    schedule = generator(spec, entry, correct_ids, byz_ids)
+    params = churn_params(spec, entry)
+    generator = _GENERATORS[spec.churn.kind]
+    schedule = generator(spec, params, entry, correct_ids, byz_ids)
     validate_schedule(
         schedule,
         correct_ids,

@@ -156,6 +156,11 @@ class ProtocolEntry:
                 raise ConfigurationError(
                     f"{key} must be a positive integer, got {value!r}"
                 )
+        for key in _INTEGER_PARAMS:
+            if type(params.get(key, 0)) is not int:
+                raise ConfigurationError(
+                    f"{key} must be an integer, got {params[key]!r}"
+                )
 
 
 def _with_members(classic, spec, input_fn: InputFn) -> ProtocolFactory:
@@ -276,9 +281,9 @@ def _reliable_broadcast_build(spec, input_fn: InputFn) -> ProtocolFactory:
 def _event_plan(spec, label: str) -> dict[int, Hashable]:
     """Total order's event cadence: event ``<label>@r`` in round r."""
     params = spec.protocol_params
-    first = int(params.get("event_first", 2))
-    last = int(params.get("event_last", 60))
-    every = int(params.get("event_every", 5))
+    first = params.get("event_first", 2)
+    last = params.get("event_last", 60)
+    every = params.get("event_every", 5)
     if every <= 0:
         return {}
     return {r: f"{label}@{r}" for r in range(first, last, every)}
@@ -286,9 +291,9 @@ def _event_plan(spec, label: str) -> dict[int, Hashable]:
 
 def _total_order_build(spec, input_fn: InputFn) -> ProtocolFactory:
     params = spec.protocol_params
-    leavers = int(params.get("leavers", 0))
-    leave_base = int(params.get("leave_base", 30))
-    leave_step = int(params.get("leave_step", 5))
+    leavers = params.get("leavers", 0)
+    leave_base = params.get("leave_base", 30)
+    leave_step = params.get("leave_step", 5)
 
     def build(nid: NodeId, i: int):
         node = TotalOrderNode(
@@ -312,10 +317,13 @@ def _total_order_joiner(spec, node_id: NodeId, round_no: Round):
 
 _CLASSIC = ("full", "classic")
 _SAMPLED = ("full", "sampled")
-_TOTAL_ORDER_PARAMS = (
+#: Total order's cadence and leave-plan keys: integers, checked by
+#: :meth:`ProtocolEntry.check_params` before the builder reads them.
+_INTEGER_PARAMS = (
     "event_first", "event_last", "event_every", "leavers", "leave_base",
-    "leave_step", "joiner_events",
+    "leave_step",
 )
+_TOTAL_ORDER_PARAMS = (*_INTEGER_PARAMS, "joiner_events")
 
 _ENTRIES: dict[str, ProtocolEntry] = {
     entry.name: entry

@@ -48,7 +48,8 @@ scan over the view's messages answers, including the historical (count,
 repr, first-occurrence-order) tie-break — pinned by the coherence
 suites in ``tests/properties/`` and by the naive reference engine in
 ``tests/reference_engine.py``, which shares no index code with this
-module.
+module and runs every spec ``tests/integration/test_differential.py``
+draws from the registry node for node against the engine.
 """
 
 from __future__ import annotations

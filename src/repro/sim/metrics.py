@@ -7,16 +7,13 @@ logical sends, so benchmarks report both.
 
 Metrics is a *subscriber* of the run's :class:`~repro.obs.bus.EventBus`
 (:meth:`Metrics.attach`): whichever runtime publishes the wire events
-(sim, net, asyncsim), the same counters accumulate.  The ``record_*``
-methods remain for direct use in tests and ad-hoc tooling.
+(sim, net, asyncsim), the same counters accumulate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-from repro.types import NodeId
 
 
 @dataclass
@@ -86,12 +83,11 @@ class Metrics:
         bus.unsubscribe(self._on_run_end)
 
     def _on_round_start(self, event) -> None:
-        self.record_round(event.round)
+        self.rounds = max(self.rounds, event.round)
 
     def _on_send(self, event) -> None:
-        # Hot path (one call per send row): counters are bumped inline
-        # rather than via record_send.  A row is one logical send per
-        # payload, times its recipients when direct.
+        # Hot path (one call per send row).  A row is one logical send
+        # per payload, times its recipients when direct.
         kind = event.kind
         dests = event.dests
         copies = 1 if dests is None else len(dests)
@@ -127,28 +123,6 @@ class Metrics:
 
     def _on_drop(self, event) -> None:
         self.frames_dropped += event.count
-
-    # ------------------------------------------------------------------
-    # Direct recording
-    # ------------------------------------------------------------------
-    def record_send(
-        self,
-        round_no: int,
-        sender: NodeId,
-        kind: str,
-        wire_bytes: int = 0,
-    ) -> None:
-        self.sends_total += 1
-        self.sends_by_kind[kind] += 1
-        if wire_bytes:
-            self.bytes_total += wire_bytes
-            self.bytes_by_kind[kind] += wire_bytes
-
-    def record_delivery(self, round_no: int, count: int = 1) -> None:
-        self.deliveries_total += count
-
-    def record_round(self, round_no: int) -> None:
-        self.rounds = max(self.rounds, round_no)
 
     @property
     def sends_per_round(self) -> float:

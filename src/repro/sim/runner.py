@@ -146,6 +146,27 @@ def draw_population(
     return sorted(shuffled[:correct]), sorted(shuffled[correct:])
 
 
+def populate(
+    scenario: Scenario, network
+) -> tuple[list[NodeId], list[NodeId], dict[NodeId, Protocol]]:
+    """Draw *scenario*'s population and register it on *network* (any
+    ``add_correct``/``add_byzantine`` owner); return the sorted correct
+    and Byzantine ids and the correct nodes' protocols."""
+    correct_ids, byz_ids = draw_population(
+        scenario.seed, scenario.correct, scenario.byzantine, scenario.id_space
+    )
+    protocols: dict[NodeId, Protocol] = {}
+    for index, node_id in enumerate(correct_ids):
+        protocol = scenario.protocol_factory(node_id, index)
+        protocols[node_id] = protocol
+        network.add_correct(node_id, protocol)
+    for index, node_id in enumerate(byz_ids):
+        network.add_byzantine(
+            node_id, scenario.strategy_factory(node_id, index)
+        )
+    return correct_ids, byz_ids, protocols
+
+
 @collector_paused
 def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
     """Build the network described by *scenario*, run it, return the result.
@@ -158,13 +179,6 @@ def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
     ``repro run``).
     """
     scenario.validate()
-    correct_ids, byz_ids = draw_population(
-        scenario.seed,
-        scenario.correct,
-        scenario.byzantine,
-        scenario.id_space,
-    )
-
     network = SyncNetwork(
         seed=scenario.seed,
         rushing=scenario.rushing,
@@ -172,16 +186,7 @@ def run_scenario(scenario: Scenario, *, bus=None) -> ScenarioResult:
         bus=bus,
         spec=scenario.spec,
     )
-    protocols: dict[NodeId, Protocol] = {}
-    for index, node_id in enumerate(correct_ids):
-        protocol = scenario.protocol_factory(node_id, index)
-        protocols[node_id] = protocol
-        network.add_correct(node_id, protocol)
-    for index, node_id in enumerate(byz_ids):
-        network.add_byzantine(
-            node_id, scenario.strategy_factory(node_id, index)
-        )
-
+    correct_ids, byz_ids, protocols = populate(scenario, network)
     rounds = network.run(
         scenario.max_rounds, until_all_halted=scenario.until_all_halted
     )

